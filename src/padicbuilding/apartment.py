@@ -259,65 +259,36 @@ def open_box(intervals) -> OpenBox:
     return OpenBox(ivs)
 
 
-def _fm_feasible(constraints, nvars: int) -> bool:
-    # Fourier-Motzkin elimination; constraints are (coeffs, rhs, strict)
-    # meaning sum(coeffs * x) <= rhs, strict for "<".
-    cons = [(tuple(c), Fraction(r), s) for c, r, s in constraints]
-    for v in range(nvars):
-        uppers, lowers, rest = [], [], []
-        for c, r, s in cons:
-            if c[v] > 0:
-                uppers.append((c, r, s))
-            elif c[v] < 0:
-                lowers.append((c, r, s))
-            else:
-                rest.append((c, r, s))
-        cons = rest
-        for cu, ru, su in uppers:
-            au = cu[v]
-            for cl, rl, sl in lowers:
-                al = cl[v]
-                coeffs = tuple(au * cl[k] - al * cu[k] for k in range(nvars))
-                cons.append((coeffs, au * rl - al * ru, su or sl))
-    return all(r > 0 if s else r >= 0 for _, r, s in cons)
-
-
 def gamma_membership(y: ApartmentPoint, box: OpenBox, piece) -> bool:
     """Decide membership of y in the basic open Gamma attached to (box, I).
 
     Gamma is the union over J between I and {1..n} of the projections
     s_J(U + Delta_I), where Delta_I is the cone spanned by the eta_i for
-    i outside I.  Membership reduces to exact rational feasibility of a
-    small linear system: an interior class u in the box, a nonnegative
-    drift delta supported off I, and a gauge constant matching y on its
-    piece.
+    i outside I.  So y is a member when some u in the box (u_1 = 0), some
+    drift delta >= 0 supported off I and some gauge constant c give
+    y_j = u_j + delta_j + c on the piece of y.  Each u_j meets only c, so
+    eliminating it leaves an interval test on c: lo_j < y_j - c < hi_j for
+    j in I, lo_j < y_j - c for j in the piece outside I, and at index 1
+    (where u_1 = 0) either c = y_1 or c <= y_1.
     """
     n = box.n
-    i_set = tuple(sorted(set(piece)))
-    if not i_set or not set(i_set) < set(range(1, n + 1)):
+    i_set = set(piece)
+    if not i_set or not i_set < set(range(1, n + 1)):
         raise DomainError("need a nonempty proper subset I of {1..n}")
-    if not set(i_set) <= set(y.piece) or not set(y.piece) <= set(range(1, n + 1)):
+    if not set(y.piece) <= set(range(1, n + 1)):
+        raise DomainError(f"piece {y.piece} does not fit dimension {n}")
+    if not i_set <= set(y.piece):
         return False
-    # variables: x[0] = gauge constant c, x[i-1] = u_i for i in 2..n (u_1 = 0)
-    cons = []
-
-    def u_coeffs(i, sign):
-        c = [Fraction(0)] * n
-        if i >= 2:
-            c[i - 1] = Fraction(sign)
-        return c
-
-    for k, (lo, hi) in enumerate(box.intervals):
-        i = k + 2
-        cons.append((u_coeffs(i, -1), -lo, True))   # u_i > lo
-        cons.append((u_coeffs(i, +1), hi, True))    # u_i < hi
-    for j in y.piece:
-        yj = y.exponent(j)
-        c = u_coeffs(j, +1)
-        c[0] = Fraction(1)
+    lower, upper = -INF, INF            # strict bounds on c
+    for j, yj in zip(y.piece, y.exponents):
+        if j == 1:
+            continue
+        lo, hi = box.intervals[j - 2]
+        upper = min(upper, yj - lo)
         if j in i_set:
-            cons.append((tuple(c), yj, False))      # u_j + c = y_j
-            cons.append((tuple(-t for t in c), -yj, False))
-        else:
-            cons.append((tuple(c), yj, False))      # u_j + c <= y_j (delta_j >= 0)
-    return _fm_feasible(cons, n)
+            lower = max(lower, yj - hi)
+    if 1 in i_set:
+        return lower < y.exponent(1) < upper
+    if 1 in y.piece:
+        return lower < upper and lower < y.exponent(1)
+    return lower < upper

@@ -269,12 +269,13 @@ def identity(n: int) -> tuple:
 
 
 def mat_vec(m, v) -> tuple:
-    return tuple(sum(a * x for a, x in zip(row, v)) for row in m)
+    return tuple(sum(a * x for a, x in zip(row, v, strict=True)) for row in m)
 
 
 def mat_mul(a, b) -> tuple:
-    bt = list(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    bt = list(zip(*b, strict=True))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col, strict=True)) for col in bt)
+                 for row in a)
 
 
 def mat_col(m, j) -> tuple:
@@ -286,7 +287,7 @@ def mat_from_cols(cols) -> tuple:
 
 
 def vec_add(u, v) -> tuple:
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
 def vec_sub(u, v) -> tuple:
@@ -298,63 +299,71 @@ def vec_scale(c, v) -> tuple:
     return tuple(c * a for a in v)
 
 
+def _eliminate(rows, ncols: int, reduce: bool = True):
+    """Row-reduce `rows`, a list of row lists, in place.
+
+    Pivots are sought in the first `ncols` columns; row operations act on
+    whole rows, so augmented columns ride along.  The entries below each
+    pivot are cleared.  With `reduce` the entries above are cleared too and
+    every pivot row is scaled to lead with 1, giving the reduced echelon
+    form; without it the pass is the forward half only.  Returns the pivot
+    columns and the signed product of the pivots, which is the determinant
+    when the first `ncols` columns are square and of full rank.
+    """
+    nrows = len(rows)
+    pivots = []
+    det = Fraction(1)
+    r = 0
+    for col in range(ncols):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            det = -det
+        lead = rows[r][col]
+        det *= lead
+        inv = 1 / Fraction(lead)
+        # entries left of col vanish in the pivot row, so only the tail moves
+        tail = rows[r][col:]
+        for i in range(0 if reduce else r + 1, nrows):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col] * inv
+                rows[i][col:] = [x - f * y for x, y in zip(rows[i][col:], tail)]
+        if reduce:
+            rows[r][col:] = [x * inv for x in tail]
+        pivots.append(col)
+        r += 1
+    return pivots, det
+
+
 def solve_linear(m, b) -> tuple:
     """Solve m x = b exactly for square invertible m."""
     n = len(m)
     if any(len(r) != n for r in m) or len(b) != n:
         raise ValueError("solve_linear needs a square system")
     a = [list(row) + [bi] for row, bi in zip(m, b)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise SingularMatrixError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / Fraction(a[col][col])
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(a[r][n] for r in range(n))
+    if len(_eliminate(a, n)[0]) < n:
+        raise SingularMatrixError("matrix is singular")
+    return tuple(row[n] for row in a)
 
 
 def mat_inverse(m) -> tuple:
     n = len(m)
     a = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)]
          for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise SingularMatrixError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / Fraction(a[col][col])
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    if len(_eliminate(a, n)[0]) < n:
+        raise SingularMatrixError("matrix is singular")
     return tuple(tuple(row[n:]) for row in a)
 
 
 def mat_det(m) -> Fraction:
-    """Determinant by fraction-exact elimination."""
+    """Determinant by fraction-exact forward elimination."""
     n = len(m)
-    a = [list(row) for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / Fraction(a[col][col])
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
+    pivots, det = _eliminate([list(row) for row in m], n, reduce=False)
+    return det if len(pivots) == n else Fraction(0)
 
 
 def rank(vectors) -> int:
@@ -362,23 +371,7 @@ def rank(vectors) -> int:
     rows = [list(map(Fraction, v)) for v in vectors]
     if not rows:
         return 0
-    ncols = len(rows[0])
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return r
+    return len(_eliminate(rows, len(rows[0]), reduce=False)[0])
 
 
 def reduced_echelon(vectors) -> list:
@@ -390,50 +383,17 @@ def reduced_echelon(vectors) -> list:
     rows = [list(map(Fraction, v)) for v in vectors]
     if not rows:
         return []
-    ncols = len(rows[0])
-    r = 0
-    pivots = []
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return [tuple(rows[i]) for i in range(r)]
+    pivots, _ = _eliminate(rows, len(rows[0]))
+    return [tuple(row) for row in rows[:len(pivots)]]
 
 
-def nullspace(m) -> list:
-    """Canonical basis of {x : m x = 0} for a rectangular matrix m."""
+def _kernel_and_pivots(m):
+    """`nullspace(m)` together with the pivot columns of m's row reduction."""
     if not m:
         raise ValueError("nullspace of empty matrix")
-    nrows, ncols = len(m), len(m[0])
+    ncols = len(m[0])
     rows = [list(map(Fraction, r)) for r in m]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
+    pivots, _ = _eliminate(rows, ncols)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
@@ -442,4 +402,9 @@ def nullspace(m) -> list:
         for i, pc in enumerate(pivots):
             x[pc] = -rows[i][fc]
         basis.append(tuple(x))
-    return reduced_echelon(basis) if basis else []
+    return (reduced_echelon(basis) if basis else []), pivots
+
+
+def nullspace(m) -> list:
+    """Canonical basis of {x : m x = 0} for a rectangular matrix m."""
+    return _kernel_and_pivots(m)[0]

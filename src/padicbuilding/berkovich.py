@@ -97,15 +97,6 @@ def polynomial(terms, nvars: int) -> PolynomialSymV:
     return PolynomialSymV(tuple(cleaned), nvars)
 
 
-def poly_constant(c, nvars: int) -> PolynomialSymV:
-    return polynomial([((0,) * nvars, c)], nvars)
-
-
-def poly_coordinate(i: int, nvars: int) -> PolynomialSymV:
-    nu = tuple(1 if k == i - 1 else 0 for k in range(nvars))
-    return polynomial([(nu, 1)], nvars)
-
-
 def poly_mul(f: PolynomialSymV, g: PolynomialSymV) -> PolynomialSymV:
     if f.nvars != g.nvars:
         raise DomainError("variable count mismatch")
@@ -115,12 +106,6 @@ def poly_mul(f: PolynomialSymV, g: PolynomialSymV) -> PolynomialSymV:
             nu = tuple(a + b for a, b in zip(nu1, nu2))
             out[nu] = out.get(nu, Fraction(0)) + c1 * c2
     return polynomial(out, f.nvars)
-
-
-def poly_add(f: PolynomialSymV, g: PolynomialSymV) -> PolynomialSymV:
-    if f.nvars != g.nvars:
-        raise DomainError("variable count mismatch")
-    return polynomial(list(f.terms) + list(g.terms), f.nvars)
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,8 @@ def _dispatch(cmd, argv):
         ctx = PrimeContext(args.p, args.n, args.e)
         y, rg = _point_arg(args.y, "--y")
         box = serialize.box_from_doc(_payload(args.box, "--box"), "--box")
+        if box.n != ctx.n:
+            raise DomainError(f"box has {box.n - 1} intervals, expected {ctx.n - 1}")
         piece = _payload(args.I, "--I")
         if not isinstance(piece, list) or not all(isinstance(i, int) for i in piece):
             raise ParseError("expected an array of indices", "--I")

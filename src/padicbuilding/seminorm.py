@@ -23,6 +23,7 @@ from .arith import (
     ZERO_VALUE,
     LogValue,
     PrimeContext,
+    _kernel_and_pivots,
     identity,
     l_is_zero,
     mat,
@@ -32,7 +33,6 @@ from .arith import (
     mat_inverse,
     mat_mul,
     mat_vec,
-    nullspace,
     reduced_echelon,
     val_k,
 )
@@ -290,8 +290,7 @@ def pullback_from_functional(zs, ctx: PrimeContext) -> DiagonalSeminorm:
     if all(l_is_zero(z) for z in zs):
         raise ZeroFunctionalError("functional is zero")
     zmat = mat([[zs[i].coeffs[j] for i in range(ctx.n)] for j in range(ctx.e)])
-    ker = nullspace(zmat)
-    pivot_cols = _pivot_columns(zmat)
+    ker, pivot_cols = _kernel_and_pivots(zmat)
     cs = [Fraction(-j, ctx.e) for j in range(ctx.e)]
     coords = [list(mat_col(zmat, i)) for i in pivot_cols]
     companions = [[Fraction(1 if t == i else 0) for t in range(ctx.n)] for i in pivot_cols]
@@ -299,29 +298,6 @@ def pullback_from_functional(zs, ctx: PrimeContext) -> DiagonalSeminorm:
     cols = [tuple(c) for c in companions] + list(ker)
     values = [LogValue.finite(t) for t in tops] + [ZERO_VALUE] * len(ker)
     return diagonal_seminorm(mat_from_cols(cols), values, ctx)
-
-
-def _pivot_columns(m) -> list:
-    rows = [list(r) for r in m]
-    nrows, ncols = len(rows), len(rows[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
 
 
 def pullback_value(zs, v, ctx: PrimeContext) -> LogValue:

@@ -97,6 +97,8 @@ def apartment_point_from_doc(doc, where="point"):
     piece = doc["I"]
     if not isinstance(piece, list) or not all(isinstance(i, int) for i in piece):
         raise ParseError("piece must be an array of indices", where + ".I")
+    if not isinstance(doc["x"], list):
+        raise ParseError("exponents must be an array", where + ".x")
     exps = [frac_from_str(t, f"{where}.x[{k}]") for k, t in enumerate(doc["x"])]
     if len(exps) != len(piece):
         raise ParseError("piece and exponent lengths differ", where)
@@ -116,6 +118,8 @@ def monomial_to_doc(m: apartment.MonomialElement):
 def monomial_from_doc(doc, where="monomial"):
     if not isinstance(doc, dict) or not {"perm", "trans"} <= set(doc):
         raise ParseError("expected {\"perm\": [...], \"trans\": [...]}", where)
+    if not isinstance(doc["trans"], list):
+        raise ParseError("translation must be an array", where + ".trans")
     trans = [frac_from_str(t, f"{where}.trans[{k}]") for k, t in enumerate(doc["trans"])]
     try:
         m = apartment.monomial_element(doc["perm"], trans)
@@ -146,6 +150,8 @@ def box_to_doc(u: apartment.OpenBox):
 def box_from_doc(doc, where="box"):
     if not isinstance(doc, dict) or "intervals" not in doc:
         raise ParseError("expected {\"intervals\": [[lo, hi], ...]}", where)
+    if not isinstance(doc["intervals"], list):
+        raise ParseError("intervals must be an array", where + ".intervals")
     ivs = []
     for k, pair in enumerate(doc["intervals"]):
         if not (isinstance(pair, list) and len(pair) == 2):

@@ -267,3 +267,102 @@ def test_ray_limit_consistent_with_gamma_membership():
         states = [gamma_membership(at(s), box, sub) for s in range(1, 8)]
         for a, b in zip(states, states[1:]):
             assert b or not a
+
+
+def test_gamma_membership_rejects_piece_outside_dimension():
+    box = open_box([(-1, 1), (-1, 1)])
+    with pytest.raises(DomainError):
+        gamma_membership(apartment_point([1, 7], [0, 1]), box, [1])
+
+
+# ---------------------------------------------------------------------------
+# Fourier-Motzkin reference oracle for gamma_membership
+# ---------------------------------------------------------------------------
+
+def _fm_feasible(constraints, nvars):
+    # Fourier-Motzkin elimination; constraints are (coeffs, rhs, strict)
+    # meaning sum(coeffs * x) <= rhs, strict for "<".
+    cons = [(tuple(c), Fraction(r), s) for c, r, s in constraints]
+    for v in range(nvars):
+        uppers, lowers, rest = [], [], []
+        for c, r, s in cons:
+            if c[v] > 0:
+                uppers.append((c, r, s))
+            elif c[v] < 0:
+                lowers.append((c, r, s))
+            else:
+                rest.append((c, r, s))
+        cons = rest
+        for cu, ru, su in uppers:
+            au = cu[v]
+            for cl, rl, sl in lowers:
+                al = cl[v]
+                coeffs = tuple(au * cl[k] - al * cu[k] for k in range(nvars))
+                cons.append((coeffs, au * rl - al * ru, su or sl))
+    return all(r > 0 if s else r >= 0 for _, r, s in cons)
+
+
+def fm_gamma_membership(y, box, piece):
+    """The basic-open system of gamma_membership, solved by Fourier-Motzkin.
+
+    Variables x[i-2] = u_i for i in 2..n (u_1 = 0) and x[n-1] = c, the
+    gauge constant.  The u_i are eliminated before c, which keeps the
+    elimination small; the answer does not depend on the order.
+    """
+    n = box.n
+    if not set(piece) <= set(y.piece):
+        return False
+    cons = []
+
+    def coeffs(i, sign, with_c=False):
+        c = [Fraction(0)] * n
+        if i >= 2:
+            c[i - 2] = Fraction(sign)
+        if with_c:
+            c[n - 1] = Fraction(sign)
+        return c
+
+    for k, (lo, hi) in enumerate(box.intervals):
+        cons.append((coeffs(k + 2, -1), -lo, True))          # u_i > lo
+        cons.append((coeffs(k + 2, +1), hi, True))           # u_i < hi
+    for j in y.piece:
+        yj = y.exponent(j)
+        cons.append((coeffs(j, +1, True), yj, False))        # u_j + c <= y_j
+        if j in piece:
+            cons.append((coeffs(j, -1, True), -yj, False))   # u_j + c >= y_j
+    return _fm_feasible(cons, n)
+
+
+def _gamma_instance(rng):
+    # u near the box (inside and out), drift of either sign off I, quarter
+    # steps so that points on the strict bounds occur
+    n = rng.randint(2, 5)
+    ivs = []
+    for _ in range(n - 1):
+        lo = Fraction(rng.randint(-8, 8), rng.choice([1, 2, 4]))
+        ivs.append((lo, lo + Fraction(rng.randint(1, 12), rng.choice([1, 2, 4]))))
+    i_set = sorted(rng.sample(range(1, n + 1), rng.randint(1, n - 1)))
+    extra = [i for i in range(1, n + 1) if i not in i_set and rng.random() < 0.5]
+    piece = sorted(i_set + extra)
+    u = [Fraction(0)] + [lo + (hi - lo) * Fraction(rng.randint(-2, 10), 8) for lo, hi in ivs]
+    c = Fraction(rng.randint(-8, 8), 2)
+    coords = [u[i - 1] + c + (0 if i in i_set else Fraction(rng.randint(-4, 12), 4))
+              for i in piece]
+    return apartment_point(piece, coords), open_box(ivs), i_set
+
+
+def test_gamma_membership_matches_fourier_motzkin():
+    rng = random.Random(5)
+    answers = []
+    for _ in range(3000):
+        y, box, i_set = _gamma_instance(rng)
+        member = gamma_membership(y, box, i_set)
+        assert member == fm_gamma_membership(y, box, i_set), (y, box, i_set)
+        one = "in I" if 1 in i_set else "in piece" if 1 in y.piece else "outside"
+        answers.append((member, one, y.piece == tuple(i_set)))
+    # both answers occur for every position of index 1 and both piece shapes
+    for one in ("in I", "in piece", "outside"):
+        for equal in (True, False):
+            if one == "in piece" and equal:
+                continue
+            assert {m for m, o, e in answers if o == one and e == equal} == {True, False}

@@ -20,6 +20,7 @@ from padicbuilding import (
     val_l,
 )
 from padicbuilding.arith import (
+    _kernel_and_pivots,
     identity,
     l_is_zero,
     l_sub,
@@ -30,10 +31,12 @@ from padicbuilding.arith import (
     mat_vec,
     nullspace,
     rank,
+    reduced_echelon,
+    vec_add,
 )
 from padicbuilding.errors import DivisionByZeroError, SingularMatrixError
 
-from randgen import rand_fraction
+from randgen import rand_fraction, rand_lscalar
 
 CTX2 = PrimeContext(2, 2)
 CTX3 = PrimeContext(3, 2)
@@ -192,6 +195,107 @@ def test_rank_and_nullspace():
     assert len(ns) == 2
     for v in ns:
         assert mat_vec(m, v) == (0, 0)
+
+
+def _cofactor_det(m):
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j] * _cofactor_det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
+
+
+def _rand_rank_matrix(rng, rows, cols, r):
+    # product of a rows x r and an r x cols factor: rank at most r
+    a = [[rand_fraction(rng) for _ in range(r)] for _ in range(rows)]
+    b = [[rand_fraction(rng) for _ in range(cols)] for _ in range(r)]
+    return mat_mul(mat(a), mat(b)) if r else mat([[0] * cols for _ in range(rows)])
+
+
+def test_elimination_derived_functions():
+    rng = random.Random(21)
+    seen = set()
+    for trial in range(180):
+        kind = trial % 3
+        n = rng.randint(1, 6)
+        if kind == 0:                                  # square, usually invertible
+            m = mat([[rand_fraction(rng) for _ in range(n)] for _ in range(n)])
+        elif kind == 1:                                # square, rank deficient
+            m = _rand_rank_matrix(rng, n, n, rng.randint(0, n - 1))
+        else:                                          # rectangular
+            rows = rng.choice([k for k in range(1, 7) if k != n])
+            m = _rand_rank_matrix(rng, rows, n, rng.randint(0, min(rows, n)))
+        nrows, ncols = len(m), len(m[0])
+        r = rank(m)
+        if nrows == ncols:
+            det = mat_det(m)
+            assert det == _cofactor_det(m)
+            assert (det != 0) == (r == n)
+            if det != 0:
+                assert mat_mul(mat_inverse(m), m) == identity(n)
+                seen.add("invertible")
+            else:
+                with pytest.raises(SingularMatrixError):
+                    mat_inverse(m)
+                seen.add("singular")
+        else:
+            seen.add("rectangular")
+        echelon = reduced_echelon(m)
+        assert len(echelon) == r
+        assert reduced_echelon(echelon) == echelon
+        assert rank(list(m) + echelon) == r
+        ns = nullspace(m)
+        assert len(ns) == ncols - r
+        assert rank(ns) == len(ns)
+        for x in ns:
+            assert mat_vec(m, x) == (0,) * nrows
+    assert seen == {"invertible", "singular", "rectangular"}
+
+
+def _reference_pivot_columns(m):
+    # the Gauss-Jordan pivot search seminorm.pullback_from_functional once had
+    rows = [list(r) for r in m]
+    nrows, ncols = len(rows), len(rows[0])
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, nrows) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][col]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
+def test_kernel_and_pivots_on_functional_matrices():
+    rng = random.Random(8)
+    for _ in range(200):
+        n, e = rng.randint(2, 4), rng.randint(1, 4)
+        ctx = PrimeContext(rng.choice([2, 3, 5]), n, e)
+        zs = [rand_lscalar(rng, ctx) for _ in range(n)]
+        zmat = mat([[zs[i].coeffs[j] for i in range(n)] for j in range(e)])
+        ker, pivots = _kernel_and_pivots(zmat)
+        assert pivots == _reference_pivot_columns(zmat)
+        assert ker == nullspace(zmat)
+
+
+def test_matrix_helpers_reject_length_mismatch():
+    with pytest.raises(ValueError):
+        mat_vec(identity(2), (1, 2, 3))
+    with pytest.raises(ValueError):
+        mat_vec(identity(3), (1, 2))
+    with pytest.raises(ValueError):
+        mat_mul(identity(2), identity(3))
+    with pytest.raises(ValueError):
+        vec_add((1, 2), (1, 2, 3))
 
 
 def test_l_add_sub():

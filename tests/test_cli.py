@@ -268,3 +268,38 @@ def test_cli_payload_from_file(tmp_path, capsys):
     code, _, err = run(capsys, "phi", "--p", "2", "--n", "2",
                        "--point", "@/nonexistent/file.json")
     assert code == 3
+
+
+POINT2 = '{"I":[1,2],"x":["0/1","0/1"]}'
+
+
+def test_cli_exponents_must_be_an_array(capsys):
+    code, out, err = run(capsys, "phi", "--p", "2", "--n", "2", "--point", '{"I":[1,2],"x":5}')
+    assert code == 3 and out is None and err["error"] == "ParseError"
+
+
+def test_cli_translation_must_be_an_array(capsys):
+    code, out, err = run(capsys, "act", "--p", "2", "--n", "2",
+                         "--m", '{"perm":[2,1],"trans":5}', "--point", POINT2)
+    assert code == 3 and out is None and err["error"] == "ParseError"
+
+
+def test_cli_intervals_must_be_an_array(capsys):
+    code, out, err = run(capsys, "gamma-member", "--p", "2", "--n", "2", "--y", POINT2,
+                         "--box", '{"intervals":5}', "--I", "[1]")
+    assert code == 3 and out is None and err["error"] == "ParseError"
+
+
+def test_cli_gamma_member_checks_dimension(capsys):
+    box2 = '{"intervals":[["-1/1","1/1"],["-1/1","1/1"]]}'
+    code, out, err = run(capsys, "gamma-member", "--p", "2", "--n", "3",
+                         "--y", '{"I":[1,2,3],"x":["0/1","0/1","0/1"]}',
+                         "--box", '{"intervals":[["-1/1","1/1"]]}', "--I", "[1]")
+    assert code == 2 and out is None and err["ok"] is False
+    code, out, err = run(capsys, "gamma-member", "--p", "2", "--n", "3",
+                         "--y", '{"I":[1,7],"x":["0/1","1/1"]}', "--box", box2, "--I", "[1]")
+    assert code == 2 and out is None and err["ok"] is False
+    code, out, _ = run(capsys, "gamma-member", "--p", "2", "--n", "3",
+                       "--y", '{"I":[1,2,3],"x":["0/1","0/1","0/1"]}', "--box", box2,
+                       "--I", "[1]")
+    assert code == 0 and out["result"]["member"] is True

@@ -75,6 +75,14 @@ def test_evaluate_examples():
     assert evaluate(gk, [0, 0]) == ZERO
 
 
+def test_evaluate_rejects_wrong_length():
+    g = phi_from_apartment(interior_point([0, 1]), CTX2)
+    with pytest.raises(ValueError):
+        evaluate(g, [1, 1, 1])
+    with pytest.raises(ValueError):
+        evaluate(g, [1])
+
+
 def test_evaluate_axioms_bulk():
     # scaling and ultrametric axioms on 10^4 random triples
     rng = random.Random(42)
