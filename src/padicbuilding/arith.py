@@ -9,6 +9,10 @@ because the fractional parts i/e are pairwise distinct.
 Absolute values are never materialized as real numbers: a value is either
 zero or q^l for a rational exponent l, and only l is stored (log scale,
 base q = p).
+
+Linear algebra takes and returns `Fraction` matrices, but computes on
+Python ints inside: the elimination kernel is fraction-free (Bareiss), so
+every division in it is exact, and `Fraction` appears only at the API.
 """
 
 from __future__ import annotations
@@ -59,12 +63,22 @@ class PrimeContext:
 
 
 def _int_val(m: int, p: int) -> int:
-    # p-adic valuation of a nonzero integer
-    v = 0
+    # p-adic valuation of a nonzero integer; dividing by p^(2^k) on a
+    # squaring ladder takes O(log v) big divisions instead of v of them
     m = abs(m)
-    while m % p == 0:
-        m //= p
-        v += 1
+    if m % p:
+        return 0
+    ladder = [p]
+    while m % ladder[-1] == 0:
+        m //= ladder[-1]
+        ladder.append(ladder[-1] * ladder[-1])
+    # p^(2^k) for every k < len(ladder) - 1 has been divided out, and what
+    # remains has valuation below 2^(len(ladder) - 1): read its bits downwards
+    v = (1 << (len(ladder) - 1)) - 1
+    for k in range(len(ladder) - 2, -1, -1):
+        if m % ladder[k] == 0:
+            m //= ladder[k]
+            v += 1 << k
     return v
 
 
@@ -258,7 +272,7 @@ def vec(xs) -> tuple:
 
 
 def mat(rows) -> tuple:
-    rows = tuple(tuple(Fraction(x) for x in r) for r in rows)
+    rows = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in r) for r in rows)
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("ragged matrix")
     return rows
@@ -272,10 +286,23 @@ def mat_vec(m, v) -> tuple:
     return tuple(sum(a * x for a, x in zip(row, v, strict=True)) for row in m)
 
 
+def _integer_rows(rows) -> tuple:
+    # each rational row times the lcm of its denominators, and those lcms
+    ints, scales = [], []
+    for row in rows:
+        den = math.lcm(*(x.denominator for x in row))
+        ints.append([x.numerator * (den // x.denominator) for x in row])
+        scales.append(den)
+    return ints, scales
+
+
 def mat_mul(a, b) -> tuple:
-    bt = list(zip(*b, strict=True))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col, strict=True)) for col in bt)
-                 for row in a)
+    """Exact product: (R^-1 A)(B C^-1) with A, B integer, one Fraction per entry."""
+    arows, rs = _integer_rows(a)
+    bcols, cs = _integer_rows(list(zip(*b, strict=True)))
+    return tuple(tuple(Fraction(sum(x * y for x, y in zip(row, col, strict=True)), r * c)
+                       for col, c in zip(bcols, cs))
+                 for row, r in zip(arows, rs))
 
 
 def mat_col(m, j) -> tuple:
@@ -300,43 +327,57 @@ def vec_scale(c, v) -> tuple:
 
 
 def _eliminate(rows, ncols: int, reduce: bool = True):
-    """Row-reduce `rows`, a list of row lists, in place.
+    """Fraction-free (Bareiss) row reduction of integer rows, in place.
 
     Pivots are sought in the first `ncols` columns; row operations act on
-    whole rows, so augmented columns ride along.  The entries below each
-    pivot are cleared.  With `reduce` the entries above are cleared too and
-    every pivot row is scaled to lead with 1, giving the reduced echelon
-    form; without it the pass is the forward half only.  Returns the pivot
-    columns and the signed product of the pivots, which is the determinant
-    when the first `ncols` columns are square and of full rank.
+    whole rows, so augmented columns ride along.  Each step replaces every
+    other row x by (lead * x - f * pivot_row) // prev, where lead is the new
+    pivot, f the row's entry in the pivot column and prev the previous
+    pivot; by Sylvester's identity every entry stays a minor of the input,
+    so the division is exact.  The entries below each pivot are cleared;
+    with `reduce` the entries above are cleared too (Gauss-Jordan), and
+    then every pivot equals the returned d, so the reduced echelon form is
+    the pivot rows divided by d.  Returns (pivot columns, d, sign), where
+    sign is that of the row permutation; for a square full-rank input,
+    sign * d is its determinant.
     """
     nrows = len(rows)
     pivots = []
-    det = Fraction(1)
+    prev, sign = 1, 1
     r = 0
     for col in range(ncols):
         if r == nrows:
             break
-        piv = next((i for i in range(r, nrows) if rows[i][col] != 0), None)
+        piv = next((i for i in range(r, nrows) if rows[i][col]), None)
         if piv is None:
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
-            det = -det
-        lead = rows[r][col]
-        det *= lead
-        inv = 1 / Fraction(lead)
-        # entries left of col vanish in the pivot row, so only the tail moves
-        tail = rows[r][col:]
+            sign = -sign
+        top = rows[r]
+        lead = top[col]
         for i in range(0 if reduce else r + 1, nrows):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col] * inv
-                rows[i][col:] = [x - f * y for x, y in zip(rows[i][col:], tail)]
-        if reduce:
-            rows[r][col:] = [x * inv for x in tail]
+            if i == r:
+                continue
+            f = rows[i][col]
+            if f:
+                rows[i] = [(lead * x - f * y) // prev for x, y in zip(rows[i], top)]
+            elif lead != prev:
+                rows[i] = [lead * x // prev for x in rows[i]]
+        prev = lead
         pivots.append(col)
         r += 1
-    return pivots, det
+    return pivots, prev, sign
+
+
+def _reduced(rows, ncols: int):
+    """Reduced echelon of rational rows: (pivot columns, integer rows, d).
+
+    Row i of the reduced echelon form is the integer row i divided by d.
+    """
+    ints, _ = _integer_rows(rows)
+    pivots, d, _ = _eliminate(ints, ncols)
+    return pivots, ints, d
 
 
 def solve_linear(m, b) -> tuple:
@@ -344,31 +385,50 @@ def solve_linear(m, b) -> tuple:
     n = len(m)
     if any(len(r) != n for r in m) or len(b) != n:
         raise ValueError("solve_linear needs a square system")
-    a = [list(row) + [bi] for row, bi in zip(m, b)]
-    if len(_eliminate(a, n)[0]) < n:
+    pivots, a, d = _reduced([list(row) + [bi] for row, bi in zip(m, b)], n)
+    if len(pivots) < n:
         raise SingularMatrixError("matrix is singular")
-    return tuple(row[n] for row in a)
+    return tuple(Fraction(row[n], d) for row in a)
+
+
+def _inverse_parts(m):
+    """(N, d) with N an integer matrix, d > 0 and m^-1 = N / d; None if singular.
+
+    Row i of m joined to the unit row e_i is scaled by one integer s_i, so
+    the reduction of [S m | S] ends in [d I | d m^-1] and no column needs
+    rescaling afterwards.  N and d are divided by their common gcd.
+    """
+    n = len(m)
+    pivots, a, d = _reduced([list(row) + [int(i == j) for j in range(n)]
+                             for i, row in enumerate(m)], n)
+    if len(pivots) < n:
+        return None
+    inv = [row[n:] for row in a]
+    g = math.gcd(d, *(x for row in inv for x in row))
+    if d < 0:
+        g = -g
+    return tuple(tuple(x // g for x in row) for row in inv), d // g
 
 
 def mat_inverse(m) -> tuple:
-    n = len(m)
-    a = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(m)]
-    if len(_eliminate(a, n)[0]) < n:
+    parts = _inverse_parts(m)
+    if parts is None:
         raise SingularMatrixError("matrix is singular")
-    return tuple(tuple(row[n:]) for row in a)
+    num, d = parts
+    return tuple(tuple(Fraction(x, d) for x in row) for row in num)
 
 
 def mat_det(m) -> Fraction:
-    """Determinant by fraction-exact forward elimination."""
+    """Determinant by fraction-free forward elimination."""
     n = len(m)
-    pivots, det = _eliminate([list(row) for row in m], n, reduce=False)
-    return det if len(pivots) == n else Fraction(0)
+    ints, scales = _integer_rows(m)
+    pivots, d, sign = _eliminate(ints, n, reduce=False)
+    return Fraction(sign * d, math.prod(scales)) if len(pivots) == n else Fraction(0)
 
 
 def rank(vectors) -> int:
     """Rank of a family of equal-length vectors over Q."""
-    rows = [list(map(Fraction, v)) for v in vectors]
+    rows, _ = _integer_rows([list(map(Fraction, v)) for v in vectors])
     if not rows:
         return 0
     return len(_eliminate(rows, len(rows[0]), reduce=False)[0])
@@ -383,8 +443,8 @@ def reduced_echelon(vectors) -> list:
     rows = [list(map(Fraction, v)) for v in vectors]
     if not rows:
         return []
-    pivots, _ = _eliminate(rows, len(rows[0]))
-    return [tuple(row) for row in rows[:len(pivots)]]
+    pivots, a, d = _reduced(rows, len(rows[0]))
+    return [tuple(Fraction(x, d) for x in row) for row in a[:len(pivots)]]
 
 
 def _kernel_and_pivots(m):
@@ -392,15 +452,14 @@ def _kernel_and_pivots(m):
     if not m:
         raise ValueError("nullspace of empty matrix")
     ncols = len(m[0])
-    rows = [list(map(Fraction, r)) for r in m]
-    pivots, _ = _eliminate(rows, ncols)
+    pivots, rows, d = _reduced([list(map(Fraction, r)) for r in m], ncols)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
         x = [Fraction(0)] * ncols
         x[fc] = Fraction(1)
         for i, pc in enumerate(pivots):
-            x[pc] = -rows[i][fc]
+            x[pc] = Fraction(-rows[i][fc], d)
         basis.append(tuple(x))
     return (reduced_echelon(basis) if basis else []), pivots
 

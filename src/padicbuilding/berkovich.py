@@ -11,6 +11,10 @@ Rational points enter through functionals: a K- or L-valued linear form z
 induces the seminorm v -> |z(v)|, whose class is the reduction of the
 corresponding projective point.  The point lies in the hyperplane
 complement iff the induced seminorm is a norm.
+
+Evaluation substitutes the integer form N / d of the inverse basis into a
+polynomial whose denominators were cleared once, so the rewrite runs on
+Python ints and each coefficient's valuation is read off in closed form.
 """
 
 from __future__ import annotations
@@ -22,7 +26,9 @@ from .arith import (
     ZERO_VALUE,
     LogValue,
     PrimeContext,
-    abs_k,
+    _int_val,
+    _integer_rows,
+    _inverse_parts,
     k_rank,
     l_is_zero,
     mat,
@@ -35,7 +41,6 @@ from .building import BuildingPoint, building_point
 from .errors import DomainError, SingularMatrixError, ZeroFunctionalError
 from .seminorm import (
     DiagonalSeminorm,
-    _cached_inverse,
     diagonal_seminorm,
     equals,
     pullback_from_functional,
@@ -117,33 +122,36 @@ def _dict_mul(f: dict, g: dict) -> dict:
     for nu1, c1 in f.items():
         for nu2, c2 in g.items():
             nu = tuple(a + b for a, b in zip(nu1, nu2))
-            v = out.get(nu, Fraction(0)) + c1 * c2
-            out[nu] = v
+            out[nu] = out.get(nu, 0) + c1 * c2
     return {nu: c for nu, c in out.items() if c != 0}
 
 
-def _rewrite_in_basis(p: MonomialPoint, f: PolynomialSymV) -> dict:
-    # exact substitution v_i = sum_j (basis^{-1})_{ji} w_j
-    n = p.ctx.n
-    binv = _cached_inverse(p.basis)
+def _rewrite_in_basis(num, f: PolynomialSymV) -> tuple:
+    """Integer coefficients of f in the basis whose inverse is num / d.
+
+    With f = F / D for an integer polynomial F, substituting the integer
+    forms v_i = sum_j num[j][i] w_j into F gives sum c_mu w^mu, and then
+    f = sum c_mu / (D d^|mu|) w^mu: every term of F that contributes to
+    w^mu has degree |mu|.  Returns ({mu: c_mu}, D).
+    """
+    n = len(num)
     forms = []
     for i in range(n):
         form = {}
         for j in range(n):
-            if binv[j][i] != 0:
-                nu = tuple(1 if k == j else 0 for k in range(n))
-                form[nu] = binv[j][i]
+            if num[j][i] != 0:
+                form[tuple(int(k == j) for k in range(n))] = num[j][i]
         forms.append(form)
+    (ints,), (den,) = _integer_rows([[c for _, c in f.terms]])
     out = {}
-    for nu, a in f.terms:
+    for (nu, _), a in zip(f.terms, ints):
         term = {(0,) * n: a}
         for i, k in enumerate(nu):
             for _ in range(k):
                 term = _dict_mul(term, forms[i])
         for mu, c in term.items():
-            v = out.get(mu, Fraction(0)) + c
-            out[mu] = v
-    return {mu: c for mu, c in out.items() if c != 0}
+            out[mu] = out.get(mu, 0) + c
+    return {mu: c for mu, c in out.items() if c != 0}, den
 
 
 def alpha_evaluate(p: MonomialPoint, f: PolynomialSymV, max_degree: int = 8) -> LogValue:
@@ -157,15 +165,21 @@ def alpha_evaluate(p: MonomialPoint, f: PolynomialSymV, max_degree: int = 8) -> 
         raise DomainError("variable count mismatch")
     if f.degree() > max_degree:
         raise DomainError(f"degree {f.degree()} exceeds cap {max_degree}")
-    best = ZERO_VALUE
-    for mu, c in _rewrite_in_basis(p, f).items():
-        term = abs_k(c, p.ctx)
-        for r, k in zip(p.radii, mu):
-            if k:
-                term = term * (r ** k)
-        if best < term:
-            best = term
-    return best
+    num, d = _inverse_parts(p.basis)
+    coeffs, den = _rewrite_in_basis(num, f)
+    q = p.ctx.p
+    vd, vden = _int_val(d, q), _int_val(den, q)
+    # the radii's logs as integers over one common denominator
+    (rad,), (scale,) = _integer_rows([[0 if r.is_zero else r.log for r in p.radii]])
+    best = None
+    for mu, c in coeffs.items():
+        if any(k and r.is_zero for r, k in zip(p.radii, mu)):
+            continue
+        # scale * (-v(c / (D d^|mu|)) + sum_k mu_k log r_k)
+        log = scale * (vden + sum(mu) * vd - _int_val(c, q)) + sum(k * r for r, k in zip(rad, mu))
+        if best is None or log > best:
+            best = log
+    return ZERO_VALUE if best is None else LogValue.finite(Fraction(best, scale))
 
 
 def check_multiplicative(p: MonomialPoint, f: PolynomialSymV,

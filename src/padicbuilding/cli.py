@@ -100,6 +100,8 @@ def _dispatch(cmd, argv):
         ctx = PrimeContext(args.p, args.n, args.e)
         if args.m is not None:
             m, rg1 = serialize.monomial_from_doc(_payload(args.m, "--m"))
+            if m.n != ctx.n:
+                raise DomainError(f"permutation has length {m.n}, expected {ctx.n}")
             x, rg2 = _point_arg(args.point, "--point")
             y = apartment.act_monomial(m, x)
             return serialize.apartment_point_to_doc(y), rg1 or rg2, ctx
@@ -138,6 +140,8 @@ def _dispatch(cmd, argv):
             points.append(x)
             rg = rg or r
         a = serialize.root_from_doc(_payload(args.root, "--root"), "--root")
+        if not {a.i, a.j} <= set(range(1, ctx.n + 1)):
+            raise DomainError(f"root ({a.i}, {a.j}) has an index outside 1..{ctx.n}")
         return {"f": serialize.extended_to_doc(apartment.f_sigma(points, a))}, rg, ctx
 
     if cmd == "ray-limit":

@@ -10,27 +10,34 @@ norm to a subspace.
 
 Values are kept in log scale (see arith.LogValue); no real number is ever
 formed, so equality questions are decided exactly.
+
+Each seminorm carries the inverse of its basis in integer form, N / d,
+computed once when it is built (or derived from its parent's), so that
+evaluation runs on Python ints: a vector's denominators are cleared once,
+and only integer dot products and their p-adic valuations follow.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 from .apartment import ApartmentPoint, apartment_point
 from .arith import (
     ZERO_VALUE,
     LogValue,
     PrimeContext,
+    _int_val,
+    _integer_rows,
+    _inverse_parts,
     _kernel_and_pivots,
     identity,
     l_is_zero,
     mat,
     mat_col,
-    mat_det,
+    mat_det,  # noqa: F401  -- kept bound: the benchmark tracer wraps each module's mat_det
     mat_from_cols,
-    mat_inverse,
     mat_mul,
     mat_vec,
     reduced_echelon,
@@ -53,6 +60,8 @@ class DiagonalSeminorm:
     basis: tuple
     values: tuple
     ctx: PrimeContext
+    # (N, d): integer matrix N and integer d > 0 with basis^-1 = N / d
+    _inv: tuple = field(compare=False, repr=False)
 
     def column(self, i: int) -> tuple:
         return mat_col(self.basis, i)
@@ -65,11 +74,6 @@ class DiagonalSeminorm:
         return all(not v.is_zero for v in self.values)
 
 
-@lru_cache(maxsize=4096)
-def _cached_inverse(basis):
-    return mat_inverse(basis)
-
-
 def diagonal_seminorm(basis, values, ctx: PrimeContext) -> DiagonalSeminorm:
     basis = mat(basis)
     values = tuple(values)
@@ -80,22 +84,33 @@ def diagonal_seminorm(basis, values, ctx: PrimeContext) -> DiagonalSeminorm:
         raise DomainError("one value per basis column required")
     if all(v.is_zero for v in values):
         raise DomainError("seminorm must not vanish identically")
-    if mat_det(basis) == 0:
+    inv = _inverse_parts(basis)
+    if inv is None:
         raise SingularMatrixError("basis is singular")
-    return DiagonalSeminorm(basis, values, ctx)
+    return DiagonalSeminorm(basis, values, ctx, inv)
 
 
 def evaluate(g: DiagonalSeminorm, v) -> LogValue:
-    """gamma(v) = max_i |lambda_i| gamma(w_i) where v = sum lambda_i w_i."""
-    coords = mat_vec(_cached_inverse(g.basis), tuple(Fraction(x) for x in v))
-    best = ZERO_VALUE
-    for lam, val in zip(coords, g.values):
-        if lam == 0 or val.is_zero:
+    """gamma(v) = max_i |lambda_i| gamma(w_i) where v = sum lambda_i w_i.
+
+    With v = w / D for an integer vector w, lambda_i = (N_i . w) / (d D), so
+    only the integer dot products N_i . w need a valuation.
+    """
+    (w,), (den,) = _integer_rows([[x if type(x) is Fraction else Fraction(x) for x in v]])
+    num, d = g._inv
+    p = g.ctx.p
+    best = None
+    for row, val in zip(num, g.values, strict=True):
+        if val.is_zero:
             continue
-        cand = val.shift(-val_k(lam, g.ctx))
-        if best < cand:
-            best = cand
-    return best
+        s = sum(a * x for a, x in zip(row, w, strict=True))
+        if s:
+            cand = val.log - _int_val(s, p)
+            if best is None or cand > best:
+                best = cand
+    if best is None:
+        return ZERO_VALUE
+    return LogValue.finite(best + _int_val(d, p) + _int_val(den, p))
 
 
 def kernel_of(g: DiagonalSeminorm) -> list:
@@ -107,14 +122,21 @@ def kernel_of(g: DiagonalSeminorm) -> list:
 def compose_with(g: DiagonalSeminorm, m) -> DiagonalSeminorm:
     """The translate gamma o m^{-1}: transport the basis, keep the values."""
     m = mat(m)
-    if mat_det(m) == 0:
+    m_inv = _inverse_parts(m)
+    if m_inv is None:
         raise SingularMatrixError("group element must be invertible")
-    return DiagonalSeminorm(mat_mul(m, g.basis), g.values, g.ctx)
+    # (m basis)^-1 = basis^-1 m^-1 = (N M) / (d e)
+    (num, d), (m_num, e) = g._inv, m_inv
+    cols = list(zip(*m_num))
+    prod = [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in num]
+    div = math.gcd(d * e, *(x for row in prod for x in row))
+    inv = tuple(tuple(x // div for x in row) for row in prod), d * e // div
+    return DiagonalSeminorm(mat_mul(m, g.basis), g.values, g.ctx, inv)
 
 
 def scale_seminorm(g: DiagonalSeminorm, delta) -> DiagonalSeminorm:
     """Multiply the seminorm by q^delta."""
-    return DiagonalSeminorm(g.basis, tuple(v.shift(delta) for v in g.values), g.ctx)
+    return DiagonalSeminorm(g.basis, tuple(v.shift(delta) for v in g.values), g.ctx, g._inv)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +153,8 @@ def phi_from_apartment(x: ApartmentPoint, ctx: PrimeContext) -> DiagonalSeminorm
             values.append(LogValue.finite(-x.exponent(i)))
         else:
             values.append(ZERO_VALUE)
-    return DiagonalSeminorm(identity(ctx.n), tuple(values), ctx)
+    unit = tuple(tuple(int(i == j) for j in range(ctx.n)) for i in range(ctx.n))
+    return DiagonalSeminorm(identity(ctx.n), tuple(values), ctx, (unit, 1))
 
 
 def phi_inverse(g: DiagonalSeminorm) -> ApartmentPoint:
@@ -264,8 +287,8 @@ def orthogonalize(us, ambient: DiagonalSeminorm) -> list:
         return []
     if len(us) > ambient.n or any(len(u) != ambient.n for u in us):
         raise DomainError("expected at most n vectors of length n")
-    inv = _cached_inverse(ambient.basis)
-    coords = [list(mat_vec(inv, u)) for u in us]
+    num, d = ambient._inv
+    coords = [[c / d for c in mat_vec(num, u)] for u in us]
     cs = [v.log for v in ambient.values]
     _, companions, _ = _reduce_family(coords, [list(u) for u in us], cs, ambient.ctx)
     return [tuple(c) for c in companions]

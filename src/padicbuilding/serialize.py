@@ -1,7 +1,10 @@
 """JSON document conversion for every public type.
 
 Rationals travel as "num/den" strings and round-trip bit-exactly; inputs
-are reduced on read and re-emitted reduced.  Apartment points and
+are reduced on read and re-emitted reduced.  On read a rational is a JSON
+integer or a string of the form -?digits(/digits)?, each part at most
+1000 digits long; anything else is a ParseError, so no input string makes
+the parser do unbounded work.  Apartment points and
 monomial elements are re-gauged on read, and readers report whether that
 happened so callers can flag it.
 """
@@ -9,6 +12,7 @@ happened so callers can flag it.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 from . import apartment, arith, berkovich, building, seminorm
@@ -20,12 +24,25 @@ def frac_to_str(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+_MAX_DIGITS = 1000
+_INT_BOUND = 10 ** _MAX_DIGITS
+_RATIONAL = re.compile(r"-?[0-9]{1,%d}(/[0-9]{1,%d})?" % (_MAX_DIGITS, _MAX_DIGITS))
+
+
 def frac_from_str(doc, where="rational") -> Fraction:
     if isinstance(doc, bool) or not isinstance(doc, (str, int)):
         raise ParseError("expected a \"num/den\" string", where)
-    try:
+    if isinstance(doc, int):
+        if abs(doc) >= _INT_BOUND:
+            raise ParseError(f"integer has more than {_MAX_DIGITS} digits", where)
         return Fraction(doc)
-    except (ValueError, ZeroDivisionError) as exc:
+    if _RATIONAL.fullmatch(doc) is None:
+        raise ParseError(f"bad rational {doc[:40]!r}: expected -?digits(/digits)? "
+                         f"with at most {_MAX_DIGITS} digits per part", where)
+    num, _, den = doc.partition("/")
+    try:
+        return Fraction(int(num), int(den or 1))
+    except ZeroDivisionError as exc:
         raise ParseError(f"bad rational {doc!r}: {exc}", where)
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -20,6 +21,8 @@ from padicbuilding import (
     val_l,
 )
 from padicbuilding.arith import (
+    _int_val,
+    _inverse_parts,
     _kernel_and_pivots,
     identity,
     l_is_zero,
@@ -303,3 +306,165 @@ def test_l_add_sub():
     b = l_scalar([3, -1], CTX22)
     assert l_add(a, b) == l_scalar([4, 1], CTX22)
     assert l_sub(a, b) == l_scalar([-2, 3], CTX22)
+
+
+def _naive_int_val(m, p):
+    v, m = 0, abs(m)
+    while m % p == 0:
+        m //= p
+        v += 1
+    return v
+
+
+def test_int_val_ladder_matches_naive_loop():
+    rng = random.Random(31)
+    for _ in range(3000):
+        p = rng.choice([2, 3, 5, 7, 11, 101])
+        m = rng.choice([1, -1]) * rng.randint(1, 10 ** rng.randint(1, 40))
+        if rng.random() < 0.7:
+            m *= p ** rng.randint(0, 300)
+        assert _int_val(m, p) == _naive_int_val(m, p)
+    for p in (2, 3, 5):
+        for k in (0, 1, 2, 3, 7, 8, 63, 64, 65, 1023, 1024, 20000):
+            for u in (1, -1, p + 1, -(p * p - 1), 10 ** 30 * p + 1):
+                assert _int_val(p ** k * u, p) == k
+    assert _naive_int_val(3 ** 2000 * 7, 3) == 2000
+
+
+# ---------------------------------------------------------------------------
+# The Fraction Gauss-Jordan elimination as an oracle for the integer kernel
+# ---------------------------------------------------------------------------
+
+def _fraction_eliminate(rows, ncols, reduce=True):
+    # the rational-arithmetic kernel arith._eliminate replaced
+    nrows = len(rows)
+    pivots = []
+    det = Fraction(1)
+    r = 0
+    for col in range(ncols):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            det = -det
+        lead = rows[r][col]
+        det *= lead
+        inv = 1 / Fraction(lead)
+        tail = rows[r][col:]
+        for i in range(0 if reduce else r + 1, nrows):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col] * inv
+                rows[i][col:] = [x - f * y for x, y in zip(rows[i][col:], tail)]
+        if reduce:
+            rows[r][col:] = [x * inv for x in tail]
+        pivots.append(col)
+        r += 1
+    return pivots, det
+
+
+def _oracle_rref(m):
+    rows = [list(map(Fraction, r)) for r in m]
+    pivots, _ = _fraction_eliminate(rows, len(rows[0]))
+    return pivots, rows
+
+
+def _oracle_inverse(m):
+    n = len(m)
+    a = [list(map(Fraction, row)) + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(m)]
+    if len(_fraction_eliminate(a, n)[0]) < n:
+        return None
+    return tuple(tuple(row[n:]) for row in a)
+
+
+def _oracle_det(m):
+    pivots, det = _fraction_eliminate([list(map(Fraction, r)) for r in m], len(m), reduce=False)
+    return det if len(pivots) == len(m) else 0
+
+
+def _oracle_kernel_and_pivots(m):
+    pivots, rows = _oracle_rref(m)
+    ncols = len(m[0])
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        x = [Fraction(0)] * ncols
+        x[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            x[pc] = -rows[i][fc]
+        basis.append(tuple(x))
+    if basis:
+        kp, krows = _oracle_rref(basis)
+        basis = [tuple(r) for r in krows[:len(kp)]]
+    return basis, pivots
+
+
+def _p_fraction(rng, p):
+    # entries whose denominators are often divisible by p
+    return Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, p, p * p, 2 * p]))
+
+
+def _p_rank_matrix(rng, p, rows, cols, r):
+    a = [[_p_fraction(rng, p) for _ in range(r)] for _ in range(rows)]
+    b = [[_p_fraction(rng, p) for _ in range(cols)] for _ in range(r)]
+    return mat_mul(mat(a), mat(b)) if r else mat([[0] * cols for _ in range(rows)])
+
+
+def test_integer_kernel_agrees_with_fraction_oracle():
+    rng = random.Random(41)
+    seen = set()
+    for trial in range(600):
+        p = rng.choice([2, 3, 5])
+        kind = trial % 3
+        n = rng.randint(1, 6)
+        if kind == 0:                                  # square, usually invertible
+            m = mat([[_p_fraction(rng, p) for _ in range(n)] for _ in range(n)])
+        elif kind == 1:                                # square, rank deficient
+            m = _p_rank_matrix(rng, p, n, n, rng.randint(0, n - 1))
+        else:                                          # rectangular
+            rows = rng.choice([k for k in range(1, 7) if k != n])
+            m = _p_rank_matrix(rng, p, rows, n, rng.randint(0, min(rows, n)))
+        pivots, rref = _oracle_rref(m)
+        assert rank(m) == len(pivots)
+        assert reduced_echelon(m) == [tuple(r) for r in rref[:len(pivots)]]
+        assert _kernel_and_pivots(m) == _oracle_kernel_and_pivots(m)
+        assert nullspace(m) == _oracle_kernel_and_pivots(m)[0]
+        if len(m) != len(m[0]):
+            seen.add("rectangular")
+            continue
+        assert mat_det(m) == _oracle_det(m)
+        oracle = _oracle_inverse(m)
+        parts = _inverse_parts(m)
+        b = tuple(_p_fraction(rng, p) for _ in range(n))
+        if oracle is None:
+            seen.add("singular")
+            assert parts is None
+            with pytest.raises(SingularMatrixError):
+                mat_inverse(m)
+            with pytest.raises(SingularMatrixError):
+                solve_linear(m, b)
+            continue
+        seen.add("invertible")
+        num, d = parts
+        assert d > 0 and all(isinstance(x, int) for row in num for x in row)
+        assert math.gcd(d, *(x for row in num for x in row)) == 1
+        assert tuple(tuple(Fraction(x, d) for x in row) for row in num) == oracle
+        assert mat_inverse(m) == oracle
+        assert solve_linear(m, b) == tuple(sum(a * x for a, x in zip(row, b)) for row in oracle)
+    assert seen == {"invertible", "singular", "rectangular"}
+
+
+def test_mat_mul_agrees_with_fraction_products():
+    rng = random.Random(43)
+    for _ in range(300):
+        p = rng.choice([2, 3, 5])
+        r, k, c = (rng.randint(1, 6) for _ in range(3))
+        a = mat([[_p_fraction(rng, p) for _ in range(k)] for _ in range(r)])
+        b = mat([[_p_fraction(rng, p) for _ in range(c)] for _ in range(k)])
+        expected = tuple(tuple(sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0))
+                               for j in range(c)) for i in range(r))
+        got = mat_mul(a, b)
+        assert got == expected
+        assert all(type(x) is Fraction for row in got for x in row)

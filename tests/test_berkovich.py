@@ -177,3 +177,47 @@ def test_omega_dichotomy_random():
             continue
         zf = l_functional(zs, ctx)
         assert in_omega(zf) == (r_reduce_L_point(zf).kernel() == [])
+
+
+def _reference_alpha(p, f):
+    # the Fraction rewrite alpha_evaluate replaced: substitute the rational
+    # inverse basis, expand, then take |coefficient| * prod radii^exponents
+    from padicbuilding.arith import mat_inverse
+
+    n = p.ctx.n
+    binv = mat_inverse(p.basis)
+    forms = [polynomial([(tuple(int(k == j) for k in range(n)), binv[j][i]) for j in range(n)], n)
+             for i in range(n)]
+    out = polynomial([], n)
+    for nu, a in f.terms:
+        term = polynomial([((0,) * n, a)], n)
+        for i, k in enumerate(nu):
+            for _ in range(k):
+                term = poly_mul(term, forms[i])
+        out = polynomial(list(out.terms) + list(term.terms), n)
+    best = ZERO
+    for mu, c in out.terms:
+        value = abs_k(c, p.ctx)
+        for r, k in zip(p.radii, mu):
+            if k:
+                value = value * (r ** k)
+        best = max(best, value)
+    return best
+
+
+def test_alpha_evaluate_matches_fraction_rewrite():
+    rng = random.Random(61)
+    constants = zero_radii = 0
+    for _ in range(300):
+        n = rng.randint(2, 4)
+        ctx = PrimeContext(rng.choice([2, 3, 5]), n)
+        p = monomial_point(rand_invertible(rng, n, ctx.p, steps=rng.randint(1, 4)),
+                           rand_values(rng, n), ctx)
+        zero_radii += any(r.is_zero for r in p.radii)
+        polys = [rand_poly(rng, n, max_deg=6, max_terms=4),
+                 polynomial([((0,) * n, Fraction(rng.randint(1, 9), rng.choice([1, ctx.p, 4])))], n),
+                 polynomial([], n)]
+        for f in polys:
+            constants += f.degree() == 0
+            assert alpha_evaluate(p, f) == _reference_alpha(p, f)
+    assert constants >= 300 and zero_radii > 50

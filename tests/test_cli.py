@@ -303,3 +303,40 @@ def test_cli_gamma_member_checks_dimension(capsys):
                        "--y", '{"I":[1,2,3],"x":["0/1","0/1","0/1"]}', "--box", box2,
                        "--I", "[1]")
     assert code == 0 and out["result"]["member"] is True
+
+
+def test_cli_act_checks_permutation_length(capsys):
+    code, out, err = run(capsys, "act", "--p", "2", "--n", "2",
+                         "--m", '{"perm":[2,3,1],"trans":["0/1","0/1","0/1"]}', "--point", POINT2)
+    assert code == 2 and out is None and err["error"] == "Domain"
+    code, out, _ = run(capsys, "act", "--p", "2", "--n", "2",
+                       "--m", '{"perm":[2,1],"trans":["0/1","0/1"]}', "--point", POINT2)
+    assert code == 0 and out["result"] == {"I": [1, 2], "x": ["0/1", "0/1"]}
+
+
+def test_cli_fsigma_checks_root_range(capsys):
+    for root in ("[1,5]", "[0,1]", "[2,-1]"):
+        code, out, err = run(capsys, "fsigma", "--p", "2", "--n", "2",
+                             "--sigma", f"[{POINT2}]", "--root", root)
+        assert code == 2 and out is None and err["error"] == "Domain", root
+    code, out, _ = run(capsys, "fsigma", "--p", "2", "--n", "2",
+                       "--sigma", f"[{POINT2}]", "--root", "[1,2]")
+    assert code == 0 and out["result"] == {"f": "0/1"}
+
+
+def test_rational_grammar_is_strict():
+    for good, value in (("3", 3), ("-7/21", Fraction(-1, 3)), ("0/5", 0), (12, 12),
+                        ("9" * 1000 + "/" + "1" * 1000, Fraction(10 ** 1000 - 1, (10 ** 1000 - 1) // 9))):
+        assert ser.frac_from_str(good) == value
+    too_long = "1" * 1001
+    for bad in ("1e3", "1e999999999", "1.5", " 1/2", "1/2 ", "+1", "1/-2", "--1", "1/2/3", "",
+                "/2", "1/", "½", "١", "0x10", "1_000", too_long, f"1/{too_long}",
+                10 ** 1000, -10 ** 1000, True, 1.5, None, ["1"]):
+        with pytest.raises(ParseError):
+            ser.frac_from_str(bad)
+
+
+def test_cli_rejects_exponent_grammar(capsys):
+    code, out, err = run(capsys, "phi", "--p", "2", "--n", "2",
+                         "--point", '{"I":[1,2],"x":["0/1","1e3"]}')
+    assert code == 3 and out is None and err["error"] == "ParseError"

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -340,3 +341,89 @@ def test_distance_constants_are_tight_bounds():
             if evaluate(g2, w) == evaluate(g1, w).shift(t):
                 tight_t = True
         assert tight_s and tight_t
+
+
+# ---------------------------------------------------------------------------
+# The carried integer inverse against the Fraction path
+# ---------------------------------------------------------------------------
+
+def _reference_evaluate(g, v):
+    # expand v in the basis with the Fraction inverse, then take the max
+    from padicbuilding.arith import mat_inverse, val_k
+
+    best = ZERO
+    for lam, val in zip(mat_vec(mat_inverse(g.basis), v), g.values):
+        if lam != 0 and not val.is_zero:
+            best = max(best, val.shift(-val_k(lam, g.ctx)))
+    return best
+
+
+def _p_vector(rng, n, p):
+    # entries whose denominators are often divisible by p, sometimes zero
+    return tuple(Fraction(rng.choice([0, rng.randint(-12, 12)]), rng.choice([1, 2, p, p * p, 3 * p]))
+                 for _ in range(n))
+
+
+def _carried_inverse(g):
+    num, d = g._inv
+    assert d > 0 and all(isinstance(x, int) for row in num for x in row)
+    assert math.gcd(d, *(x for row in num for x in row)) == 1
+    return tuple(tuple(Fraction(x, d) for x in row) for row in num)
+
+
+def test_evaluate_matches_fraction_expansion():
+    from padicbuilding.arith import mat_inverse
+
+    rng = random.Random(51)
+    for n in range(2, 7):
+        kernels = 0
+        for _ in range(250):
+            ctx = PrimeContext(rng.choice([2, 3, 5]), n)
+            g = rand_seminorm(rng, ctx, steps=rng.randint(1, 4))
+            assert _carried_inverse(g) == mat_inverse(g.basis)
+            kernels += not g.is_norm()
+            vs = [_p_vector(rng, n, ctx.p) for _ in range(6)]
+            vs += [(Fraction(0),) * n, g.column(rng.randrange(n))]
+            for v in vs:
+                assert evaluate(g, v) == _reference_evaluate(g, v)
+        assert kernels > 30
+
+
+def test_compose_chains_carry_the_inverse_of_the_product():
+    from padicbuilding.arith import mat_inverse, mat_mul
+    from randgen import rand_invertible
+
+    rng = random.Random(52)
+    for _ in range(200):
+        n = rng.randint(2, 5)
+        ctx = PrimeContext(rng.choice([2, 3, 5]), n)
+        g = rand_seminorm(rng, ctx, steps=2) if rng.random() < 0.7 \
+            else phi_from_apartment(rand_point(rng, n), ctx)
+        product = identity(n)
+        for _ in range(rng.randint(1, 4)):
+            h = rand_invertible(rng, n, ctx.p, steps=3)
+            g = compose_with(g, h)
+            product = mat_mul(h, product)
+            assert _carried_inverse(g) == mat_inverse(g.basis)
+        start_inverse = mat_inverse(mat_mul(mat_inverse(product), g.basis))
+        assert _carried_inverse(g) == mat_mul(start_inverse, mat_inverse(product))
+        assert _carried_inverse(scale_seminorm(g, Fraction(1, 3))) == _carried_inverse(g)
+        v = _p_vector(rng, n, ctx.p)
+        assert evaluate(g, v) == _reference_evaluate(g, v)
+
+
+def test_carried_inverse_is_invisible():
+    from padicbuilding.arith import _inverse_parts
+    from padicbuilding.seminorm import DiagonalSeminorm
+    from padicbuilding.serialize import seminorm_to_doc
+
+    rng = random.Random(53)
+    for _ in range(50):
+        ctx = PrimeContext(3, 3)
+        g = rand_seminorm(rng, ctx)
+        num, d = _inverse_parts(g.basis)
+        other = DiagonalSeminorm(g.basis, g.values, ctx, (tuple(tuple(3 * x for x in r) for r in num), 3 * d))
+        assert other == g and hash(other) == hash(g)
+        assert repr(other) == repr(g) and "_inv" not in repr(g)
+        assert seminorm_to_doc(other) == seminorm_to_doc(g)
+        assert set(seminorm_to_doc(g)) == {"basis", "values"}
