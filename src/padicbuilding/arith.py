@@ -27,14 +27,34 @@ from .errors import DivisionByZeroError, SingularMatrixError
 INF = math.inf
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# for every m below _PRIME_LIMIT (Sorenson and Webster 2015).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(m: int) -> bool:
+    """Exact for m < _PRIME_LIMIT; larger m are refused."""
+    if m >= _PRIME_LIMIT:
+        raise ValueError(f"p = {m} is too large: primes below {_PRIME_LIMIT} are supported")
     if m < 2:
         return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
+    for a in _PRIME_BASES:
+        if m % a == 0:
+            return m == a
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

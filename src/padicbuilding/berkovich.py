@@ -59,7 +59,7 @@ class MonomialPoint:
 def monomial_point(basis, radii, ctx: PrimeContext) -> MonomialPoint:
     basis = mat(basis)
     radii = tuple(radii)
-    if len(radii) != ctx.n or len(basis) != ctx.n:
+    if len(radii) != ctx.n or len(basis) != ctx.n or any(len(r) != ctx.n for r in basis):
         raise DomainError(f"need {ctx.n} columns and radii")
     if all(r.is_zero for r in radii):
         raise DomainError("at least one radius must be nonzero")

@@ -134,9 +134,14 @@ def sigma_project(g, piece) -> tuple:
 # Random stabilizer elements (deterministic under an explicit seed)
 # ---------------------------------------------------------------------------
 
-def _unit_pool(p: int) -> list:
-    units = [c for c in range(1, p * p) if c % p != 0]
-    return units + [-c for c in units]
+def _random_unit(p: int, rng) -> int:
+    # k-th entry of [c for c in 1..p^2-1 if p does not divide c] followed by
+    # their negatives: the draw of rng.choice over that list, without
+    # building its 2(p^2 - p) entries
+    half = p * p - p
+    k = rng.randrange(2 * half)
+    sign, k = (1, k) if k < half else (-1, k - half)
+    return sign * (k // (p - 1) * p + k % (p - 1) + 1)
 
 
 def _admissible_unipotent(x, ctx, bound, rng):
@@ -170,10 +175,9 @@ def _fixing_permutation(x, ctx, rng):
 
 def _fixing_diagonal(x, ctx, bound, rng):
     # units everywhere; off the piece any p-power is allowed
-    pool = _unit_pool(ctx.p)
     diag = []
     for i in range(1, ctx.n + 1):
-        d = Fraction(rng.choice(pool))
+        d = Fraction(_random_unit(ctx.p, rng))
         if i not in x.piece:
             d *= Fraction(ctx.p) ** rng.randint(-bound, bound)
         diag.append(d)

@@ -4,7 +4,7 @@ Every subcommand takes the configuration flags --p --n [--e] plus payload
 flags holding inline JSON or @file references, and writes a single JSON
 envelope to stdout.  Exit codes: 0 ok, 2 domain error, 3 parse error,
 4 unknown command.  Randomized commands require an explicit --seed so
-runs are reproducible.
+runs are reproducible.  `COMMANDS` declares each command once.
 """
 
 from __future__ import annotations
@@ -17,30 +17,8 @@ from . import apartment, berkovich, building, seminorm, serialize
 from .arith import PrimeContext
 from .errors import DomainError, ParseError
 
-COMMANDS = ("phi", "phi-inv", "act", "equiv", "stab", "fsigma", "ray-limit",
-            "gamma-member", "reduce", "section", "omega", "ortho", "sample-px")
-
-_USAGE = """usage: padicbuilding COMMAND --p P --n N [--e E] [payload flags]
-
-commands:
-  phi           apartment point -> diagonal seminorm        (--point)
-  phi-inv       standard-basis seminorm -> apartment point  (--seminorm)
-  act           monomial on a point (--m --point) or matrix on a
-                seminorm class (--g --seminorm)
-  equiv         chart equivalence                           (--c1 --c2)
-  stab          stabilizer membership                       (--g --point)
-  fsigma        filtration threshold of a point set         (--sigma --root)
-  ray-limit     boundary limit of a ray                     (--x0 --d)
-  gamma-member  basic-open membership                       (--y --box --I)
-  reduce        reduction to the building (--kind monomial|rational|l-point,
-                --mp or --z)
-  section       building point -> monomial point            (--b)
-  omega         hyperplane-complement test                  (--z)
-  ortho         orthogonalize vectors in an ambient norm    (--us --ambient)
-  sample-px     random stabilizer elements                  (--point --count
-                --bound --seed)
-
-payload flags accept inline JSON or @path-to-file."""
+# Caps that bound the work a short request can ask for; exceeding one is exit 2.
+_CAPS = {"--n": 64, "--e": 64, "--count": 1000, "--bound": 64}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -48,209 +26,230 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message, self.prog)
 
 
-def _payload(raw, where):
-    if raw is None:
+def _given(value, where):
+    if value is None:
         raise ParseError("missing required payload", where)
-    if raw.startswith("@"):
-        try:
+    return value
+
+
+def _payload(raw, where):
+    try:
+        if _given(raw, where).startswith("@"):
             with open(raw[1:], "r", encoding="utf-8") as fh:
                 raw = fh.read()
-        except OSError as exc:
-            raise ParseError(str(exc), where)
-    try:
         return json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ParseError(str(exc), where)
+    except (json.JSONDecodeError, RecursionError) as exc:    # RecursionError: nested too deep
         raise ParseError(f"invalid JSON: {exc}", where)
 
 
-def _parser(cmd, *flags, ints=(), required_ints=()):
-    p = _Parser(prog=f"padicbuilding {cmd}", add_help=False)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--e", type=int, default=1)
-    for f in flags:
-        p.add_argument(f)
-    for f in ints:
-        p.add_argument(f, type=int)
-    for f in required_ints:
-        p.add_argument(f, type=int, required=True)
-    return p
+def _capped(value, flag):
+    if value > _CAPS[flag]:
+        raise DomainError(f"{flag} is {value}, at most {_CAPS[flag]} is supported")
+    return value
 
 
-def _point_arg(raw, where):
-    return serialize.apartment_point_from_doc(_payload(raw, where), where)
+class _Request:
+    """`read` hands a flag's value to its reader; a reader decodes JSON through serialize
+    and checks it against ctx (the last four leave that to the library, which checks
+    sizes itself).  `regauged` records whether a reader repaired a gauge."""
 
+    def __init__(self, ctx):
+        self.ctx, self.n, self.regauged = ctx, ctx.n, False
 
-def _dispatch(cmd, argv):
-    # returns (result document, regauged flag, ctx)
-    if cmd == "phi":
-        args = _parser(cmd, "--point").parse_args(argv)
-        ctx = PrimeContext(args.p, args.n, args.e)
-        x, rg = _point_arg(args.point, "--point")
-        return serialize.seminorm_to_doc(seminorm.phi_from_apartment(x, ctx)), rg, ctx
+    def read(self, flag, reader, args):
+        name = flag.strip("[]")
+        if reader in (int, str) or (args[name] is None and name != flag):
+            return args[name]
+        return getattr(self, reader)(_payload(args[name], name), name)
 
-    if cmd == "phi-inv":
-        args = _parser(cmd, "--seminorm").parse_args(argv)
-        ctx = PrimeContext(args.p, args.n, args.e)
-        g = serialize.seminorm_from_doc(_payload(args.seminorm, "--seminorm"), ctx)
-        return serialize.apartment_point_to_doc(seminorm.phi_inverse(g)), False, ctx
+    def point(self, doc, where):
+        x, regauged = serialize.apartment_point_from_doc(doc, where)
+        if x.piece[-1] > self.n:            # pieces are sorted and start at 1 or above
+            raise DomainError(f"piece {x.piece} does not fit dimension {self.n}")
+        self.regauged |= regauged
+        return x
 
-    if cmd == "act":
-        args = _parser(cmd, "--m", "--point", "--g", "--seminorm").parse_args(argv)
-        ctx = PrimeContext(args.p, args.n, args.e)
-        if args.m is not None:
-            m, rg1 = serialize.monomial_from_doc(_payload(args.m, "--m"))
-            if m.n != ctx.n:
-                raise DomainError(f"permutation has length {m.n}, expected {ctx.n}")
-            x, rg2 = _point_arg(args.point, "--point")
-            y = apartment.act_monomial(m, x)
-            return serialize.apartment_point_to_doc(y), rg1 or rg2, ctx
-        if args.g is not None:
-            g = serialize.matrix_from_doc(_payload(args.g, "--g"), "--g")
-            s = serialize.seminorm_from_doc(_payload(args.seminorm, "--seminorm"), ctx)
-            b = building.act_group(g, building.building_point(s))
-            return serialize.building_point_to_doc(b), False, ctx
-        raise ParseError("act needs either --m with --point or --g with --seminorm")
-
-    if cmd == "equiv":
-        args = _parser(cmd, "--c1", "--c2").parse_args(argv)
-        ctx = PrimeContext(args.p, args.n, args.e)
-        c1, rg1 = serialize.chart_from_doc(_payload(args.c1, "--c1"), "--c1")
-        c2, rg2 = serialize.chart_from_doc(_payload(args.c2, "--c2"), "--c2")
-        eq = building.chart_equivalent(c1, c2, ctx)
-        return {"equivalent": eq}, rg1 or rg2, ctx
-
-    if cmd == "stab":
-        args = _parser(cmd, "--g", "--point").parse_args(argv)
-        ctx = PrimeContext(args.p, args.n, args.e)
-        g = serialize.matrix_from_doc(_payload(args.g, "--g"), "--g")
-        x, rg = _point_arg(args.point, "--point")
-        return {"in_stabilizer": building.in_stabilizer_P_x(g, x, ctx)}, rg, ctx
-
-    if cmd == "fsigma":
-        args = _parser(cmd, "--sigma", "--root").parse_args(argv)
-        ctx = PrimeContext(args.p, args.n, args.e)
-        doc = _payload(args.sigma, "--sigma")
+    def points(self, doc, where):
         if not isinstance(doc, list) or not doc:
-            raise ParseError("expected a nonempty array of points", "--sigma")
-        rg = False
-        points = []
-        for k, item in enumerate(doc):
-            x, r = serialize.apartment_point_from_doc(item, f"--sigma[{k}]")
-            points.append(x)
-            rg = rg or r
-        a = serialize.root_from_doc(_payload(args.root, "--root"), "--root")
-        if not {a.i, a.j} <= set(range(1, ctx.n + 1)):
-            raise DomainError(f"root ({a.i}, {a.j}) has an index outside 1..{ctx.n}")
-        return {"f": serialize.extended_to_doc(apartment.f_sigma(points, a))}, rg, ctx
+            raise ParseError("expected a nonempty array of points", where)
+        return [self.point(item, f"{where}[{k}]") for k, item in enumerate(doc)]
 
-    if cmd == "ray-limit":
-        args = _parser(cmd, "--x0", "--d").parse_args(argv)
-        ctx = PrimeContext(args.p, args.n, args.e)
-        x0, rg = _point_arg(args.x0, "--x0")
-        d = serialize.vector_from_doc(_payload(args.d, "--d"), "--d")
-        y = apartment.ray_limit(x0, d)
-        return serialize.apartment_point_to_doc(y), rg, ctx
+    def matrix(self, doc, where):
+        g = serialize.matrix_from_doc(doc, where)
+        if len(g) != self.n or len(g[0]) != self.n:
+            raise DomainError(f"{where}: expected {self.n} rows of {self.n} entries")
+        return g
 
-    if cmd == "gamma-member":
-        args = _parser(cmd, "--y", "--box", "--I").parse_args(argv)
-        ctx = PrimeContext(args.p, args.n, args.e)
-        y, rg = _point_arg(args.y, "--y")
-        box = serialize.box_from_doc(_payload(args.box, "--box"), "--box")
-        if box.n != ctx.n:
-            raise DomainError(f"box has {box.n - 1} intervals, expected {ctx.n - 1}")
-        piece = _payload(args.I, "--I")
-        if not isinstance(piece, list) or not all(isinstance(i, int) for i in piece):
-            raise ParseError("expected an array of indices", "--I")
-        return {"member": apartment.gamma_membership(y, box, piece)}, rg, ctx
+    def chart(self, doc, where):
+        if not isinstance(doc, dict) or not {"g", "x"} <= set(doc):
+            raise ParseError("expected {\"g\": ..., \"x\": ...}", where)
+        g = self.matrix(doc["g"], where + ".g")
+        return building.ChartPoint(g, self.point(doc["x"], where + ".x"))
 
-    if cmd == "reduce":
-        args = _parser(cmd, "--kind", "--mp", "--z").parse_args(argv)
-        ctx = PrimeContext(args.p, args.n, args.e)
-        if args.kind == "monomial":
-            p = serialize.monomial_point_from_doc(_payload(args.mp, "--mp"), ctx)
-            b = berkovich.r_reduce_monomial(p)
-        elif args.kind == "rational":
-            z = serialize.vector_from_doc(_payload(args.z, "--z"), "--z")
-            b = berkovich.r_reduce_rational(z, ctx)
-        elif args.kind == "l-point":
-            zf = serialize.lfunctional_from_doc(_payload(args.z, "--z"), ctx, "--z")
-            b = berkovich.r_reduce_L_point(zf)
-        else:
-            raise ParseError("--kind must be monomial, rational or l-point")
-        return serialize.building_point_to_doc(b), False, ctx
+    def monomial(self, doc, where):
+        m, regauged = serialize.monomial_from_doc(doc, where)
+        if m.n != self.n:
+            raise DomainError(f"permutation has length {m.n}, expected {self.n}")
+        self.regauged |= regauged
+        return m
 
-    if cmd == "section":
-        args = _parser(cmd, "--b").parse_args(argv)
-        ctx = PrimeContext(args.p, args.n, args.e)
-        s = serialize.seminorm_from_doc(_payload(args.b, "--b"), ctx, "--b")
-        p = berkovich.j_section(building.building_point(s))
-        return serialize.monomial_point_to_doc(p), False, ctx
+    def root(self, doc, where):
+        a = serialize.root_from_doc(doc, where)
+        if not {a.i, a.j} <= set(range(1, self.n + 1)):
+            raise DomainError(f"root ({a.i}, {a.j}) has an index outside 1..{self.n}")
+        return a
 
-    if cmd == "omega":
-        args = _parser(cmd, "--z").parse_args(argv)
-        ctx = PrimeContext(args.p, args.n, args.e)
-        zf = serialize.lfunctional_from_doc(_payload(args.z, "--z"), ctx, "--z")
-        return {"in_omega": berkovich.in_omega(zf)}, False, ctx
+    def box(self, doc, where):
+        box = serialize.box_from_doc(doc, where)
+        if box.n != self.n:
+            raise DomainError(f"box has {box.n - 1} intervals, expected {self.n - 1}")
+        return box
 
-    if cmd == "ortho":
-        args = _parser(cmd, "--us", "--ambient").parse_args(argv)
-        ctx = PrimeContext(args.p, args.n, args.e)
-        us = serialize.matrix_from_doc(_payload(args.us, "--us"), "--us")
-        ambient = serialize.seminorm_from_doc(_payload(args.ambient, "--ambient"), ctx)
-        out = seminorm.orthogonalize(list(us), ambient)
-        return {"vectors": serialize.matrix_to_doc(out)}, False, ctx
+    def indices(self, doc, where):
+        if not isinstance(doc, list) or not all(type(i) is int for i in doc):
+            raise ParseError("expected an array of indices", where)
+        return doc
 
-    if cmd == "sample-px":
-        parser = _parser(cmd, "--point", ints=("--count", "--bound"),
-                         required_ints=("--seed",))
-        args = parser.parse_args(argv)
-        if args.seed < 0:
-            raise ParseError("--seed must be a nonnegative integer")
-        ctx = PrimeContext(args.p, args.n, args.e)
-        x, rg = _point_arg(args.point, "--point")
-        count = args.count if args.count is not None else 5
-        bound = args.bound if args.bound is not None else 3
-        gens = building.sample_P_x_generators(x, count, bound, ctx, args.seed)
-        return {"generators": [serialize.matrix_to_doc(g) for g in gens]}, rg, ctx
+    def vector(self, doc, where):
+        return serialize.vector_from_doc(doc, where)
 
-    raise AssertionError(f"unhandled command {cmd}")
+    def vectors(self, doc, where):
+        return serialize.matrix_from_doc(doc, where)
+
+    def seminorm(self, doc, where):
+        return serialize.seminorm_from_doc(doc, self.ctx, where)
+
+    def functional(self, doc, where):
+        return serialize.lfunctional_from_doc(doc, self.ctx, where)
+
+
+def _act(ctx, m, x, g, s):
+    if m is not None:
+        return serialize.apartment_point_to_doc(apartment.act_monomial(m, _given(x, "--point")))
+    if g is not None:
+        b = building.act_group(g, building.building_point(_given(s, "--seminorm")))
+        return serialize.building_point_to_doc(b)
+    raise ParseError("act needs either --m with --point or --g with --seminorm")
+
+
+def _reduce(ctx, kind, mp, z):
+    # the kind says how to read the payload: --z is a rational vector or an L-functional
+    if kind == "monomial":
+        b = berkovich.r_reduce_monomial(
+            serialize.monomial_point_from_doc(_payload(mp, "--mp"), ctx, "--mp"))
+    elif kind == "rational":
+        b = berkovich.r_reduce_rational(serialize.vector_from_doc(_payload(z, "--z"), "--z"), ctx)
+    elif kind == "l-point":
+        zf = serialize.lfunctional_from_doc(_payload(z, "--z"), ctx, "--z")
+        b = berkovich.r_reduce_L_point(zf)
+    else:
+        raise ParseError("--kind must be monomial, rational or l-point")
+    return serialize.building_point_to_doc(b)
+
+
+def _sample(ctx, x, count, bound, seed):
+    if seed < 0:
+        raise ParseError("--seed must be a nonnegative integer")
+    count = _capped(5 if count is None else count, "--count")
+    bound = _capped(3 if bound is None else bound, "--bound")
+    gens = building.sample_P_x_generators(x, count, bound, ctx, seed)
+    return {"generators": [serialize.matrix_to_doc(g) for g in gens]}
+
+
+# command -> (handler, {flag: reader}, summary).  A reader names a _Request method, or is
+# int or str for a flag passed on as argparse parsed it; a flag in brackets is optional.
+# The handler gets ctx and the decoded payloads in flag order and returns the result.
+COMMANDS = {
+    "phi": (lambda ctx, x: serialize.seminorm_to_doc(seminorm.phi_from_apartment(x, ctx)),
+            {"--point": "point"}, "apartment point -> diagonal seminorm"),
+    "phi-inv": (lambda ctx, g: serialize.apartment_point_to_doc(seminorm.phi_inverse(g)),
+                {"--seminorm": "seminorm"}, "standard-basis seminorm -> apartment point"),
+    "act": (_act, {"[--m]": "monomial", "[--point]": "point", "[--g]": "matrix",
+                   "[--seminorm]": "seminorm"}, "monomial on a point, matrix on a seminorm class"),
+    "equiv": (lambda ctx, c1, c2: {"equivalent": building.chart_equivalent(c1, c2, ctx)},
+              {"--c1": "chart", "--c2": "chart"}, "chart equivalence"),
+    "stab": (lambda ctx, g, x: {"in_stabilizer": building.in_stabilizer_P_x(g, x, ctx)},
+             {"--g": "matrix", "--point": "point"}, "stabilizer membership"),
+    "fsigma": (lambda ctx, xs, a: {"f": serialize.extended_to_doc(apartment.f_sigma(xs, a))},
+               {"--sigma": "points", "--root": "root"}, "filtration threshold of a point set"),
+    "ray-limit": (lambda ctx, x0, d: serialize.apartment_point_to_doc(apartment.ray_limit(x0, d)),
+                  {"--x0": "point", "--d": "vector"}, "boundary limit of a ray"),
+    "gamma-member": (lambda ctx, y, box, i: {"member": apartment.gamma_membership(y, box, i)},
+                     {"--y": "point", "--box": "box", "--I": "indices"}, "basic-open membership"),
+    "reduce": (_reduce, {"--kind": str, "[--mp]": str, "[--z]": str},
+               "reduction to the building; kind is monomial, rational or l-point"),
+    "section": (lambda ctx, s: serialize.monomial_point_to_doc(
+                    berkovich.j_section(building.building_point(s))),
+                {"--b": "seminorm"}, "building point -> monomial point"),
+    "omega": (lambda ctx, zf: {"in_omega": berkovich.in_omega(zf)},
+              {"--z": "functional"}, "hyperplane-complement test"),
+    "ortho": (lambda ctx, u, g: {"vectors": serialize.matrix_to_doc(seminorm.orthogonalize(u, g))},
+              {"--us": "vectors", "--ambient": "seminorm"}, "orthogonalize in an ambient norm"),
+    "sample-px": (_sample, {"--point": "point", "[--count]": int, "[--bound]": int, "--seed": int},
+                  "random stabilizer elements"),
+}
+
+
+def _parser(cmd, flags):
+    parser = _Parser(prog=f"padicbuilding {cmd}", add_help=False)
+    parser.add_argument("--p", type=int, required=True)
+    parser.add_argument("--n", type=int, required=True)
+    parser.add_argument("--e", type=int, default=1)
+    for flag, reader in flags.items():
+        name = flag.strip("[]")
+        typed = {"type": int, "required": name == flag} if reader is int else {}
+        parser.add_argument(name, dest=name, **typed)
+    return parser
+
+
+_PARSERS = {cmd: _parser(cmd, flags) for cmd, (_, flags, _) in COMMANDS.items()}
+
+_HELP = "\n".join(
+    ["usage: padicbuilding COMMAND --p P --n N [--e E] [payload flags]", "", "commands:"]
+    + [f"  {cmd:<13} {summary}\n  {'':<13} {' '.join(flags)}"
+       for cmd, (_, flags, summary) in COMMANDS.items()]
+    + ["", "payload flags accept inline JSON or @path-to-file; flags in brackets are optional.",
+       "limits: " + ", ".join(f"{flag} <= {cap}" for flag, cap in _CAPS.items())])
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     if not argv or argv[0] in ("-h", "--help"):
-        print(_USAGE)
+        print(_HELP)
         return 0
     cmd = argv[0]
     if cmd not in COMMANDS:
-        _fail("UnknownCommand", f"unknown command {cmd!r}")
-        return 4
+        return _fail("UnknownCommand", f"unknown command {cmd!r}", 4)
+    handler, flags, _ = COMMANDS[cmd]
     try:
-        result, regauged, ctx = _dispatch(cmd, argv[1:])
+        args = vars(_PARSERS[cmd].parse_args(argv[1:]))
+        ctx = PrimeContext(args["p"], _capped(args["n"], "--n"), _capped(args["e"], "--e"))
+        req = _Request(ctx)
+        result = handler(ctx, *[req.read(flag, reader, args) for flag, reader in flags.items()])
     except ParseError as exc:
-        _fail("ParseError", str(exc))
-        return 3
+        return _fail("ParseError", str(exc), 3)
     except (DomainError, ValueError) as exc:
         name = type(exc).__name__
         code = name[:-5] if name.endswith("Error") else name
-        _fail(code or "Domain", str(exc))
-        return 2
+        return _fail(code or "Domain", str(exc), 2)
     envelope = {
         "ok": True,
         "command": cmd,
         "config": {"p": ctx.p, "n": ctx.n, "e": ctx.e},
         "result": result,
-        "regauged": regauged,
+        "regauged": req.regauged,
     }
     print(json.dumps(envelope, sort_keys=True))
     return 0
 
 
-def _fail(code, message):
+def _fail(code, message, status):
     print(json.dumps({"ok": False, "error": code, "message": message},
                      sort_keys=True), file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

@@ -16,7 +16,12 @@ import re
 from fractions import Fraction
 
 from . import apartment, arith, berkovich, building, seminorm
-from .errors import ParseError
+from .errors import DomainError, ParseError
+
+
+def _is_int_array(doc) -> bool:
+    # JSON integers only: true, 2.7 and "2" are rejected, not converted
+    return isinstance(doc, list) and all(type(i) is int for i in doc)
 
 
 def frac_to_str(x) -> str:
@@ -112,7 +117,7 @@ def apartment_point_from_doc(doc, where="point"):
     if not isinstance(doc, dict) or not {"I", "x"} <= set(doc):
         raise ParseError("expected {\"I\": [...], \"x\": [...]}", where)
     piece = doc["I"]
-    if not isinstance(piece, list) or not all(isinstance(i, int) for i in piece):
+    if not _is_int_array(piece):
         raise ParseError("piece must be an array of indices", where + ".I")
     if not isinstance(doc["x"], list):
         raise ParseError("exponents must be an array", where + ".x")
@@ -121,7 +126,7 @@ def apartment_point_from_doc(doc, where="point"):
         raise ParseError("piece and exponent lengths differ", where)
     try:
         point = apartment.apartment_point(piece, exps)
-    except Exception as exc:
+    except DomainError as exc:
         raise ParseError(str(exc), where)
     given = dict(zip(piece, exps))
     regauged = any(point.exponent(i) != given[i] for i in point.piece)
@@ -135,12 +140,14 @@ def monomial_to_doc(m: apartment.MonomialElement):
 def monomial_from_doc(doc, where="monomial"):
     if not isinstance(doc, dict) or not {"perm", "trans"} <= set(doc):
         raise ParseError("expected {\"perm\": [...], \"trans\": [...]}", where)
+    if not _is_int_array(doc["perm"]):
+        raise ParseError("permutation must be an array of indices", where + ".perm")
     if not isinstance(doc["trans"], list):
         raise ParseError("translation must be an array", where + ".trans")
     trans = [frac_from_str(t, f"{where}.trans[{k}]") for k, t in enumerate(doc["trans"])]
     try:
         m = apartment.monomial_element(doc["perm"], trans)
-    except Exception as exc:
+    except DomainError as exc:
         raise ParseError(str(exc), where)
     regauged = tuple(trans) != m.trans
     return m, regauged
@@ -151,12 +158,11 @@ def root_to_doc(a: apartment.Root):
 
 
 def root_from_doc(doc, where="root"):
-    if not (isinstance(doc, list) and len(doc) == 2
-            and all(isinstance(t, int) for t in doc)):
+    if not (_is_int_array(doc) and len(doc) == 2):
         raise ParseError("expected [i, j]", where)
     try:
         return apartment.Root(doc[0], doc[1])
-    except Exception as exc:
+    except DomainError as exc:
         raise ParseError(str(exc), where)
 
 
@@ -177,7 +183,7 @@ def box_from_doc(doc, where="box"):
                     frac_from_str(pair[1], f"{where}.intervals[{k}][1]")))
     try:
         return apartment.open_box(ivs)
-    except Exception as exc:
+    except DomainError as exc:
         raise ParseError(str(exc), where)
 
 
@@ -190,6 +196,8 @@ def seminorm_from_doc(doc, ctx, where="seminorm"):
     if not isinstance(doc, dict) or not {"basis", "values"} <= set(doc):
         raise ParseError("expected {\"basis\": ..., \"values\": [...]}", where)
     basis = matrix_from_doc(doc["basis"], where + ".basis")
+    if not isinstance(doc["values"], list):
+        raise ParseError("values must be an array", where + ".values")
     values = [logvalue_from_doc(v, f"{where}.values[{k}]")
               for k, v in enumerate(doc["values"])]
     return seminorm.diagonal_seminorm(basis, values, ctx)
@@ -222,6 +230,8 @@ def monomial_point_from_doc(doc, ctx, where="monomial-point"):
     if not isinstance(doc, dict) or not {"basis", "radii"} <= set(doc):
         raise ParseError("expected {\"basis\": ..., \"radii\": [...]}", where)
     basis = matrix_from_doc(doc["basis"], where + ".basis")
+    if not isinstance(doc["radii"], list):
+        raise ParseError("radii must be an array", where + ".radii")
     radii = [logvalue_from_doc(r, f"{where}.radii[{k}]")
              for k, r in enumerate(doc["radii"])]
     return berkovich.monomial_point(basis, radii, ctx)
@@ -238,10 +248,12 @@ def polynomial_from_doc(doc, nvars, where="polynomial"):
     for k, item in enumerate(doc):
         if not isinstance(item, dict) or not {"nu", "c"} <= set(item):
             raise ParseError("expected {\"nu\": [...], \"c\": \"a/b\"}", f"{where}[{k}]")
+        if not _is_int_array(item["nu"]):
+            raise ParseError("multi-index must be an array of integers", f"{where}[{k}].nu")
         terms.append((tuple(item["nu"]), frac_from_str(item["c"], f"{where}[{k}].c")))
     try:
         return berkovich.polynomial(terms, nvars)
-    except Exception as exc:
+    except DomainError as exc:
         raise ParseError(str(exc), where)
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,9 @@ from padicbuilding import (
     val_l,
 )
 from padicbuilding.arith import (
+    _PRIME_LIMIT,
     _int_val,
+    _is_prime,
     _inverse_parts,
     _kernel_and_pivots,
     identity,
@@ -468,3 +471,27 @@ def test_mat_mul_agrees_with_fraction_products():
         got = mat_mul(a, b)
         assert got == expected
         assert all(type(x) is Fraction for row in got for x in row)
+
+
+def _trial_division(m):
+    return m >= 2 and all(m % d for d in range(2, math.isqrt(m) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [m for m in range(10 ** 5) if _is_prime(m)] == \
+        [m for m in range(10 ** 5) if _trial_division(m)]
+    # strong pseudoprimes to several of the bases stay composite
+    for m in (2047, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(m)
+
+
+def test_large_primes_are_fast_and_bounded():
+    t0 = time.perf_counter()
+    assert PrimeContext(2 ** 61 - 1, 2).p == 2 ** 61 - 1
+    assert time.perf_counter() - t0 < 0.1
+    with pytest.raises(ValueError, match="not prime"):
+        PrimeContext(2 ** 61 + 1, 2)
+    with pytest.raises(ValueError, match="too large"):
+        PrimeContext(2 ** 89 - 1, 2)       # prime, but above the proven range
+    with pytest.raises(ValueError, match="too large"):
+        _is_prime(_PRIME_LIMIT)

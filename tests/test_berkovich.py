@@ -221,3 +221,9 @@ def test_alpha_evaluate_matches_fraction_rewrite():
             constants += f.degree() == 0
             assert alpha_evaluate(p, f) == _reference_alpha(p, f)
     assert constants >= 300 and zero_radii > 50
+
+
+def test_monomial_point_needs_a_square_basis():
+    with pytest.raises(DomainError):
+        monomial_point(((1, 0, 0), (0, 1, 0)), (LogValue.finite(0), LogValue.finite(0)),
+                       PrimeContext(2, 2))

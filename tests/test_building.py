@@ -32,6 +32,7 @@ from padicbuilding import (
     unipotent_matrix,
 )
 from padicbuilding.arith import identity, mat, mat_mul
+from padicbuilding.building import _random_unit
 from padicbuilding.errors import DomainError, SubspaceNotPreservedError
 
 from randgen import rand_integer_point, rand_invertible, rand_monomial, rand_point
@@ -234,3 +235,18 @@ def test_building_point_kernel_and_eq():
     assert b == building_point(
         compose_with(phi_from_apartment(apartment_point([2], [0]), CTX2),
                      mat([[5, 0], [0, 5]])))
+
+
+def test_random_unit_draws_what_choice_over_the_unit_list_draws():
+    for p in (2, 3, 5, 7, 11):
+        units = [c for c in range(1, p * p) if c % p != 0]
+        pool = units + [-c for c in units]
+        a, b = random.Random(p), random.Random(p)
+        assert [_random_unit(p, a) for _ in range(500)] == [b.choice(pool) for _ in range(500)]
+
+
+def test_sample_generators_at_a_large_prime():
+    ctx = PrimeContext(2 ** 61 - 1, 3)
+    x = apartment_point([1, 3], [0, 2])
+    for h in sample_P_x_generators(x, 20, 3, ctx, seed=4):
+        assert in_stabilizer_P_x(h, x, ctx)

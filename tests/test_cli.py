@@ -15,6 +15,7 @@ from padicbuilding import (
     open_box,
     phi_from_apartment,
 )
+from padicbuilding import building
 from padicbuilding import serialize as ser
 from padicbuilding.cli import main
 from padicbuilding.errors import ParseError
@@ -339,4 +340,87 @@ def test_rational_grammar_is_strict():
 def test_cli_rejects_exponent_grammar(capsys):
     code, out, err = run(capsys, "phi", "--p", "2", "--n", "2",
                          "--point", '{"I":[1,2],"x":["0/1","1e3"]}')
+    assert code == 3 and out is None and err["error"] == "ParseError"
+
+
+def test_cli_values_and_radii_must_be_arrays(capsys):
+    code, out, err = run(capsys, "phi-inv", "--p", "2", "--n", "2", "--seminorm",
+                         '{"basis":[["1/1","0/1"],["0/1","1/1"]],"values":5}')
+    assert code == 3 and out is None and err["error"] == "ParseError"
+    code, out, err = run(capsys, "reduce", "--p", "2", "--n", "2", "--kind", "monomial",
+                         "--mp", '{"basis":[["1/1","0/1"],["0/1","1/1"]],"radii":5}')
+    assert code == 3 and out is None and err["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("flags", [
+    ("phi", "--point", '{"I":[true,2],"x":["0/1","0/1"]}'),
+    ("gamma-member", "--y", POINT2, "--box", '{"intervals":[["-1/1","1/1"]]}', "--I", "[true]"),
+    ("fsigma", "--sigma", f"[{POINT2}]", "--root", "[true,2]"),
+    ("act", "--m", '{"perm":[2.7,1],"trans":["0/1","0/1"]}', "--point", POINT2),
+    ("act", "--m", '{"perm":["2","1"],"trans":["0/1","0/1"]}', "--point", POINT2),
+])
+def test_cli_indices_must_be_json_integers(capsys, flags):
+    code, out, err = run(capsys, flags[0], "--p", "2", "--n", "2", *flags[1:])
+    assert code == 3 and out is None and err["error"] == "ParseError"
+
+
+def test_polynomial_multi_index_must_be_integers():
+    for nu in ([True, 0], [1.0, 0], ["1", 0]):
+        with pytest.raises(ParseError):
+            ser.polynomial_from_doc([{"nu": nu, "c": "1/1"}], 2)
+
+
+@pytest.mark.parametrize("module, name, read, doc", [
+    ("apartment", "apartment_point", ser.apartment_point_from_doc, {"I": [1, 2], "x": ["0/1", "1/1"]}),
+    ("apartment", "monomial_element", ser.monomial_from_doc, {"perm": [2, 1], "trans": ["0/1", "0/1"]}),
+    ("apartment", "Root", ser.root_from_doc, [1, 2]),
+    ("apartment", "open_box", ser.box_from_doc, {"intervals": [["0/1", "1/1"]]}),
+    ("berkovich", "polynomial", lambda doc: ser.polynomial_from_doc(doc, 2), [{"nu": [1, 0], "c": "1/1"}]),
+])
+def test_internal_errors_are_not_relabelled_as_parse_errors(monkeypatch, module, name, read, doc):
+    def broken(*args, **kwargs):
+        raise RuntimeError("internal bug")
+
+    monkeypatch.setattr(getattr(ser, module), name, broken)
+    with pytest.raises(RuntimeError, match="internal bug"):
+        read(doc)
+
+
+P3 = '{"I":[1,2,3],"x":["0/1","0/1","0/1"]}'
+G3 = '[["1/1","0/1","0/1"],["0/1","1/1","0/1"],["0/1","0/1","1/1"]]'
+
+
+@pytest.mark.parametrize("argv", [
+    ("ray-limit", "--x0", P3, "--d", '["0/1","0/1","1/1"]'),
+    ("fsigma", "--sigma", f"[{P3}]", "--root", "[1,2]"),
+    ("act", "--m", '{"perm":[2,1],"trans":["0/1","0/1"]}', "--point", P3),
+    ("stab", "--g", G3, "--point", POINT2),
+    ("equiv", "--c1", f'{{"g":{G3},"x":{POINT2}}}', "--c2", f'{{"g":{G3},"x":{POINT2}}}'),
+])
+def test_cli_payloads_are_checked_against_n(capsys, argv):
+    code, out, err = run(capsys, argv[0], "--p", "2", "--n", "2", *argv[1:])
+    assert code == 2 and out is None and err["error"] == "Domain"
+
+
+@pytest.mark.parametrize("flag, value", [("--n", "65"), ("--e", "65"), ("--count", "1001"),
+                                         ("--bound", "65")])
+def test_cli_caps(monkeypatch, capsys, flag, value):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the request should have been refused before any work")
+
+    monkeypatch.setattr(building, "sample_P_x_generators", no_work)
+    argv = {"--p": "2", "--n": "2", "--point": POINT2, "--seed": "1", flag: value}
+    code, out, err = run(capsys, "sample-px", *[t for item in argv.items() for t in item])
+    assert code == 2 and out is None and err["error"] == "Domain"
+    assert err["message"] == f"{flag} is {value}, at most {int(value) - 1} is supported"
+
+
+def test_cli_rejects_primes_beyond_the_proven_range(capsys):
+    code, out, err = run(capsys, "phi", "--p", str(2 ** 89 - 1), "--n", "2", "--point", POINT2)
+    assert code == 2 and out is None and "too large" in err["message"]
+
+
+def test_cli_deeply_nested_json_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "phi", "--p", "2", "--n", "2",
+                         "--point", "[" * 100000 + "]" * 100000)
     assert code == 3 and out is None and err["error"] == "ParseError"
