@@ -40,9 +40,8 @@ from .arith import (
 from .building import BuildingPoint, building_point
 from .errors import DomainError, SingularMatrixError, ZeroFunctionalError
 from .seminorm import (
-    DiagonalSeminorm,
+    class_equals,
     diagonal_seminorm,
-    equals,
     pullback_from_functional,
 )
 
@@ -105,12 +104,7 @@ def polynomial(terms, nvars: int) -> PolynomialSymV:
 def poly_mul(f: PolynomialSymV, g: PolynomialSymV) -> PolynomialSymV:
     if f.nvars != g.nvars:
         raise DomainError("variable count mismatch")
-    out = {}
-    for nu1, c1 in f.terms:
-        for nu2, c2 in g.terms:
-            nu = tuple(a + b for a, b in zip(nu1, nu2))
-            out[nu] = out.get(nu, Fraction(0)) + c1 * c2
-    return polynomial(out, f.nvars)
+    return polynomial(_dict_mul(dict(f.terms), dict(g.terms)), f.nvars)
 
 
 # ---------------------------------------------------------------------------
@@ -194,17 +188,10 @@ def monomial_class_equals(p1: MonomialPoint, p2: MonomialPoint) -> bool:
     """Equality as points of projective analytic space.
 
     Two monomial seminorms are equivalent when they differ by c^degree for
-    a single constant; normalizing the largest radius to 1 removes that
-    freedom, after which the degree-one parts decide equality.
+    a single constant c; a monomial point is the multiplicative extension
+    of its degree-one part, so the classes of those parts decide equality.
     """
-    if p1.ctx != p2.ctx:
-        raise DomainError("points live over different contexts")
-    return equals(_normalized_degree_one(p1), _normalized_degree_one(p2))
-
-
-def _normalized_degree_one(p: MonomialPoint) -> DiagonalSeminorm:
-    shift = -max(r.log for r in p.radii if not r.is_zero)
-    return diagonal_seminorm(p.basis, tuple(r.shift(shift) for r in p.radii), p.ctx)
+    return class_equals(*(diagonal_seminorm(p.basis, p.radii, p.ctx) for p in (p1, p2)))
 
 
 # ---------------------------------------------------------------------------

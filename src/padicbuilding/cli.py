@@ -19,6 +19,8 @@ from .errors import DomainError, ParseError
 
 # Caps that bound the work a short request can ask for; exceeding one is exit 2.
 _CAPS = {"--n": 64, "--e": 64, "--count": 1000, "--bound": 64}
+# An @file payload longer than this is exit 3; it fits a 64 x 64 matrix of 1000-digit rationals.
+_PAYLOAD_BYTES = 16 << 20
 
 
 class _Parser(argparse.ArgumentParser):
@@ -35,8 +37,11 @@ def _given(value, where):
 def _payload(raw, where):
     try:
         if _given(raw, where).startswith("@"):
-            with open(raw[1:], "r", encoding="utf-8") as fh:
-                raw = fh.read()
+            with open(raw[1:], "rb") as fh:
+                data = fh.read(_PAYLOAD_BYTES + 1)
+            if len(data) > _PAYLOAD_BYTES:
+                raise ParseError(f"payload file is longer than {_PAYLOAD_BYTES} bytes", where)
+            raw = data.decode("utf-8")
         return json.loads(raw)
     except OSError as exc:
         raise ParseError(str(exc), where)
@@ -154,6 +159,9 @@ def _sample(ctx, x, count, bound, seed):
         raise ParseError("--seed must be a nonnegative integer")
     count = _capped(5 if count is None else count, "--count")
     bound = _capped(3 if bound is None else bound, "--bound")
+    # admissible unipotents raise p to exponents as large as the coordinates
+    if any(abs(c) > _CAPS["--bound"] for c in x.exponents):
+        raise DomainError(f"sample-px needs coordinates of size at most {_CAPS['--bound']}")
     gens = building.sample_P_x_generators(x, count, bound, ctx, seed)
     return {"generators": [serialize.matrix_to_doc(g) for g in gens]}
 

@@ -170,22 +170,29 @@ def phi_inverse(g: DiagonalSeminorm) -> ApartmentPoint:
 # Equality and equivalence
 # ---------------------------------------------------------------------------
 
-def equals(g1: DiagonalSeminorm, g2: DiagonalSeminorm) -> bool:
-    """Exact equality of seminorms as functions on V.
+def _log_bound(g1: DiagonalSeminorm, g2: DiagonalSeminorm):
+    """The least s with g1 <= q^s g2 on V, or None when there is none.
 
-    It suffices to compare on the two bases: if gamma agrees with a
-    seminorm on a basis with respect to which the latter is canonical, the
-    ultrametric inequality forces gamma <= it, and symmetrically.
+    g2 is diagonal in its basis, so by the ultrametric inequality the bound
+    holds on V once it holds on g2's columns, and it is attained on one of
+    them (Goldman-Iwahori 1963).  A column in g2's kernel on which g1 is
+    nonzero admits no s.
     """
     if g1.ctx != g2.ctx:
         raise DomainError("seminorms live over different contexts")
-    for i in range(g1.n):
-        if evaluate(g2, g1.column(i)) != g1.values[i]:
-            return False
-    for i in range(g2.n):
-        if evaluate(g1, g2.column(i)) != g2.values[i]:
-            return False
-    return True
+    best = None
+    for i, c in enumerate(g2.values):
+        v = evaluate(g1, g2.column(i))
+        if not v.is_zero:
+            if c.is_zero:
+                return None
+            best = v.log - c.log if best is None else max(best, v.log - c.log)
+    return best
+
+
+def equals(g1: DiagonalSeminorm, g2: DiagonalSeminorm) -> bool:
+    """Exact equality of seminorms as functions on V: g1 <= g2 <= g1."""
+    return _log_bound(g1, g2) == 0 and _log_bound(g2, g1) == 0
 
 
 def canonical_class(g: DiagonalSeminorm) -> DiagonalSeminorm:
@@ -205,16 +212,10 @@ def canonical_class(g: DiagonalSeminorm) -> DiagonalSeminorm:
 
 
 def class_equals(g1: DiagonalSeminorm, g2: DiagonalSeminorm) -> bool:
-    """Equality up to a positive constant multiple q^c."""
-    if g1.ctx != g2.ctx:
-        raise DomainError("seminorms live over different contexts")
-    if kernel_of(g1) != kernel_of(g2):
-        return False
-    lead = next(i for i in range(g1.n) if not g1.values[i].is_zero)
-    w = g1.column(lead)
-    v2 = evaluate(g2, w)
-    delta = g1.values[lead].log - v2.log
-    return equals(g1, scale_seminorm(g2, delta))
+    """Equality up to a positive constant: g1 <= q^s g2 <= q^(s+t) g1 with s + t = 0."""
+    s = _log_bound(g1, g2)
+    t = None if s is None else _log_bound(g2, g1)
+    return t is not None and s + t == 0
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +345,4 @@ def distance_constants(g1: DiagonalSeminorm, g2: DiagonalSeminorm):
     """Tight constants (s, t) with g1 <= q^s g2 and g2 <= q^t g1."""
     if not (g1.is_norm() and g2.is_norm()):
         raise KernelMismatchError("distance constants need norms (trivial kernels)")
-    s = max(evaluate(g1, g2.column(i)).log - g2.values[i].log for i in range(g2.n))
-    t = max(evaluate(g2, g1.column(i)).log - g1.values[i].log for i in range(g1.n))
-    return s, t
+    return _log_bound(g1, g2), _log_bound(g2, g1)

@@ -217,7 +217,8 @@ def chart_from_doc(doc, where="chart"):
 
 def building_point_to_doc(b: building.BuildingPoint):
     doc = seminorm_to_doc(b.seminorm)
-    doc["kernel"] = matrix_to_doc(b.kernel()) if b.kernel() else []
+    kernel = b.kernel()
+    doc["kernel"] = matrix_to_doc(kernel) if kernel else []
     return doc
 
 

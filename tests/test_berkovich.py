@@ -99,6 +99,40 @@ def test_monomial_class_equals_examples():
     assert monomial_class_equals(gp, rebased)
 
 
+def test_monomial_class_equals_does_not_depend_on_the_basis_scale():
+    # the Gauss point presented by the basis p*I with radii q^-1
+    for p in (2, 3, 5):
+        for n in (2, 3, 4):
+            ctx = PrimeContext(p, n)
+            gp = gauss_point(ctx)
+            scaled = monomial_point(mat([[p * x for x in row] for row in identity(n)]), (LogValue.finite(-1),) * n, ctx)
+            assert monomial_class_equals(gp, scaled) and monomial_class_equals(scaled, gp)
+            assert r_reduce_monomial(gp) == r_reduce_monomial(scaled)
+
+
+def test_rebased_monomial_points_stay_equal():
+    # w_i -> p^k_i w_i with radii shifted by -k_i presents the same point
+    rng = random.Random(9)
+    for _ in range(60):
+        n = rng.randint(2, 4)
+        ctx = PrimeContext(rng.choice([2, 3, 5]), n)
+        pt = monomial_point(rand_invertible(rng, n, ctx.p), rand_values(rng, n), ctx)
+        ks = [rng.randint(-3, 3) for _ in range(n)]
+        basis = mat([[x * Fraction(ctx.p) ** k for x, k in zip(row, ks)] for row in pt.basis])
+        rebased = monomial_point(basis, tuple(r.shift(-k) for r, k in zip(pt.radii, ks)), ctx)
+        shift = rng.randint(-2, 2)
+        scaled = monomial_point(pt.basis, tuple(r.shift(shift) for r in pt.radii), ctx)
+        assert monomial_class_equals(pt, rebased) and monomial_class_equals(rebased, scaled)
+        for _ in range(5):
+            f = rand_poly(rng, n)
+            assert alpha_evaluate(pt, f) == alpha_evaluate(rebased, f)
+        if sum(not r.is_zero for r in pt.radii) > 1:
+            i = next(i for i, r in enumerate(pt.radii) if not r.is_zero)
+            radii = list(pt.radii)
+            radii[i] = radii[i].shift(1)
+            assert not monomial_class_equals(pt, monomial_point(pt.basis, radii, ctx))
+
+
 def test_j_section_examples():
     b = building_point(phi_from_apartment(interior_point([0, 0]), CTX2))
     assert monomial_class_equals(j_section(b), gauss_point(CTX2))

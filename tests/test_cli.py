@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +16,7 @@ from padicbuilding import (
     open_box,
     phi_from_apartment,
 )
-from padicbuilding import building
+from padicbuilding import building, cli
 from padicbuilding import serialize as ser
 from padicbuilding.cli import main
 from padicbuilding.errors import ParseError
@@ -424,3 +425,45 @@ def test_cli_deeply_nested_json_is_a_parse_error(capsys):
     code, out, err = run(capsys, "phi", "--p", "2", "--n", "2",
                          "--point", "[" * 100000 + "]" * 100000)
     assert code == 3 and out is None and err["error"] == "ParseError"
+
+
+def test_cli_payload_file_size_is_capped(monkeypatch, tmp_path, capsys):
+    doc = '{"I":[1,2],"x":["0/1","1/1"]}'
+    path = tmp_path / "point.json"
+    path.write_text(doc, encoding="utf-8")
+    monkeypatch.setattr(cli, "_PAYLOAD_BYTES", len(doc))
+    code, out, _ = run(capsys, "phi", "--p", "2", "--n", "2", "--point", f"@{path}")
+    assert code == 0 and out["result"]["values"] == [{"log": "0/1"}, {"log": "-1/1"}]
+    monkeypatch.setattr(cli, "_PAYLOAD_BYTES", len(doc) - 1)
+    code, out, err = run(capsys, "phi", "--p", "2", "--n", "2", "--point", f"@{path}")
+    assert code == 3 and out is None and err["error"] == "ParseError"
+    assert err["message"] == f"--point: payload file is longer than {len(doc) - 1} bytes"
+
+
+@pytest.mark.skipif(not Path("/dev/zero").exists(), reason="needs /dev/zero")
+def test_cli_endless_payload_file_is_refused(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_PAYLOAD_BYTES", 1 << 10)
+    code, out, err = run(capsys, "phi", "--p", "2", "--n", "2", "--point", "@/dev/zero")
+    assert code == 3 and out is None and err["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("coords", [["0/1", "65/1"], ["0/1", "-65/1"], ["0/1", "1000000000/1"],
+                                    ["-1000000000/1", "0/1"], ["0/1", "129/2"]])
+def test_cli_sample_px_caps_coordinates(monkeypatch, capsys, coords):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the request should have been refused before any work")
+
+    monkeypatch.setattr(building, "sample_P_x_generators", no_work)
+    point = json.dumps({"I": [1, 2], "x": coords})
+    code, out, err = run(capsys, "sample-px", "--p", "3", "--n", "2", "--point", point,
+                         "--seed", "1")
+    assert code == 2 and out is None and err["error"] == "Domain"
+    assert err["message"] == "sample-px needs coordinates of size at most 64"
+
+
+def test_cli_sample_px_accepts_coordinates_up_to_the_cap(capsys):
+    for coords in (["0/1", "64/1"], ["0/1", "-64/1"], ["64/1", "0/1"]):
+        point = json.dumps({"I": [1, 2], "x": coords})
+        code, out, _ = run(capsys, "sample-px", "--p", "3", "--n", "2", "--point", point,
+                           "--seed", "1", "--bound", "64")
+        assert code == 0 and len(out["result"]["generators"]) == 5

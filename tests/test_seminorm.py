@@ -27,7 +27,16 @@ from padicbuilding import (
     phi_inverse,
     pullback_from_functional,
 )
-from padicbuilding.arith import identity, mat, mat_vec, rank, vec_add, vec_scale
+from padicbuilding.arith import (
+    identity,
+    mat,
+    mat_from_cols,
+    mat_mul,
+    mat_vec,
+    rank,
+    vec_add,
+    vec_scale,
+)
 from padicbuilding.errors import (
     DependentInputError,
     DomainError,
@@ -40,6 +49,7 @@ from padicbuilding.seminorm import canonical_class, pullback_value, scale_semino
 
 from randgen import (
     rand_fraction,
+    rand_invertible,
     rand_lscalar,
     rand_monomial,
     rand_norm,
@@ -427,3 +437,112 @@ def test_carried_inverse_is_invisible():
         assert repr(other) == repr(g) and "_inv" not in repr(g)
         assert seminorm_to_doc(other) == seminorm_to_doc(g)
         assert set(seminorm_to_doc(g)) == {"basis", "values"}
+
+
+# ---------------------------------------------------------------------------
+# Comparisons through the tight bound against the pairwise tests they replace
+# ---------------------------------------------------------------------------
+
+def _oracle_equals(g1, g2):
+    # agreement on both bases
+    return all(evaluate(g2, g1.column(i)) == g1.values[i] for i in range(g1.n)) and \
+        all(evaluate(g1, g2.column(i)) == g2.values[i] for i in range(g2.n))
+
+
+def _oracle_class_equals(g1, g2):
+    # equal kernels, then equality once g2 is rescaled to match g1 on one column
+    if kernel_of(g1) != kernel_of(g2):
+        return False
+    lead = next(i for i in range(g1.n) if not g1.values[i].is_zero)
+    delta = g1.values[lead].log - evaluate(g2, g1.column(lead)).log
+    return _oracle_equals(g1, scale_seminorm(g2, delta))
+
+
+def _oracle_distance(g1, g2):
+    return max(evaluate(g1, g2.column(i)).log - g2.values[i].log for i in range(g2.n))
+
+
+def _with_kernel(rng, ctx, dim):
+    vals = [LogValue.finite(rand_fraction(rng)) for _ in range(ctx.n - dim)] + [ZERO] * dim
+    rng.shuffle(vals)
+    return diagonal_seminorm(rand_invertible(rng, ctx.n, ctx.p, steps=3), vals, ctx)
+
+
+def _rebased(rng, g):
+    """The same seminorm in another diagonal basis, then rescaled.
+
+    Columns become u p^k w_i with value shifted by -k, are permuted, and
+    pick up multiples of other columns small enough to stay dominated.
+    """
+    p, n = g.ctx.p, g.n
+    cols = [list(g.column(i)) for i in range(n)]
+    vals = list(g.values)
+    for i in range(n):
+        k = rng.randint(-2, 2)
+        u = rng.choice([1, -1, p + 1, 1 - p])
+        cols[i] = [u * Fraction(p) ** k * x for x in cols[i]]
+        vals[i] = vals[i].shift(-k)
+    for _ in range(rng.randint(0, 3)):
+        i, j = rng.sample(range(n), 2)
+        if vals[i].is_zero and not vals[j].is_zero:
+            continue
+        # |lam| vals[j] <= vals[i] keeps the basis diagonal with the same values
+        k = 0 if vals[j].is_zero else math.ceil(vals[j].log - vals[i].log) + rng.randint(0, 2)
+        lam = rng.choice([1, -1, 3]) * Fraction(p) ** k
+        cols[i] = [x + lam * y for x, y in zip(cols[i], cols[j])]
+    order = list(range(n))
+    rng.shuffle(order)
+    g2 = diagonal_seminorm(mat_from_cols([cols[i] for i in order]), [vals[i] for i in order], g.ctx)
+    return scale_seminorm(g2, rand_fraction(rng))
+
+
+def _perturbed(rng, g):
+    vals = list(g.values)
+    i = rng.randrange(g.n)
+    if vals[i].is_zero:
+        vals[i] = LogValue.finite(rand_fraction(rng))
+    elif rng.random() < 0.5 and sum(not v.is_zero for v in vals) > 1:
+        vals[i] = ZERO
+    else:
+        vals[i] = vals[i].shift(rng.choice([-1, 1, Fraction(1, 2)]))
+    return diagonal_seminorm(g.basis, vals, g.ctx)
+
+
+def test_comparisons_agree_with_the_pairwise_oracle():
+    from padicbuilding.building import sample_P_x_generators
+
+    rng = random.Random(61)
+    seen = {"class": 0, "not class": 0, "equal": 0, "kernel dims": set()}
+    for n in range(2, 6):
+        for p in (2, 3, 5):
+            ctx = PrimeContext(p, n)
+            for trial in range(48):
+                kind = trial % 4
+                g1 = _with_kernel(rng, ctx, trial // 4 % n)
+                if kind == 0:
+                    g2 = _rebased(rng, g1)
+                elif kind == 1:
+                    # a stabilizer element of phi(x), transported by the same basis
+                    x = rand_point(rng, n)
+                    b = rand_invertible(rng, n, p, steps=3)
+                    s = sample_P_x_generators(x, 1, 3, ctx, seed=rng.randrange(1 << 30))[0]
+                    g1 = compose_with(phi_from_apartment(x, ctx), b)
+                    g2 = compose_with(phi_from_apartment(x, ctx), mat_mul(b, s))
+                elif kind == 2:
+                    g2 = _perturbed(rng, _rebased(rng, g1))
+                else:
+                    g2 = _with_kernel(rng, ctx, rng.randrange(n))
+                if rng.random() < 0.3:
+                    g2 = scale_seminorm(g2, rng.randint(-3, 3))
+                for a, b in ((g1, g2), (g2, g1), (g1, g1)):
+                    same_class = _oracle_class_equals(a, b)
+                    assert class_equals(a, b) == same_class
+                    assert equals(a, b) == _oracle_equals(a, b)
+                    if a.is_norm() and b.is_norm():
+                        assert distance_constants(a, b) == (_oracle_distance(a, b),
+                                                            _oracle_distance(b, a))
+                    seen["class" if same_class else "not class"] += 1
+                    seen["equal"] += equals(a, b) and a is not b
+                seen["kernel dims"].add(n - sum(not v.is_zero for v in g1.values))
+    assert seen["class"] > 900 and seen["not class"] > 300 and seen["equal"] > 50
+    assert seen["kernel dims"] == {0, 1, 2, 3, 4}
