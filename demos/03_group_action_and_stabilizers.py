@@ -1,8 +1,8 @@
 """The PGL_n action on the compactified building.
 
-Presents points by charts (g, x), decides chart equivalence through the
-seminorm model, and tests stabilizer membership for root-group elements
-against the filtration thresholds.
+Presents points by charts (g, x), decides chart equivalence from the
+valuations of g1^-1 g2, and tests stabilizer membership for root-group
+elements against the filtration thresholds.
 
 Run:  python3 demos/03_group_action_and_stabilizers.py
 """

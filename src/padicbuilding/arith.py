@@ -325,6 +325,12 @@ def mat_mul(a, b) -> tuple:
                  for row, r in zip(arows, rs))
 
 
+def _int_mat_mul(a, b) -> list:
+    """Product of two integer matrices."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
 def mat_col(m, j) -> tuple:
     return tuple(row[j] for row in m)
 

@@ -1,13 +1,17 @@
 """Points of the compactified building and the PGL_n action.
 
-A point is a homothety class of seminorms on V; charts (g, x) with g in
-GL_n(K) and x in the compactified apartment present the same point when
-the transported seminorms agree up to scaling, so every relation question
-is decided directly in the seminorm model.
+A point is a homothety class of seminorms on V; the chart (g, x) with g in
+GL_n(K) and x in the compactified apartment presents the class of
+phi(x) o g^-1.  Two charts present the same point when those seminorms
+agree up to scaling.  Both are diagonal in a standard basis, so the tight
+bound between them is a maximum over the valuations of one matrix,
+g1^-1 g2 (Goldman-Iwahori); chart equivalence and the stabilizer P_x are
+decided from those valuations, without building a seminorm.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +25,18 @@ from .apartment import (
     f_point,
     f_sigma,
 )
-from .arith import INF, PrimeContext, identity, mat, mat_det, mat_mul, val_k
+from .arith import (
+    INF,
+    PrimeContext,
+    _int_mat_mul,
+    _int_val,
+    _inverse_parts,
+    identity,
+    mat,
+    mat_det,
+    mat_mul,
+    val_k,
+)
 from .errors import DomainError, SingularMatrixError, SubspaceNotPreservedError
 from .seminorm import (
     DiagonalSeminorm,
@@ -86,15 +101,73 @@ def act_group(g, b: BuildingPoint) -> BuildingPoint:
     return building_point(compose_with(b.seminorm, g))
 
 
+def _chart_parts(g, x: ApartmentPoint, n: int):
+    """(G, e, N, d) with g = G / e and g^-1 = N / d, for a chart (g, x) checked against n."""
+    if len(g) != n or any(len(row) != n for row in g):
+        raise DomainError(f"group element must be {n}x{n}")
+    if x.piece[-1] > n:                 # pieces are sorted and start at 1 or above
+        raise DomainError(f"piece {x.piece} does not fit dimension {n}")
+    g = mat(g)
+    inv = _inverse_parts(g)
+    if inv is None:
+        raise SingularMatrixError("group element must be invertible")
+    e = math.lcm(*(a.denominator for row in g for a in row))
+    return [[a.numerator * (e // a.denominator) for a in row] for row in g], e, *inv
+
+
+def _bound(rows, d, x: ApartmentPoint, y: ApartmentPoint, p: int):
+    """The least s with phi(x)(m v) <= q^s phi(y)(v) for all v, where m = rows / d.
+
+    phi(y) is diagonal in the standard basis, so by the ultrametric
+    inequality the bound holds once it holds on every e_j, where it reads
+    max_i q^(-x_i - v(m_ij)) <= q^(s - y_j).  So s is the maximum of
+    y_j - x_i - v(rows_ij) + v(d) over the nonzero rows_ij with i in I_x;
+    None when such an entry has j outside I_y (phi(y)(e_j) = 0 < phi(x)(m e_j)).
+    """
+    ys = dict(zip(y.piece, y.exponents))
+    best = None
+    for i, xi in zip(x.piece, x.exponents):
+        for j, a in enumerate(rows[i - 1], 1):
+            if a:
+                yj = ys.get(j)
+                if yj is None:
+                    return None
+                cand = yj - xi - _int_val(a, p)
+                if best is None or cand > best:
+                    best = cand
+    return best + _int_val(d, p)
+
+
+def _same_class(m, m_inv, x: ApartmentPoint, y: ApartmentPoint, p: int) -> bool:
+    # phi(x) o m and phi(y) agree up to scaling iff the tight bounds both ways cancel;
+    # m and m_inv are (integer rows, integer denominator)
+    s = _bound(*m, x, y, p)
+    t = None if s is None else _bound(*m_inv, y, x, p)
+    return t is not None and s + t == 0
+
+
 def chart_equivalent(c1: ChartPoint, c2: ChartPoint, ctx: PrimeContext) -> bool:
-    """Whether two charts present the same point of the building."""
-    return from_chart(c1, ctx) == from_chart(c2, ctx)
+    """Whether two charts present the same point of the building.
+
+    With g1 = G1 / e1, g1^-1 = N1 / d1 and likewise for g2, this holds iff the
+    tight bounds of phi(x1) o g1^-1 g2 against phi(x2) and of phi(x2) o g2^-1 g1
+    against phi(x1) exist and cancel; g1^-1 g2 = N1 G2 / (d1 e2).
+    """
+    g1, e1, n1, d1 = _chart_parts(c1.g, c1.x, ctx.n)
+    g2, e2, n2, d2 = _chart_parts(c2.g, c2.x, ctx.n)
+    return _same_class((_int_mat_mul(n1, g2), d1 * e2), (_int_mat_mul(n2, g1), d2 * e1),
+                       c1.x, c2.x, ctx.p)
 
 
 def in_stabilizer_P_x(g, x: ApartmentPoint, ctx: PrimeContext) -> bool:
-    """Membership in the stabilizer of the class of phi(x)."""
-    gx = phi_from_apartment(x, ctx)
-    return class_equals(compose_with(gx, g), gx)
+    """Membership in the stabilizer of the class of phi(x).
+
+    The chart test on (I, x) and (g, x): the tight bounds of phi(x) o g and of
+    phi(x) o g^-1 against phi(x) exist and cancel (Bruhat-Tits' valuation
+    description of P_x).
+    """
+    g, e, num, d = _chart_parts(g, x, ctx.n)
+    return _same_class((g, e), (num, d), x, x, ctx.p)
 
 
 def in_U_a_sigma(u: ElementaryUnipotent, points, ctx: PrimeContext) -> bool:

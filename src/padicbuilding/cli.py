@@ -45,6 +45,8 @@ def _payload(raw, where):
         return json.loads(raw)
     except OSError as exc:
         raise ParseError(str(exc), where)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"payload file is not UTF-8: {exc}", where)
     except (json.JSONDecodeError, RecursionError) as exc:    # RecursionError: nested too deep
         raise ParseError(f"invalid JSON: {exc}", where)
 

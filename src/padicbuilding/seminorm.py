@@ -28,6 +28,7 @@ from .arith import (
     ZERO_VALUE,
     LogValue,
     PrimeContext,
+    _int_mat_mul,
     _int_val,
     _integer_rows,
     _inverse_parts,
@@ -127,8 +128,7 @@ def compose_with(g: DiagonalSeminorm, m) -> DiagonalSeminorm:
         raise SingularMatrixError("group element must be invertible")
     # (m basis)^-1 = basis^-1 m^-1 = (N M) / (d e)
     (num, d), (m_num, e) = g._inv, m_inv
-    cols = list(zip(*m_num))
-    prod = [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in num]
+    prod = _int_mat_mul(num, m_num)
     div = math.gcd(d * e, *(x for row in prod for x in row))
     inv = tuple(tuple(x // div for x in row) for row in prod), d * e // div
     return DiagonalSeminorm(mat_mul(m, g.basis), g.values, g.ctx, inv)

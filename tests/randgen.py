@@ -1,14 +1,19 @@
 """Seeded random generators shared by the test modules."""
 
 from fractions import Fraction
+from math import ceil
 
 from padicbuilding import (
+    ElementaryUnipotent,
     LogValue,
     MonomialElement,
+    Root,
     apartment_point,
     diagonal_seminorm,
+    f_point,
     l_scalar,
     monomial_element,
+    unipotent_matrix,
 )
 from padicbuilding.arith import identity, mat, mat_mul
 
@@ -82,6 +87,29 @@ def rand_invertible(rng, n, p, steps=4):
                     * Fraction(1, rng.choice([1, 1, p]))
         g = mat_mul(g, mat(rows))
     return g
+
+
+def violating_unipotent(rng, x, ctx):
+    """A root-group element outside the stabilizer of phi(x): an entry below
+    the threshold f_x(a_ij) inside the piece, or any nonzero entry from the
+    piece into the kernel directions."""
+    inside = list(x.piece)
+    outside = [i for i in range(1, ctx.n + 1) if i not in x.piece]
+    cases = []
+    if len(inside) >= 2:
+        cases.append("below")
+    if inside and outside:
+        cases.append("outward")
+    case = rng.choice(cases)
+    if case == "below":
+        i, j = rng.sample(inside, 2)
+        f = f_point(x, Root(i, j))
+        omega = Fraction(ctx.p) ** (ceil(f) - 1)
+    else:
+        i = rng.choice(inside)
+        j = rng.choice(outside)
+        omega = Fraction(ctx.p) ** rng.randint(-2, 2)
+    return unipotent_matrix(ElementaryUnipotent(Root(i, j), omega), ctx.n)
 
 
 def rand_values(rng, n, allow_zero=True):

@@ -5,12 +5,10 @@ PASS/FAIL line (run with -s to see them on success)."""
 import random
 from contextlib import contextmanager
 from fractions import Fraction
-from math import ceil
 
 from padicbuilding import (
     INF,
     ChartPoint,
-    ElementaryUnipotent,
     LogValue,
     PrimeContext,
     Root,
@@ -44,7 +42,6 @@ from padicbuilding import (
     r_reduce_monomial,
     ray_limit,
     sample_P_x_generators,
-    unipotent_matrix,
 )
 from padicbuilding.arith import identity, mat_mul, rank, vec_add, vec_scale
 from padicbuilding.berkovich import poly_mul
@@ -63,6 +60,7 @@ from randgen import (
     rand_seminorm,
     rand_values,
     rand_vector,
+    violating_unipotent,
 )
 
 PRIMES = (2, 3, 5)
@@ -103,28 +101,6 @@ def test_criterion_02_section_identity():
             assert r_reduce_monomial(j_section(b)) == b
 
 
-def _violating_unipotent(x, ctx, rng):
-    # below-threshold entry inside the piece, or any nonzero entry from the
-    # piece into the kernel directions
-    inside = list(x.piece)
-    outside = [i for i in range(1, ctx.n + 1) if i not in x.piece]
-    cases = []
-    if len(inside) >= 2:
-        cases.append("below")
-    if inside and outside:
-        cases.append("outward")
-    case = rng.choice(cases)
-    if case == "below":
-        i, j = rng.sample(inside, 2)
-        f = f_point(x, Root(i, j))
-        omega = Fraction(ctx.p) ** (ceil(f) - 1)
-    else:
-        i = rng.choice(inside)
-        j = rng.choice(outside)
-        omega = Fraction(ctx.p) ** rng.randint(-2, 2)
-    return unipotent_matrix(ElementaryUnipotent(Root(i, j), omega), ctx.n)
-
-
 def test_criterion_03_stabilizer_identity():
     rng = random.Random(1003)
     with criterion(3, "sampled stabilizer elements fix, violators move (500 x 40)"):
@@ -137,7 +113,7 @@ def test_criterion_03_stabilizer_identity():
             for g in sample_P_x_generators(x, 20, 3, ctx, seed=trial):
                 assert in_stabilizer_P_x(g, x, ctx)
             for _ in range(20):
-                u = _violating_unipotent(x, ctx, rng)
+                u = violating_unipotent(rng, x, ctx)
                 assert not in_stabilizer_P_x(u, x, ctx)
 
 

@@ -13,6 +13,7 @@ from padicbuilding import (
     apartment_point,
     building_point,
     chart_equivalent,
+    class_equals,
     compose_with,
     f_point,
     fixes_pointwise,
@@ -33,9 +34,16 @@ from padicbuilding import (
 )
 from padicbuilding.arith import identity, mat, mat_mul
 from padicbuilding.building import _random_unit
-from padicbuilding.errors import DomainError, SubspaceNotPreservedError
+from padicbuilding.errors import DomainError, SingularMatrixError, SubspaceNotPreservedError
 
-from randgen import rand_integer_point, rand_invertible, rand_monomial, rand_point
+from randgen import (
+    rand_fraction,
+    rand_integer_point,
+    rand_invertible,
+    rand_monomial,
+    rand_point,
+    violating_unipotent,
+)
 
 CTX2 = PrimeContext(2, 2)
 CTX3 = PrimeContext(3, 3)
@@ -250,3 +258,112 @@ def test_sample_generators_at_a_large_prime():
     x = apartment_point([1, 3], [0, 2])
     for h in sample_P_x_generators(x, 20, 3, ctx, seed=4):
         assert in_stabilizer_P_x(h, x, ctx)
+
+
+# ---------------------------------------------------------------------------
+# The valuation bound against the seminorm model
+# ---------------------------------------------------------------------------
+
+PRIMES = (2, 3, 5)
+
+
+def stabilizer_oracle(g, x, ctx):
+    # the transported seminorm compared with phi(x) in the seminorm model
+    gx = phi_from_apartment(x, ctx)
+    return class_equals(compose_with(gx, g), gx)
+
+
+def chart_oracle(c1, c2, ctx):
+    return from_chart(c1, ctx) == from_chart(c2, ctx)
+
+
+def point_of_size(rng, n, size):
+    piece = sorted(rng.sample(range(1, n + 1), size))
+    return apartment_point(piece, [rand_fraction(rng) for _ in piece])
+
+
+def settings():
+    for n in range(2, 7):
+        for p in PRIMES:
+            for size in range(1, n + 1):
+                yield n, PrimeContext(p, n), size
+
+
+def test_stabilizer_agrees_with_the_seminorm_model():
+    rng = random.Random(61)
+    cases = 0
+    for n, ctx, size in settings():
+        answers = set()
+        for _ in range(34):
+            x = point_of_size(rng, n, size)
+            gens = sample_P_x_generators(x, 1, 3, ctx, seed=rng.randrange(1 << 30))
+            for g in (gens[0], violating_unipotent(rng, x, ctx), rand_invertible(rng, n, ctx.p)):
+                expect = stabilizer_oracle(g, x, ctx)
+                assert in_stabilizer_P_x(g, x, ctx) == expect, (g, x, ctx)
+                answers.add(expect)
+                cases += 1
+        assert answers == {True, False}, (n, ctx.p, size)
+    assert cases >= 6000
+
+
+def test_chart_equivalence_agrees_with_the_seminorm_model():
+    rng = random.Random(62)
+    pairs = 0
+    for n, ctx, size in settings():
+        answers = set()
+        for _ in range(12):
+            x = point_of_size(rng, n, size)
+            g = rand_invertible(rng, n, ctx.p)
+            c1 = ChartPoint(g, x)
+            m = rand_monomial(rng, n)
+            h = sample_P_x_generators(x, 1, 2, ctx, seed=rng.randrange(1 << 30))[0]
+            y = act_monomial(monomial_inverse(m), x)
+            gm = mat_mul(mat_mul(g, h), monomial_matrix(m, ctx))
+            i, j = rng.sample(range(1, n + 1), 2)
+            nudge = unipotent_matrix(ElementaryUnipotent(Root(i, j), rand_fraction(rng)), n)
+            independent = ChartPoint(rand_invertible(rng, n, ctx.p),
+                                     point_of_size(rng, n, rng.randint(1, n)))
+            for c2 in (ChartPoint(gm, y), ChartPoint(mat_mul(gm, nudge), y), independent):
+                expect = chart_oracle(c1, c2, ctx)
+                assert chart_equivalent(c1, c2, ctx) == expect, (c1, c2, ctx)
+                assert chart_equivalent(c2, c1, ctx) == expect
+                answers.add(expect)
+                pairs += 1
+        assert answers == {True, False}, (n, ctx.p, size)
+    assert pairs >= 2000
+
+
+@pytest.mark.parametrize("g", [
+    [[1, 0], [0, 1]],                               # 2x2 against n = 3
+    [[1, 0, 0], [0, 1, 0]],                         # too few rows
+    [[1, 0, 0], [0, 1], [0, 0, 1]],                 # a short row
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],     # too many columns
+])
+def test_relations_refuse_a_matrix_of_the_wrong_shape(g):
+    x = interior_point([0, 1, 2])
+    with pytest.raises(DomainError, match="3x3"):
+        in_stabilizer_P_x(g, x, CTX3)
+    with pytest.raises(DomainError, match="3x3"):
+        chart_equivalent(ChartPoint(identity(3), x), ChartPoint(g, x), CTX3)
+    with pytest.raises(DomainError, match="3x3"):
+        chart_equivalent(ChartPoint(g, x), ChartPoint(identity(3), x), CTX3)
+
+
+def test_relations_refuse_a_piece_outside_the_dimension():
+    x = apartment_point([1, 3], [0, 1])
+    with pytest.raises(DomainError, match="does not fit dimension 2"):
+        in_stabilizer_P_x(identity(2), x, CTX2)
+    with pytest.raises(DomainError, match="does not fit dimension 2"):
+        chart_equivalent(ChartPoint(identity(2), interior_point([0, 0])),
+                         ChartPoint(identity(2), x), CTX2)
+
+
+def test_relations_refuse_a_singular_matrix():
+    x = interior_point([0, 1])
+    singular = mat([[1, 2], [2, 4]])
+    with pytest.raises(SingularMatrixError, match="group element must be invertible"):
+        in_stabilizer_P_x(singular, x, CTX2)
+    with pytest.raises(SingularMatrixError, match="group element must be invertible"):
+        chart_equivalent(ChartPoint(singular, x), ChartPoint(identity(2), x), CTX2)
+    with pytest.raises(SingularMatrixError, match="group element must be invertible"):
+        compose_with(phi_from_apartment(x, CTX2), singular)

@@ -440,6 +440,14 @@ def test_cli_payload_file_size_is_capped(monkeypatch, tmp_path, capsys):
     assert err["message"] == f"--point: payload file is longer than {len(doc) - 1} bytes"
 
 
+def test_cli_payload_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"I":[1,2],"x":["0/1","1/1"]}\xff')
+    code, out, err = run(capsys, "phi", "--p", "2", "--n", "2", "--point", f"@{path}")
+    assert code == 3 and out is None and err["error"] == "ParseError"
+    assert err["message"].startswith("--point: payload file is not UTF-8")
+
+
 @pytest.mark.skipif(not Path("/dev/zero").exists(), reason="needs /dev/zero")
 def test_cli_endless_payload_file_is_refused(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_PAYLOAD_BYTES", 1 << 10)
