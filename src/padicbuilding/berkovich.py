@@ -15,6 +15,12 @@ complement iff the induced seminorm is a norm.
 Evaluation substitutes the integer form N / d of the inverse basis into a
 polynomial whose denominators were cleared once, so the rewrite runs on
 Python ints and each coefficient's valuation is read off in closed form.
+Exponent vectors are packed into one integer each (Kronecker
+substitution), so multiplying two monomials is adding two ints; each power
+of a substituted form is computed once per call, and sorted terms reuse
+the product over their common exponent prefix.  check_multiplicative
+inverts the basis once for its three evaluations, and poly_mul multiplies
+on the same packed integers.
 """
 
 from __future__ import annotations
@@ -88,11 +94,18 @@ class PolynomialSymV:
         return max((sum(nu) for nu, _ in self.terms), default=-1)
 
 
+def _exponent(k) -> int:
+    x = Fraction(k)
+    if x.denominator != 1:
+        raise DomainError(f"multi-index entry {k!r} is not an integer")
+    return x.numerator
+
+
 def polynomial(terms, nvars: int) -> PolynomialSymV:
     acc = {}
     items = terms.items() if isinstance(terms, dict) else terms
     for nu, c in items:
-        nu = tuple(int(k) for k in nu)
+        nu = tuple(k if type(k) is int else _exponent(k) for k in nu)
         if len(nu) != nvars or any(k < 0 for k in nu):
             raise DomainError(f"bad multi-index {nu}")
         c = Fraction(c)
@@ -101,57 +114,133 @@ def polynomial(terms, nvars: int) -> PolynomialSymV:
     return PolynomialSymV(tuple(cleaned), nvars)
 
 
+# ---------------------------------------------------------------------------
+# Packed exponents: mu <-> sum_j mu_j B^(n-1-j)
+#
+# While every total degree stays below B no exponent reaches B, so adding
+# two keys never carries: multiplying monomials is adding their keys, and
+# the integer order of the keys is the lexicographic order of the mu's.
+# ---------------------------------------------------------------------------
+
+def _places(base: int, n: int) -> list:
+    return [base ** (n - 1 - j) for j in range(n)]
+
+
+def _unpack(key: int, base: int, n: int) -> tuple:
+    mu = [0] * n
+    for j in range(n - 1, -1, -1):
+        key, mu[j] = divmod(key, base)
+    return tuple(mu)
+
+
+def _packed_mul(f: dict, g: dict) -> dict:
+    out = {}
+    get = out.get
+    for k1, c1 in f.items():
+        for k2, c2 in g.items():
+            k = k1 + k2
+            out[k] = get(k, 0) + c1 * c2
+    return out
+
+
 def poly_mul(f: PolynomialSymV, g: PolynomialSymV) -> PolynomialSymV:
+    """The product f g, multiplied on integers with packed exponents."""
     if f.nvars != g.nvars:
         raise DomainError("variable count mismatch")
-    return polynomial(_dict_mul(dict(f.terms), dict(g.terms)), f.nvars)
+    n = f.nvars
+    if not f.terms or not g.terms:
+        return PolynomialSymV((), n)
+    base = f.degree() + g.degree() + 1
+    places = _places(base, n)
+    (fi, gi), (df, dg) = _integer_rows([[c for _, c in f.terms], [c for _, c in g.terms]])
+    packed = [{sum(k * b for k, b in zip(nu, places)): a for (nu, _), a in zip(h.terms, ints)}
+              for h, ints in ((f, fi), (g, gi))]
+    prod = _packed_mul(*packed)
+    den = df * dg
+    return PolynomialSymV(tuple((_unpack(key, base, n), Fraction(prod[key], den))
+                                for key in sorted(prod) if prod[key]), n)
 
 
 # ---------------------------------------------------------------------------
 # Evaluation of monomial points
 # ---------------------------------------------------------------------------
 
-def _dict_mul(f: dict, g: dict) -> dict:
-    out = {}
-    for nu1, c1 in f.items():
-        for nu2, c2 in g.items():
-            nu = tuple(a + b for a, b in zip(nu1, nu2))
-            out[nu] = out.get(nu, 0) + c1 * c2
-    return {nu: c for nu, c in out.items() if c != 0}
-
-
 def _rewrite_in_basis(num, f: PolynomialSymV) -> tuple:
     """Integer coefficients of f in the basis whose inverse is num / d.
 
     With f = F / D for an integer polynomial F, substituting the integer
-    forms v_i = sum_j num[j][i] w_j into F gives sum c_mu w^mu, and then
-    f = sum c_mu / (D d^|mu|) w^mu: every term of F that contributes to
-    w^mu has degree |mu|.  Returns ({mu: c_mu}, D).
+    forms L_i = sum_j num[j][i] w_j for v_i in F gives sum c_mu w^mu, and
+    then f = sum c_mu / (D d^|mu|) w^mu: every term of F that contributes
+    to w^mu has degree |mu|.  Monomials are packed with B = deg f + 1.
+    The powers L_i^k are computed once, and since the terms are sorted a
+    term reuses the product over the exponent prefix it shares with the
+    term before it.  Returns ({packed mu: c_mu}, D, B); some c_mu may be 0.
     """
     n = len(num)
-    forms = []
-    for i in range(n):
-        form = {}
-        for j in range(n):
-            if num[j][i] != 0:
-                form[tuple(int(k == j) for k in range(n))] = num[j][i]
-        forms.append(form)
+    base = f.degree() + 1
+    places = _places(base, n)
+    powers = [[{0: 1}, {places[j]: num[j][i] for j in range(n) if num[j][i]}]
+              for i in range(n)]
     (ints,), (den,) = _integer_rows([[c for _, c in f.terms]])
     out = {}
+    get = out.get
+    # prefix[i] is the product of L_j^nu_j over j < i for the current term
+    prefix = [{0: 1}] + [None] * (n - 1)
+    prev = None
     for (nu, _), a in zip(f.terms, ints):
-        term = {(0,) * n: a}
-        for i, k in enumerate(nu):
-            for _ in range(k):
-                term = _dict_mul(term, forms[i])
-        for mu, c in term.items():
-            out[mu] = out.get(mu, 0) + c
-    return {mu: c for mu, c in out.items() if c != 0}, den
+        start = 0 if prev is None else next((i for i in range(n) if nu[i] != prev[i]), n - 1)
+        prev = nu
+        for i in range(start, n):
+            pw = powers[i]
+            while len(pw) <= nu[i]:
+                pw.append(_packed_mul(pw[-1], pw[1]))
+            if i + 1 < n:
+                prefix[i + 1] = _packed_mul(prefix[i], pw[nu[i]]) if nu[i] else prefix[i]
+        # the last factor goes straight into the sum
+        for k1, c1 in prefix[n - 1].items():
+            c1 *= a
+            for k2, c2 in powers[n - 1][nu[n - 1]].items():
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+    return out, den, base
+
+
+def _alpha(p: MonomialPoint, num, d: int, f: PolynomialSymV) -> LogValue:
+    coeffs, den, base = _rewrite_in_basis(num, f)
+    q = p.ctx.p
+    vd, vden = _int_val(d, q), _int_val(den, q)
+    # the radii's logs as integers over one common denominator, last first
+    (rad,), (scale,) = _integer_rows([[0 if r.is_zero else r.log for r in p.radii]])
+    last_first = list(zip(reversed(rad), (r.is_zero for r in reversed(p.radii))))
+    best = None
+    for key, c in coeffs.items():
+        if not c:
+            continue
+        size = log = 0
+        for r, zero in last_first:
+            key, k = divmod(key, base)
+            if k:
+                if zero:
+                    break
+                size += k
+                log += k * r
+        else:
+            # scale * (-v(c / (D d^|mu|)) + sum_k mu_k log r_k)
+            log += scale * (vden + size * vd - _int_val(c, q))
+            if best is None or log > best:
+                best = log
+    return ZERO_VALUE if best is None else LogValue.finite(Fraction(best, scale))
 
 
 def alpha_evaluate(p: MonomialPoint, f: PolynomialSymV, max_degree: int = 8) -> LogValue:
     """sup over monomials of |coefficient| * prod radii^exponents.
 
-    The polynomial is first rewritten exactly in the point's own basis.
+    The polynomial is first rewritten exactly in the point's own basis:
+    its denominators are cleared once, the integer inverse N / d of the
+    basis is substituted on Python ints with each exponent vector packed
+    into one integer and each power of a substituted form computed once,
+    and every surviving key is unpacked once to read |mu|, the radii and
+    the closed-form valuation of its coefficient.
     Conventions: radius^0 = 1 (so constants evaluate to their absolute
     value) and zero^k = zero for k > 0.
     """
@@ -159,29 +248,17 @@ def alpha_evaluate(p: MonomialPoint, f: PolynomialSymV, max_degree: int = 8) -> 
         raise DomainError("variable count mismatch")
     if f.degree() > max_degree:
         raise DomainError(f"degree {f.degree()} exceeds cap {max_degree}")
-    num, d = _inverse_parts(p.basis)
-    coeffs, den = _rewrite_in_basis(num, f)
-    q = p.ctx.p
-    vd, vden = _int_val(d, q), _int_val(den, q)
-    # the radii's logs as integers over one common denominator
-    (rad,), (scale,) = _integer_rows([[0 if r.is_zero else r.log for r in p.radii]])
-    best = None
-    for mu, c in coeffs.items():
-        if any(k and r.is_zero for r, k in zip(p.radii, mu)):
-            continue
-        # scale * (-v(c / (D d^|mu|)) + sum_k mu_k log r_k)
-        log = scale * (vden + sum(mu) * vd - _int_val(c, q)) + sum(k * r for r, k in zip(rad, mu))
-        if best is None or log > best:
-            best = log
-    return ZERO_VALUE if best is None else LogValue.finite(Fraction(best, scale))
+    return _alpha(p, *_inverse_parts(p.basis), f)
 
 
 def check_multiplicative(p: MonomialPoint, f: PolynomialSymV,
                          g: PolynomialSymV) -> bool:
-    """Exact test alpha(f g) = alpha(f) alpha(g)."""
-    cap = max(8, f.degree() + g.degree())
-    return alpha_evaluate(p, poly_mul(f, g), cap) == \
-        alpha_evaluate(p, f, cap) * alpha_evaluate(p, g, cap)
+    """Exact test alpha(f g) = alpha(f) alpha(g), with one basis inversion."""
+    fg = poly_mul(f, g)
+    if f.nvars != p.ctx.n:
+        raise DomainError("variable count mismatch")
+    num, d = _inverse_parts(p.basis)
+    return _alpha(p, num, d, fg) == _alpha(p, num, d, f) * _alpha(p, num, d, g)
 
 
 def monomial_class_equals(p1: MonomialPoint, p2: MonomialPoint) -> bool:

@@ -122,6 +122,9 @@ def kernel_of(g: DiagonalSeminorm) -> list:
 
 def compose_with(g: DiagonalSeminorm, m) -> DiagonalSeminorm:
     """The translate gamma o m^{-1}: transport the basis, keep the values."""
+    n = g.ctx.n
+    if len(m) != n or any(len(row) != n for row in m):
+        raise DomainError(f"group element must be {n}x{n}")
     m = mat(m)
     m_inv = _inverse_parts(m)
     if m_inv is None:

@@ -34,6 +34,7 @@ from padicbuilding.errors import DomainError, ZeroFunctionalError
 from padicbuilding.seminorm import scale_seminorm
 
 from randgen import (
+    rand_fraction,
     rand_invertible,
     rand_lscalar,
     rand_poly,
@@ -213,6 +214,21 @@ def test_omega_dichotomy_random():
         assert in_omega(zf) == (r_reduce_L_point(zf).kernel() == [])
 
 
+def _fraction_mul(f: dict, g: dict) -> dict:
+    # the Fraction product on exponent tuples that poly_mul used before
+    # exponents were packed into integers
+    out = {}
+    for nu1, c1 in f.items():
+        for nu2, c2 in g.items():
+            nu = tuple(a + b for a, b in zip(nu1, nu2))
+            out[nu] = out.get(nu, 0) + c1 * c2
+    return {nu: c for nu, c in out.items() if c != 0}
+
+
+def _reference_poly_mul(f, g):
+    return polynomial(_fraction_mul(dict(f.terms), dict(g.terms)), f.nvars)
+
+
 def _reference_alpha(p, f):
     # the Fraction rewrite alpha_evaluate replaced: substitute the rational
     # inverse basis, expand, then take |coefficient| * prod radii^exponents
@@ -220,17 +236,20 @@ def _reference_alpha(p, f):
 
     n = p.ctx.n
     binv = mat_inverse(p.basis)
-    forms = [polynomial([(tuple(int(k == j) for k in range(n)), binv[j][i]) for j in range(n)], n)
+    forms = [{tuple(int(k == j) for k in range(n)): binv[j][i] for j in range(n) if binv[j][i]}
              for i in range(n)]
-    out = polynomial([], n)
+    out = {}
     for nu, a in f.terms:
-        term = polynomial([((0,) * n, a)], n)
+        term = {(0,) * n: a}
         for i, k in enumerate(nu):
             for _ in range(k):
-                term = poly_mul(term, forms[i])
-        out = polynomial(list(out.terms) + list(term.terms), n)
+                term = _fraction_mul(term, forms[i])
+        for mu, c in term.items():
+            out[mu] = out.get(mu, 0) + c
     best = ZERO
-    for mu, c in out.terms:
+    for mu, c in out.items():
+        if c == 0:
+            continue
         value = abs_k(c, p.ctx)
         for r, k in zip(p.radii, mu):
             if k:
@@ -255,6 +274,79 @@ def test_alpha_evaluate_matches_fraction_rewrite():
             constants += f.degree() == 0
             assert alpha_evaluate(p, f) == _reference_alpha(p, f)
     assert constants >= 300 and zero_radii > 50
+
+
+def _monomial_of_degree(rng, n, degree):
+    nu = [0] * n
+    for _ in range(degree):
+        nu[rng.randrange(n)] += 1
+    return tuple(nu)
+
+
+def _prefix_sharing_poly(rng, n, degree, count):
+    # a term of the given degree and neighbours that agree with it on a
+    # prefix of the exponents, so the sorted terms share prefixes
+    head = _monomial_of_degree(rng, n, degree)
+    terms = {head: rand_fraction(rng) or 1}
+    for j in rng.sample(range(n), count):
+        nu = head[:j] + _monomial_of_degree(rng, n - j, rng.randint(0, degree - sum(head[:j])))
+        terms.setdefault(nu, rand_fraction(rng) or 1)
+    return polynomial(terms, n)
+
+
+def test_alpha_evaluate_matches_fraction_rewrite_up_to_the_degree_cap():
+    # pure powers v_i^deg fill one packed place up to deg, so a packing base
+    # of deg rather than deg + 1 carries; half the points have a zero radius
+    rng = random.Random(67)
+    powers = zero_radius_polys = 0
+    for n in (5, 6):
+        for degree in (7, 8):
+            for k in range(8):
+                ctx = PrimeContext(rng.choice([2, 3, 5]), n)
+                radii = list(rand_values(rng, n, allow_zero=False))
+                if k % 2:
+                    radii[rng.randrange(n)] = ZERO
+                p = monomial_point(rand_invertible(rng, n, ctx.p, steps=rng.randint(2, 8)), radii, ctx)
+                polys = [polynomial([(tuple(degree * (j == i) for j in range(n)), rand_fraction(rng) or 1)], n)
+                         for i in range(n)]
+                powers += len(polys)
+                polys += [_prefix_sharing_poly(rng, n, degree, 3) for _ in range(3)]
+                zero_radius_polys += 3 * (k % 2)
+                for f in polys:
+                    assert f.degree() == degree
+                    assert alpha_evaluate(p, f) == _reference_alpha(p, f), (p, f)
+    assert powers == 2 * 8 * (5 + 6) and zero_radius_polys == 48
+
+
+def test_poly_mul_matches_the_fraction_product():
+    rng = random.Random(71)
+    zeros = constants = 0
+    for _ in range(600):
+        n = rng.randint(2, 6)
+        f = rand_poly(rng, n, max_deg=rng.randint(0, 5), max_terms=5)
+        kind = rng.randrange(4)
+        if kind == 0:
+            g = polynomial([], n)
+        elif kind == 1:
+            g = polynomial([((0,) * n, rand_fraction(rng) or 1)], n)
+        else:
+            g = rand_poly(rng, n, max_deg=rng.randint(0, 4), max_terms=4)
+        zeros += not g.terms
+        constants += g.degree() == 0
+        for a, b in ((f, g), (g, f)):
+            product = poly_mul(a, b)
+            assert product == _reference_poly_mul(a, b)
+            assert all(type(k) is int for nu, _ in product.terms for k in nu)
+    assert zeros >= 100 and constants >= 100
+
+
+def test_polynomial_rejects_fractional_exponents():
+    for nu in ((1.5, 0), (Fraction(1, 2), 1), (0, Fraction(7, 3))):
+        with pytest.raises(DomainError, match="not an integer"):
+            polynomial([(nu, 1)], 2)
+    integral = polynomial([((Fraction(2), Fraction(4, 2)), 3)], 2)
+    assert integral == polynomial([((2, 2), 3)], 2)
+    assert all(type(k) is int for k in integral.terms[0][0])
 
 
 def test_monomial_point_needs_a_square_basis():

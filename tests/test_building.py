@@ -333,12 +333,15 @@ def test_chart_equivalence_agrees_with_the_seminorm_model():
     assert pairs >= 2000
 
 
-@pytest.mark.parametrize("g", [
+WRONG_SHAPES = [
     [[1, 0], [0, 1]],                               # 2x2 against n = 3
     [[1, 0, 0], [0, 1, 0]],                         # too few rows
     [[1, 0, 0], [0, 1], [0, 0, 1]],                 # a short row
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],     # too many columns
-])
+]
+
+
+@pytest.mark.parametrize("g", WRONG_SHAPES)
 def test_relations_refuse_a_matrix_of_the_wrong_shape(g):
     x = interior_point([0, 1, 2])
     with pytest.raises(DomainError, match="3x3"):
@@ -347,6 +350,19 @@ def test_relations_refuse_a_matrix_of_the_wrong_shape(g):
         chart_equivalent(ChartPoint(identity(3), x), ChartPoint(g, x), CTX3)
     with pytest.raises(DomainError, match="3x3"):
         chart_equivalent(ChartPoint(g, x), ChartPoint(identity(3), x), CTX3)
+
+
+@pytest.mark.parametrize("g", WRONG_SHAPES + [[[1, 0, 0, 0]] * 4])
+def test_group_action_refuses_a_matrix_of_the_wrong_shape(g):
+    # the last shape is 4x4 against n = 3
+    x = interior_point([0, 1, 2])
+    phi = phi_from_apartment(x, CTX3)
+    with pytest.raises(DomainError, match="3x3"):
+        compose_with(phi, g)
+    with pytest.raises(DomainError, match="3x3"):
+        act_group(g, building_point(phi))
+    with pytest.raises(DomainError, match="3x3"):
+        from_chart(ChartPoint(g, x), CTX3)
 
 
 def test_relations_refuse_a_piece_outside_the_dimension():
