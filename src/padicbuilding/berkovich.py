@@ -254,11 +254,10 @@ def alpha_evaluate(p: MonomialPoint, f: PolynomialSymV, max_degree: int = 8) -> 
 def check_multiplicative(p: MonomialPoint, f: PolynomialSymV,
                          g: PolynomialSymV) -> bool:
     """Exact test alpha(f g) = alpha(f) alpha(g), with one basis inversion."""
-    fg = poly_mul(f, g)
-    if f.nvars != p.ctx.n:
+    if f.nvars != p.ctx.n or g.nvars != p.ctx.n:
         raise DomainError("variable count mismatch")
     num, d = _inverse_parts(p.basis)
-    return _alpha(p, num, d, fg) == _alpha(p, num, d, f) * _alpha(p, num, d, g)
+    return _alpha(p, num, d, poly_mul(f, g)) == _alpha(p, num, d, f) * _alpha(p, num, d, g)
 
 
 def monomial_class_equals(p1: MonomialPoint, p2: MonomialPoint) -> bool:

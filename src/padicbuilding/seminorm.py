@@ -15,6 +15,12 @@ Each seminorm carries the inverse of its basis in integer form, N / d,
 computed once when it is built (or derived from its parent's), so that
 evaluation runs on Python ints: a vector's denominators are cleared once,
 and only integer dot products and their p-adic valuations follow.
+
+Orthogonalization and the pullback of a norm from an L-valued functional
+share one reduction kernel that also runs on ints: each vector is one
+integer row over one positive denominator, kept gcd-reduced, and the
+exponents c_j of the target norm are put over one common denominator S,
+so every weight S log(|x_j| q^{c_j}) is an integer.
 """
 
 from __future__ import annotations
@@ -25,24 +31,28 @@ from fractions import Fraction
 
 from .apartment import ApartmentPoint, apartment_point
 from .arith import (
+    INF,
     ZERO_VALUE,
     LogValue,
     PrimeContext,
+    _eliminate,
     _int_mat_mul,
     _int_val,
     _integer_rows,
     _inverse_parts,
     _kernel_and_pivots,
     identity,
+    l_add,
     l_is_zero,
+    l_scalar,
+    l_scale,
     mat,
     mat_col,
     mat_det,  # noqa: F401  -- kept bound: the benchmark tracer wraps each module's mat_det
     mat_from_cols,
     mat_mul,
-    mat_vec,
     reduced_echelon,
-    val_k,
+    val_l,
 )
 from .errors import (
     DependentInputError,
@@ -225,34 +235,48 @@ def class_equals(g1: DiagonalSeminorm, g2: DiagonalSeminorm) -> bool:
 # Ultrametric orthogonalization
 # ---------------------------------------------------------------------------
 
-def _weight(ctx, cs, x, j):
-    # log of |x_j| q^{c_j}; None encodes zero
-    if x[j] == 0:
-        return None
-    return cs[j] - val_k(x[j], ctx)
+def _reduced_row(row, den):
+    # row / den with den > 0 and the gcd of den and every entry divided out
+    g = math.gcd(den, *row)
+    if den < 0:
+        g = -g
+    return [x // g for x in row], den // g
 
 
-def _reduce_family(coords, companions, cs, ctx):
+def _cleared(a, da, b, j):
+    # a - (a_j / b_j) b for the rows a / da and b / db: db cancels, leaving
+    # (b_j a - a_j b) / (da b_j), whose entry j is zero
+    aj, bj = a[j], b[j]
+    return _reduced_row([bj * x - aj * y for x, y in zip(a, b)], da * bj)
+
+
+def _reduce_family(rows, dens, cs, p):
     """Column reduction making the family diagonal for max_j |x_j| q^{c_j}.
 
-    Claims a private dominant coordinate per vector and keeps every other
-    vector strictly below its own norm there.  Each reduction step either
-    removes a claimed coordinate from the dominant set at constant norm or
-    drops the norm within the discrete exponent grid, so the loop
-    terminates; a vector reduced to zero witnesses dependence.
+    Vector k is the integer row rows[k] = [coords | companion] over the
+    positive integer dens[k]; the companion rides along every update.  With
+    S the common denominator of the c_j, the weight of coordinate j is the
+    integer S c_j - S (v_p(R_j) - v_p(D)), the log of |x_j| q^{c_j} times S,
+    so pivots and ties are decided on integers.  Claims a private dominant
+    coordinate per vector and keeps every other vector strictly below its
+    own norm there.  Each reduction step either removes a claimed
+    coordinate from the dominant set at constant norm or drops the norm
+    within the discrete exponent grid.  For independent coordinate vectors
+    the norm stays above the distance to the span of the earlier ones, so
+    the loop terminates; for dependent ones it may descend forever, so the
+    caller must rule dependence out.  Returns the companions as Fraction
+    tuples and each vector's norm exponent as a Fraction.
     """
     dim = len(cs)
+    s = math.lcm(*(c.denominator for c in cs))
+    scaled = [c.numerator * (s // c.denominator) for c in cs]
     claimed = {}
     tops = []
-    for k in range(len(coords)):
-        r = list(coords[k])
-        comp = list(companions[k])
+    for k in range(len(rows)):
+        r, d = rows[k], dens[k]
         while True:
-            weights = [_weight(ctx, cs, r, j) for j in range(dim)]
-            finite = [w for w in weights if w is not None]
-            if not finite:
-                raise DependentInputError("input vectors are linearly dependent")
-            g = max(finite)
+            weights = [w - s * _int_val(x, p) if x else None for w, x in zip(scaled, r)]
+            g = max(w for w in weights if w is not None)
             dom = [j for j in range(dim) if weights[j] == g]
             dom_claimed = [j for j in dom if j in claimed]
             if not dom_claimed:
@@ -260,21 +284,16 @@ def _reduce_family(coords, companions, cs, ctx):
                 claimed[j_star] = k
                 # keep earlier vectors strictly subdominant at the new pivot
                 for i in range(k):
-                    wi = _weight(ctx, cs, coords[i], j_star)
-                    if wi is not None and wi == tops[i]:
-                        a = coords[i][j_star] / r[j_star]
-                        coords[i] = [x - a * y for x, y in zip(coords[i], r)]
-                        companions[i] = [x - a * y for x, y in zip(companions[i], comp)]
-                tops.append(g)
+                    x, di = rows[i][j_star], dens[i]
+                    if x and scaled[j_star] - s * (_int_val(x, p) - _int_val(di, p)) == tops[i]:
+                        rows[i], dens[i] = _cleared(rows[i], di, r, j_star)
+                tops.append(g + s * _int_val(d, p))
                 break
             j = dom_claimed[0]
-            i = claimed[j]
-            a = r[j] / coords[i][j]
-            r = [x - a * y for x, y in zip(r, coords[i])]
-            comp = [x - a * y for x, y in zip(comp, companions[i])]
-        coords[k] = r
-        companions[k] = comp
-    return coords, companions, tops
+            r, d = _cleared(r, d, rows[claimed[j]], j)
+        rows[k], dens[k] = r, d
+    return ([tuple(Fraction(x, d) for x in row[dim:]) for row, d in zip(rows, dens)],
+            [Fraction(t, s) for t in tops])
 
 
 def orthogonalize(us, ambient: DiagonalSeminorm) -> list:
@@ -282,20 +301,31 @@ def orthogonalize(us, ambient: DiagonalSeminorm) -> list:
 
     The output spans the same subspace and satisfies
     ambient(sum l_i u'_i) = max |l_i| ambient(u'_i) for all coefficients.
-    Requires `ambient` to be a norm and the input to be independent.
+    Requires `ambient` to be a norm and the input to be independent;
+    dependence is decided by rank before any reduction.  With u = U / D_u
+    and the carried inverse N / d of the ambient basis, each vector enters
+    the reduction as the integer row [N U | d U] over d D_u: its
+    coordinates in the ambient basis and, alongside, itself.
     """
     if not ambient.is_norm():
         raise DomainError("ambient seminorm must be a norm")
-    us = [tuple(Fraction(x) for x in u) for u in us]
+    us = [tuple(x if type(x) is Fraction else Fraction(x) for x in u) for u in us]
     if not us:
         return []
     if len(us) > ambient.n or any(len(u) != ambient.n for u in us):
         raise DomainError("expected at most n vectors of length n")
     num, d = ambient._inv
-    coords = [[c / d for c in mat_vec(num, u)] for u in us]
-    cs = [v.log for v in ambient.values]
-    _, companions, _ = _reduce_family(coords, [list(u) for u in us], cs, ambient.ctx)
-    return [tuple(c) for c in companions]
+    ints, scales = _integer_rows(us)
+    if len(_eliminate([list(u) for u in ints], ambient.n, reduce=False)[0]) < len(us):
+        raise DependentInputError("input vectors are linearly dependent")
+    rows, dens = [], []
+    for u, du in zip(ints, scales):
+        row, den = _reduced_row([sum(a * x for a, x in zip(nr, u)) for nr in num]
+                                + [d * x for x in u], d * du)
+        rows.append(row)
+        dens.append(den)
+    companions, _ = _reduce_family(rows, dens, [v.log for v in ambient.values], ambient.ctx.p)
+    return companions
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +339,8 @@ def pullback_from_functional(zs, ctx: PrimeContext) -> DiagonalSeminorm:
     already diagonal for | |_L because the exponents i/e have distinct
     fractional parts.  Orthogonalizing the images of a complement of the
     kernel and appending a kernel basis with zero values yields an exact
-    diagonal presentation.
+    diagonal presentation.  The images of the pivot columns are independent,
+    and each enters the reduction as one integer row [z_i | e_i].
     """
     zs = list(zs)
     if len(zs) != ctx.n:
@@ -319,23 +350,21 @@ def pullback_from_functional(zs, ctx: PrimeContext) -> DiagonalSeminorm:
     zmat = mat([[zs[i].coeffs[j] for i in range(ctx.n)] for j in range(ctx.e)])
     ker, pivot_cols = _kernel_and_pivots(zmat)
     cs = [Fraction(-j, ctx.e) for j in range(ctx.e)]
-    coords = [list(mat_col(zmat, i)) for i in pivot_cols]
-    companions = [[Fraction(1 if t == i else 0) for t in range(ctx.n)] for i in pivot_cols]
-    coords, companions, tops = _reduce_family(coords, companions, cs, ctx)
-    cols = [tuple(c) for c in companions] + list(ker)
+    rows, dens = _integer_rows([list(mat_col(zmat, i)) + [int(t == i) for t in range(ctx.n)]
+                                for i in pivot_cols])
+    companions, tops = _reduce_family(rows, dens, cs, ctx.p)
+    cols = companions + list(ker)
     values = [LogValue.finite(t) for t in tops] + [ZERO_VALUE] * len(ker)
     return diagonal_seminorm(mat_from_cols(cols), values, ctx)
 
 
 def pullback_value(zs, v, ctx: PrimeContext) -> LogValue:
     """Direct evaluation q^(-val_L(z(v))), the oracle for the pullback."""
-    from .arith import l_add, l_scale, l_scalar, val_l
-
     acc = l_scalar([0], ctx)
     for z, x in zip(zs, v):
         acc = l_add(acc, l_scale(x, z))
     val = val_l(acc, ctx)
-    if val == float("inf"):
+    if val == INF:
         return ZERO_VALUE
     return LogValue.finite(-val)
 

@@ -88,6 +88,21 @@ def test_check_multiplicative_examples():
     assert alpha_evaluate(p1, poly_mul(v1, v1)) == LogValue.finite(2)
 
 
+def test_check_multiplicative_refuses_wrong_variable_counts_before_multiplying(monkeypatch):
+    import padicbuilding.berkovich as berkovich
+
+    def no_product(f, g):
+        raise AssertionError("poly_mul ran before the variable counts were checked")
+
+    monkeypatch.setattr(berkovich, "poly_mul", no_product)
+    gp = gauss_point(CTX2)
+    v2 = polynomial([((1, 0), 1)], 2)
+    v3 = polynomial([((0, 1, 1), 2)], 3)
+    for f, g in ((v3, v3), (v2, v3), (v3, v2)):
+        with pytest.raises(DomainError):
+            check_multiplicative(gp, f, g)
+
+
 def test_monomial_class_equals_examples():
     gp = gauss_point(CTX2)
     shifted = monomial_point(gp.basis,

@@ -546,3 +546,191 @@ def test_comparisons_agree_with_the_pairwise_oracle():
                 seen["kernel dims"].add(n - sum(not v.is_zero for v in g1.values))
     assert seen["class"] > 900 and seen["not class"] > 300 and seen["equal"] > 50
     assert seen["kernel dims"] == {0, 1, 2, 3, 4}
+
+
+# ---------------------------------------------------------------------------
+# The integer reduction kernel against the Fraction reduction it replaces
+# ---------------------------------------------------------------------------
+
+def _oracle_val(x, p):
+    # v_p of a nonzero rational by repeated division
+    num, den, v = x.numerator, x.denominator, 0
+    while num % p == 0:
+        num, v = num // p, v + 1
+    while den % p == 0:
+        den, v = den // p, v - 1
+    return v
+
+
+def _oracle_weight(p, cs, x, j):
+    # log of |x_j| q^{c_j}; None encodes zero
+    if x[j] == 0:
+        return None
+    return cs[j] - _oracle_val(x[j], p)
+
+
+def _oracle_reduce_family(coords, companions, cs, p, hits):
+    # the Fraction column reduction, step for step; hits counts the updates
+    # that keep an earlier vector strictly subdominant at a new pivot
+    dim = len(cs)
+    claimed = {}
+    tops = []
+    for k in range(len(coords)):
+        r = list(coords[k])
+        comp = list(companions[k])
+        while True:
+            weights = [_oracle_weight(p, cs, r, j) for j in range(dim)]
+            finite = [w for w in weights if w is not None]
+            if not finite:
+                raise DependentInputError("input vectors are linearly dependent")
+            g = max(finite)
+            dom = [j for j in range(dim) if weights[j] == g]
+            dom_claimed = [j for j in dom if j in claimed]
+            if not dom_claimed:
+                j_star = min(j for j in dom if j not in claimed)
+                claimed[j_star] = k
+                for i in range(k):
+                    wi = _oracle_weight(p, cs, coords[i], j_star)
+                    if wi is not None and wi == tops[i]:
+                        hits[0] += 1
+                        a = coords[i][j_star] / r[j_star]
+                        coords[i] = [x - a * y for x, y in zip(coords[i], r)]
+                        companions[i] = [x - a * y for x, y in zip(companions[i], comp)]
+                tops.append(g)
+                break
+            j = dom_claimed[0]
+            i = claimed[j]
+            a = r[j] / coords[i][j]
+            r = [x - a * y for x, y in zip(r, coords[i])]
+            comp = [x - a * y for x, y in zip(comp, companions[i])]
+        coords[k] = r
+        companions[k] = comp
+    return coords, companions, tops
+
+
+def _oracle_orthogonalize(us, ambient, hits):
+    from padicbuilding.arith import mat_inverse
+
+    us = [tuple(Fraction(x) for x in u) for u in us]
+    inv = mat_inverse(ambient.basis)
+    coords = [list(mat_vec(inv, u)) for u in us]
+    cs = [v.log for v in ambient.values]
+    _, companions, _ = _oracle_reduce_family(coords, [list(u) for u in us], cs, ambient.ctx.p, hits)
+    return [tuple(c) for c in companions]
+
+
+def _oracle_pullback(zs, ctx, hits):
+    from padicbuilding.arith import _kernel_and_pivots, mat_col
+
+    zmat = mat([[zs[i].coeffs[j] for i in range(ctx.n)] for j in range(ctx.e)])
+    ker, pivot_cols = _kernel_and_pivots(zmat)
+    cs = [Fraction(-j, ctx.e) for j in range(ctx.e)]
+    coords = [list(mat_col(zmat, i)) for i in pivot_cols]
+    companions = [[Fraction(1 if t == i else 0) for t in range(ctx.n)] for i in pivot_cols]
+    _, companions, tops = _oracle_reduce_family(coords, companions, cs, ctx.p, hits)
+    cols = [tuple(c) for c in companions] + list(ker)
+    values = [LogValue.finite(t) for t in tops] + [ZERO] * len(ker)
+    return diagonal_seminorm(mat_from_cols(cols), values, ctx)
+
+
+def _p_power_entry(rng, p):
+    # zero, a small rational, or one carrying p^k for |k| <= 20
+    kind = rng.random()
+    if kind < 0.2:
+        return Fraction(0)
+    if kind < 0.6:
+        return Fraction(rng.choice([1, -1, 2, p + 1]), rng.choice([1, p]))
+    return Fraction(rng.choice([1, -1, 3, 1 - p])) * Fraction(p) ** rng.randint(-20, 20)
+
+
+def _p_power_family(rng, n, m, p):
+    return [[_p_power_entry(rng, p) for _ in range(n)] for _ in range(m)]
+
+
+def _combined(rng, vs, p):
+    # vs with one vector replaced by a combination of the others
+    t = rng.randrange(len(vs))
+    lams = [_p_power_entry(rng, p) for _ in vs]
+    combo = [sum(lam * v[c] for s, (lam, v) in enumerate(zip(lams, vs)) if s != t)
+             for c in range(len(vs[0]))]
+    return vs[:t] + [combo] + vs[t + 1:]
+
+
+def _finitely_dependent(rng, vs, p):
+    # a zero vector, or a multiple of the first vector second: dependent
+    # families the Fraction reduction takes to a zero vector in finitely many
+    # steps (a general combination may never reach zero, see below)
+    vs = [list(v) for v in vs]
+    if len(vs) == 1 or rng.random() < 0.4:
+        vs[rng.randrange(len(vs))] = [Fraction(0)] * len(vs[0])
+    else:
+        lam = _p_power_entry(rng, p)
+        vs[1] = [lam * x for x in vs[0]]
+    return vs
+
+
+def test_reduction_kernel_matches_the_fraction_reduction():
+    rng = random.Random(71)
+    hits = [0]
+    seen = {"ortho": 0, "dependent": 0, "pullback": 0, "pullback kernel": 0}
+    for n in range(2, 7):
+        for p in (2, 3, 5):
+            for e in range(1, 5):
+                ctx = PrimeContext(p, n, e)
+                for case in range(20):
+                    m = 1 + case % n
+                    basis = rand_invertible(rng, n, p, steps=rng.randint(0, 3))
+                    scale = [Fraction(p) ** rng.choice([0, 0, rng.randint(-20, 20)]) for _ in range(n)]
+                    basis = mat_mul(basis, [[scale[i] if i == j else 0 for j in range(n)]
+                                            for i in range(n)])
+                    values = [LogValue.finite(Fraction(rng.randint(-3 * e, 3 * e), e))
+                              for _ in range(n)]
+                    ambient = diagonal_seminorm(basis, values, ctx)
+                    us = _p_power_family(rng, n, m, p)
+                    if case % 6 == 5:
+                        us = _finitely_dependent(rng, us, p)
+                    if rank(us) < m:
+                        with pytest.raises(DependentInputError):
+                            _oracle_orthogonalize(us, ambient, [0])
+                        with pytest.raises(DependentInputError):
+                            orthogonalize(us, ambient)
+                        seen["dependent"] += 1
+                    else:
+                        assert orthogonalize(us, ambient) == _oracle_orthogonalize(us, ambient, hits)
+                        seen["ortho"] += 1
+                for case in range(16):
+                    # the functional's e x n coefficient matrix, of full or lower rank
+                    cols = _p_power_family(rng, n, e, p)
+                    if e > 1 and case % 4 == 3:
+                        cols = _combined(rng, cols, p)
+                    zs = [l_scalar([cols[j][i] for j in range(e)], ctx) for i in range(n)]
+                    if all(c == 0 for z in zs for c in z.coeffs):
+                        continue
+                    g = pullback_from_functional(zs, ctx)
+                    oracle = _oracle_pullback(zs, ctx, hits)
+                    assert (g.basis, g.values) == (oracle.basis, oracle.values)
+                    seen["pullback"] += 1
+                    seen["pullback kernel"] += not g.is_norm()
+    assert seen["ortho"] + seen["dependent"] + seen["pullback"] >= 2000
+    assert seen["dependent"] > 150 and seen["pullback kernel"] > 300
+    assert hits[0] > 0, seen
+
+
+def test_orthogonalize_refuses_dependent_families_that_never_reduce_to_zero():
+    # the third vector is -64 u_1 - 128 u_2; the column reduction alone
+    # subtracts the first two from it in turn forever, each step only
+    # lowering its norm, so dependence has to be decided before reducing
+    ctx = PrimeContext(2, 3, 4)
+    us = [(1, 0, Fraction(-1, 128)), (Fraction(-129, 256), 0, Fraction(-1, 256)), (Fraction(1, 2), 0, 1)]
+    ambient = diagonal_seminorm([[1, -2, 0], [0, 1, 0], [0, 1, 1]],
+                                [LogValue.finite(Fraction(t, 4)) for t in (9, 7, -3)], ctx)
+    assert rank(us) == 2
+    with pytest.raises(DependentInputError):
+        orthogonalize(us, ambient)
+    rng = random.Random(72)
+    for _ in range(200):
+        n = rng.randint(2, 5)
+        ctx = PrimeContext(rng.choice([2, 3, 5]), n)
+        us = _combined(rng, _p_power_family(rng, n, rng.randint(2, n), ctx.p), ctx.p)
+        with pytest.raises(DependentInputError):
+            orthogonalize(us, rand_norm(rng, ctx, steps=2))
