@@ -32,9 +32,6 @@ class ApartmentPoint:
     piece: tuple
     exponents: tuple
 
-    def is_interior(self, n: int) -> bool:
-        return self.piece == tuple(range(1, n + 1))
-
     def exponent(self, i: int) -> Fraction:
         try:
             return self.exponents[self.piece.index(i)]
@@ -147,6 +144,8 @@ def nu_translation(diag, ctx: PrimeContext) -> MonomialElement:
 
 def act_monomial(m: MonomialElement, x: ApartmentPoint) -> ApartmentPoint:
     """Apply a monomial element; maps the piece I to w(I)."""
+    if x.piece[-1] > m.n:                   # pieces are sorted
+        raise DomainError(f"piece {x.piece} does not fit a monomial element of size {m.n}")
     new_piece = [m.apply_index(i) for i in x.piece]
     new_exps = [xi + m.trans[j - 1] for j, xi in zip(new_piece, x.exponents)]
     return apartment_point(new_piece, new_exps)

@@ -36,12 +36,10 @@ from .arith import (
     _integer_rows,
     _inverse_parts,
     k_rank,
+    l_from_k,
     l_is_zero,
     mat,
     mat_det,
-    mat_from_cols,
-    nullspace,
-    val_k,
 )
 from .building import BuildingPoint, building_point
 from .errors import DomainError, SingularMatrixError, ZeroFunctionalError
@@ -165,6 +163,11 @@ def poly_mul(f: PolynomialSymV, g: PolynomialSymV) -> PolynomialSymV:
 # Evaluation of monomial points
 # ---------------------------------------------------------------------------
 
+# alpha_evaluate refuses polynomials of higher degree: the rewrite's size grows
+# like (degree + n choose n)
+_MAX_DEGREE = 8
+
+
 def _rewrite_in_basis(num, f: PolynomialSymV) -> tuple:
     """Integer coefficients of f in the basis whose inverse is num / d.
 
@@ -232,7 +235,7 @@ def _alpha(p: MonomialPoint, num, d: int, f: PolynomialSymV) -> LogValue:
     return ZERO_VALUE if best is None else LogValue.finite(Fraction(best, scale))
 
 
-def alpha_evaluate(p: MonomialPoint, f: PolynomialSymV, max_degree: int = 8) -> LogValue:
+def alpha_evaluate(p: MonomialPoint, f: PolynomialSymV) -> LogValue:
     """sup over monomials of |coefficient| * prod radii^exponents.
 
     The polynomial is first rewritten exactly in the point's own basis:
@@ -246,8 +249,8 @@ def alpha_evaluate(p: MonomialPoint, f: PolynomialSymV, max_degree: int = 8) -> 
     """
     if f.nvars != p.ctx.n:
         raise DomainError("variable count mismatch")
-    if f.degree() > max_degree:
-        raise DomainError(f"degree {f.degree()} exceeds cap {max_degree}")
+    if f.degree() > _MAX_DEGREE:
+        raise DomainError(f"degree {f.degree()} exceeds cap {_MAX_DEGREE}")
     return _alpha(p, *_inverse_parts(p.basis), f)
 
 
@@ -288,20 +291,11 @@ def r_reduce_monomial(p: MonomialPoint) -> BuildingPoint:
 def r_reduce_rational(z, ctx: PrimeContext) -> BuildingPoint:
     """Reduction of a K-rational projective point given by the functional z.
 
-    The induced seminorm |z(v)| has the hyperplane z = 0 as kernel, so the
-    image is always a boundary point whose quotient is one-dimensional.
+    This is the L-point reduction of z read in L: the class of v -> |z(v)|.
+    Its kernel is the hyperplane z = 0, so the image is always a boundary
+    point whose quotient is one-dimensional.
     """
-    z = [Fraction(t) for t in z]
-    if len(z) != ctx.n:
-        raise DomainError(f"expected {ctx.n} entries")
-    if all(t == 0 for t in z):
-        raise ZeroFunctionalError("functional is zero")
-    ker = nullspace(mat([z]))
-    lead = next(i for i, t in enumerate(z) if t != 0)
-    e_lead = tuple(Fraction(1 if k == lead else 0) for k in range(ctx.n))
-    cols = [e_lead] + list(ker)
-    values = [LogValue.finite(-val_k(z[lead], ctx))] + [ZERO_VALUE] * len(ker)
-    return building_point(diagonal_seminorm(mat_from_cols(cols), values, ctx))
+    return r_reduce_L_point(l_functional([l_from_k(t, ctx) for t in z], ctx))
 
 
 @dataclass(frozen=True)

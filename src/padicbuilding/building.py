@@ -192,7 +192,11 @@ def sigma_project(g, piece) -> tuple:
     """
     g = mat(g)
     n = len(g)
+    if any(len(row) != n for row in g):
+        raise DomainError("g must be square")
     inside = sorted(set(piece))
+    if not set(inside) <= set(range(1, n + 1)):
+        raise DomainError(f"piece {tuple(inside)} has an index outside 1..{n}")
     outside = [i for i in range(1, n + 1) if i not in inside]
     for j in outside:
         for i in inside:

@@ -109,6 +109,8 @@ def evaluate(g: DiagonalSeminorm, v) -> LogValue:
     """
     (w,), (den,) = _integer_rows([[x if type(x) is Fraction else Fraction(x) for x in v]])
     num, d = g._inv
+    if len(w) != len(num):
+        raise DomainError(f"vector has {len(w)} entries, expected {len(num)}")
     p = g.ctx.p
     best = None
     for row, val in zip(num, g.values, strict=True):

