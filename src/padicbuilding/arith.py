@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 
-from .errors import DivisionByZeroError, SingularMatrixError
+from .errors import DivisionByZeroError, DomainError, SingularMatrixError
 
 INF = math.inf
 
@@ -294,7 +294,7 @@ def vec(xs) -> tuple:
 def mat(rows) -> tuple:
     rows = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in r) for r in rows)
     if rows and any(len(r) != len(rows[0]) for r in rows):
-        raise ValueError("ragged matrix")
+        raise DomainError("ragged matrix")
     return rows
 
 

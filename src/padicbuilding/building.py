@@ -3,10 +3,16 @@
 A point is a homothety class of seminorms on V; the chart (g, x) with g in
 GL_n(K) and x in the compactified apartment presents the class of
 phi(x) o g^-1.  Two charts present the same point when those seminorms
-agree up to scaling.  Both are diagonal in a standard basis, so the tight
-bound between them is a maximum over the valuations of one matrix,
-g1^-1 g2 (Goldman-Iwahori); chart equivalence and the stabilizer P_x are
-decided from those valuations, without building a seminorm.
+agree up to scaling, that is when phi(x1) o m and phi(x2) do for
+m = g1^-1 g2.  The tight bound s of the first by the second is a maximum
+over the valuations of m, because phi(x2) is diagonal in the standard
+basis.  The reverse bound is not needed: two norms always have a common
+orthogonal basis (Goldman-Iwahori 1963; any two points of the building
+lie in a common apartment), so q^s phi(x2) and phi(x1) o m are equal
+exactly when their volumes on V / ker phi(x2) agree, and the volume of
+phi(x1) o m is read off the determinant of one block of m.  Chart
+equivalence and the stabilizer P_x are decided this way, without building
+a seminorm or inverting g.
 """
 
 from __future__ import annotations
@@ -28,9 +34,9 @@ from .apartment import (
 from .arith import (
     INF,
     PrimeContext,
-    _int_mat_mul,
+    _eliminate,
     _int_val,
-    _inverse_parts,
+    _reduced,
     identity,
     mat,
     mat_det,
@@ -86,6 +92,8 @@ class ElementaryUnipotent:
 
 
 def unipotent_matrix(u: ElementaryUnipotent, n: int) -> tuple:
+    if not {u.root.i, u.root.j} <= set(range(1, n + 1)):
+        raise DomainError(f"root ({u.root.i}, {u.root.j}) has an index outside 1..{n}")
     rows = [[Fraction(1 if a == b else 0) for b in range(n)] for a in range(n)]
     rows[u.root.i - 1][u.root.j - 1] = Fraction(u.entry)
     return mat(rows)
@@ -101,73 +109,110 @@ def act_group(g, b: BuildingPoint) -> BuildingPoint:
     return building_point(compose_with(b.seminorm, g))
 
 
-def _chart_parts(g, x: ApartmentPoint, n: int):
-    """(G, e, N, d) with g = G / e and g^-1 = N / d, for a chart (g, x) checked against n."""
+def _checked(g, x: ApartmentPoint, n: int) -> tuple:
+    """g as a Fraction matrix, once the chart (g, x) is checked against n."""
     if len(g) != n or any(len(row) != n for row in g):
         raise DomainError(f"group element must be {n}x{n}")
     if x.piece[-1] > n:                 # pieces are sorted and start at 1 or above
         raise DomainError(f"piece {x.piece} does not fit dimension {n}")
-    g = mat(g)
-    inv = _inverse_parts(g)
-    if inv is None:
-        raise SingularMatrixError("group element must be invertible")
-    e = math.lcm(*(a.denominator for row in g for a in row))
-    return [[a.numerator * (e // a.denominator) for a in row] for row in g], e, *inv
+    return mat(g)
 
 
-def _bound(rows, d, x: ApartmentPoint, y: ApartmentPoint, p: int):
-    """The least s with phi(x)(m v) <= q^s phi(y)(v) for all v, where m = rows / d.
+def _bound(rows, x: ApartmentPoint, xs, ys: dict, scale: int, p: int):
+    """scale * the least s with phi(x)(m v) <= q^s phi(y)(v) for all v, m = rows.
 
-    phi(y) is diagonal in the standard basis, so by the ultrametric
-    inequality the bound holds once it holds on every e_j, where it reads
+    xs and ys (keyed by index) are the exponents of x and y times their
+    common denominator `scale`, so everything is an integer.  phi(y) is
+    diagonal in the standard basis, so by the ultrametric inequality the
+    bound holds once it holds on every e_j, where it reads
     max_i q^(-x_i - v(m_ij)) <= q^(s - y_j).  So s is the maximum of
-    y_j - x_i - v(rows_ij) + v(d) over the nonzero rows_ij with i in I_x;
-    None when such an entry has j outside I_y (phi(y)(e_j) = 0 < phi(x)(m e_j)).
+    y_j - x_i - v(m_ij) over the nonzero m_ij with i in I_x; None when such
+    an entry has j outside I_y (phi(y)(e_j) = 0 < phi(x)(m e_j)), and when
+    there is no such entry.
     """
-    ys = dict(zip(y.piece, y.exponents))
     best = None
-    for i, xi in zip(x.piece, x.exponents):
+    for i, xi in zip(x.piece, xs):
         for j, a in enumerate(rows[i - 1], 1):
             if a:
                 yj = ys.get(j)
                 if yj is None:
                     return None
-                cand = yj - xi - _int_val(a, p)
+                cand = yj - xi - scale * _int_val(a, p)
                 if best is None or cand > best:
                     best = cand
-    return best + _int_val(d, p)
+    return best
 
 
-def _same_class(m, m_inv, x: ApartmentPoint, y: ApartmentPoint, p: int) -> bool:
-    # phi(x) o m and phi(y) agree up to scaling iff the tight bounds both ways cancel;
-    # m and m_inv are (integer rows, integer denominator)
-    s = _bound(*m, x, y, p)
-    t = None if s is None else _bound(*m_inv, y, x, p)
-    return t is not None and s + t == 0
+def _full_rank(rows) -> bool:
+    # one forward Bareiss pass over a copy of a square integer matrix
+    return len(_eliminate([list(r) for r in rows], len(rows), reduce=False)[0]) == len(rows)
+
+
+def _same_class(rows, x: ApartmentPoint, y: ApartmentPoint, p: int) -> bool:
+    """Whether phi(x) o m and phi(y) agree up to scaling, for m = rows / d.
+
+    rows is a square integer matrix.  The denominator d never enters:
+    v(d) shifts both sides of the volume identity below by k v(d).  Raises
+    SingularMatrixError when m is singular.
+
+    With k = |I_x| = |I_y| and s the tight bound of phi(x) o m <= q^s phi(y),
+    the two agree up to scaling iff
+        -sum x_i - v(det m[I_x, I_y]) = k s - sum y_j.
+    Both sides are the log volume of a norm on V / ker phi(y): of phi(x) o m
+    and of q^s phi(y).  The two norms have a common orthogonal basis
+    (Goldman-Iwahori; any two points of the building lie in a common
+    apartment), on which the first is at most the second, so the volumes
+    agree exactly when the norms do.  When s exists, m[I_x, complement of
+    I_y] = 0: m is block triangular, and its diagonal blocks decide its
+    singularity.
+    """
+    scale = math.lcm(*(a.denominator for a in x.exponents),
+                     *(a.denominator for a in y.exponents))
+    xs = [a.numerator * (scale // a.denominator) for a in x.exponents]
+    ys = {j: a.numerator * (scale // a.denominator) for j, a in zip(y.piece, y.exponents)}
+    s = _bound(rows, x, xs, ys, scale, p)
+    k = len(x.piece)
+    if s is None or k != len(y.piece):
+        if not _full_rank(rows):
+            raise SingularMatrixError("group element must be invertible")
+        return False
+    n = len(rows)
+    off_x = [i for i in range(1, n + 1) if i not in x.piece]
+    off_y = [j for j in range(1, n + 1) if j not in ys]
+    block = [[rows[i - 1][j - 1] for j in y.piece] for i in x.piece]
+    pivots, det, _ = _eliminate(block, k, reduce=False)
+    if len(pivots) < k or not _full_rank([[rows[i - 1][j - 1] for j in off_y] for i in off_x]):
+        raise SingularMatrixError("group element must be invertible")
+    return -sum(xs) - scale * _int_val(det, p) == k * s - sum(ys.values())
 
 
 def chart_equivalent(c1: ChartPoint, c2: ChartPoint, ctx: PrimeContext) -> bool:
     """Whether two charts present the same point of the building.
 
-    With g1 = G1 / e1, g1^-1 = N1 / d1 and likewise for g2, this holds iff the
-    tight bounds of phi(x1) o g1^-1 g2 against phi(x2) and of phi(x2) o g2^-1 g1
-    against phi(x1) exist and cancel; g1^-1 g2 = N1 G2 / (d1 e2).
+    (g1, x1) and (g2, x2) do iff phi(x1) o g1^-1 g2 and phi(x2) agree up to
+    scaling.  One Gauss-Jordan pass over [g1 | g2] ends in [d I | M] with
+    g1^-1 g2 = M / d, and the class test on M takes one tight bound and one
+    block determinant (see _same_class).
     """
-    g1, e1, n1, d1 = _chart_parts(c1.g, c1.x, ctx.n)
-    g2, e2, n2, d2 = _chart_parts(c2.g, c2.x, ctx.n)
-    return _same_class((_int_mat_mul(n1, g2), d1 * e2), (_int_mat_mul(n2, g1), d2 * e1),
-                       c1.x, c2.x, ctx.p)
+    n = ctx.n
+    g1, g2 = _checked(c1.g, c1.x, n), _checked(c2.g, c2.x, n)
+    pivots, rows, _ = _reduced([r1 + r2 for r1, r2 in zip(g1, g2)], n)
+    if len(pivots) < n:
+        raise SingularMatrixError("group element must be invertible")
+    return _same_class([row[n:] for row in rows], c1.x, c2.x, ctx.p)
 
 
 def in_stabilizer_P_x(g, x: ApartmentPoint, ctx: PrimeContext) -> bool:
     """Membership in the stabilizer of the class of phi(x).
 
-    The chart test on (I, x) and (g, x): the tight bounds of phi(x) o g and of
-    phi(x) o g^-1 against phi(x) exist and cancel (Bruhat-Tits' valuation
-    description of P_x).
+    The chart test on (I, x) and (g, x): phi(x) o g and phi(x) agree up to
+    scaling, decided on g = G / e with one tight bound and the determinants
+    of two diagonal blocks of G (see _same_class).  No inverse is formed.
     """
-    g, e, num, d = _chart_parts(g, x, ctx.n)
-    return _same_class((g, e), (num, d), x, x, ctx.p)
+    g = _checked(g, x, ctx.n)
+    e = math.lcm(*(a.denominator for row in g for a in row))
+    return _same_class([[a.numerator * (e // a.denominator) for a in row] for row in g],
+                       x, x, ctx.p)
 
 
 def in_U_a_sigma(u: ElementaryUnipotent, points, ctx: PrimeContext) -> bool:
@@ -271,6 +316,8 @@ def sample_P_x_generators(x: ApartmentPoint, count: int, bound: int,
     """
     if count < 1:
         raise DomainError("count must be >= 1")
+    if x.piece[-1] > ctx.n:             # pieces are sorted and start at 1 or above
+        raise DomainError(f"piece {x.piece} has an index outside 1..{ctx.n}")
     rng = random.Random(seed)
     out = []
     for _ in range(count):

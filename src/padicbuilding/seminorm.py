@@ -217,13 +217,31 @@ def canonical_class(g: DiagonalSeminorm) -> DiagonalSeminorm:
     the remaining columns are sorted by value (largest first, ties broken
     by the column entries) and all values are shifted so the leading one
     becomes q^0.
+
+    The inverse of the new basis comes from g's carried inverse N / d: a
+    kept column keeps its row of N.  Every old kernel column c equals
+    sum_t c[pivot_t] r_t over the echelon vectors r_t, so the row for r_t
+    is sum_c c[pivot_t] N_c, with the common denominator L of those
+    coefficients cleared into d.
     """
-    nonker = [(g.values[i], g.column(i)) for i in range(g.n) if not g.values[i].is_zero]
-    nonker.sort(key=lambda vc: (-vc[0].log, vc[1]))
-    shift = -nonker[0][0].log
-    cols = [c for _, c in nonker] + kernel_of(g)
-    values = [v.shift(shift) for v, _ in nonker] + [ZERO_VALUE] * (g.n - len(nonker))
-    return diagonal_seminorm(mat_from_cols(cols), values, g.ctx)
+    nonker = [i for i in range(g.n) if not g.values[i].is_zero]
+    cols = {i: g.column(i) for i in nonker}
+    nonker.sort(key=lambda i: (-g.values[i].log, cols[i]))
+    shift = -g.values[nonker[0]].log
+    ker_idx = [i for i in range(g.n) if g.values[i].is_zero]
+    ker = kernel_of(g)
+    num, d = g._inv
+    coeffs = [[g.basis[next(j for j, a in enumerate(r) if a)][c] for c in ker_idx] for r in ker]
+    scale = math.lcm(*(a.denominator for row in coeffs for a in row))
+    rows = [[x * scale for x in num[i]] for i in nonker]
+    for row in coeffs:
+        ints = [a.numerator * (scale // a.denominator) for a in row]
+        rows.append([sum(a * num[c][j] for a, c in zip(ints, ker_idx)) for j in range(g.n)])
+    div = math.gcd(d * scale, *(x for row in rows for x in row))
+    inv = tuple(tuple(x // div for x in row) for row in rows), d * scale // div
+    values = [g.values[i].shift(shift) for i in nonker] + [ZERO_VALUE] * len(ker)
+    return DiagonalSeminorm(mat_from_cols([cols[i] for i in nonker] + ker), tuple(values),
+                            g.ctx, inv)
 
 
 def class_equals(g1: DiagonalSeminorm, g2: DiagonalSeminorm) -> bool:

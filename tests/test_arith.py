@@ -40,7 +40,7 @@ from padicbuilding.arith import (
     reduced_echelon,
     vec_add,
 )
-from padicbuilding.errors import DivisionByZeroError, SingularMatrixError
+from padicbuilding.errors import DivisionByZeroError, DomainError, SingularMatrixError
 
 from randgen import rand_fraction, rand_lscalar
 
@@ -302,6 +302,15 @@ def test_matrix_helpers_reject_length_mismatch():
         mat_mul(identity(2), identity(3))
     with pytest.raises(ValueError):
         vec_add((1, 2), (1, 2, 3))
+
+
+def test_a_ragged_matrix_is_a_domain_error():
+    from padicbuilding.building import sigma_project
+
+    with pytest.raises(DomainError, match="ragged matrix"):
+        mat([[1, 0], [0]])
+    with pytest.raises(DomainError, match="ragged matrix"):
+        sigma_project([[1, 0], [0]], [1])
 
 
 def test_l_add_sub():

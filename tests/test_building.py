@@ -395,3 +395,65 @@ def test_relations_refuse_a_singular_matrix():
         chart_equivalent(ChartPoint(singular, x), ChartPoint(identity(2), x), CTX2)
     with pytest.raises(SingularMatrixError, match="group element must be invertible"):
         compose_with(phi_from_apartment(x, CTX2), singular)
+
+
+def _zero_column(g, j):
+    return mat([[0 if c == j - 1 else a for c, a in enumerate(row)] for row in g])
+
+
+def test_relations_refuse_a_matrix_singular_only_off_the_piece():
+    # a stabilizer element with an off-piece column zeroed keeps the bound and
+    # the block on the piece; only the block off the piece is singular
+    rng = random.Random(63)
+    cases = 0
+    for n, ctx, size in settings():
+        if size == n:
+            continue
+        for _ in range(3):
+            x = point_of_size(rng, n, size)
+            g = sample_P_x_generators(x, 1, 3, ctx, seed=rng.randrange(1 << 30))[0]
+            j = rng.choice([i for i in range(1, n + 1) if i not in x.piece])
+            singular = _zero_column(g, j)
+            h = rand_invertible(rng, n, ctx.p)
+            with pytest.raises(SingularMatrixError, match="group element must be invertible"):
+                in_stabilizer_P_x(singular, x, ctx)
+            with pytest.raises(SingularMatrixError, match="group element must be invertible"):
+                chart_equivalent(ChartPoint(h, x), ChartPoint(mat_mul(h, singular), x), ctx)
+            with pytest.raises(SingularMatrixError, match="group element must be invertible"):
+                chart_equivalent(ChartPoint(mat_mul(h, singular), x), ChartPoint(h, x), ctx)
+            cases += 1
+    assert cases >= 100
+
+
+def test_relations_refuse_a_singular_matrix_without_a_bound():
+    x = interior_point([0, 1, 2])
+    y = apartment_point([1], [0])
+    singular = mat([[1, 2, 0], [2, 4, 0], [0, 0, 1]])
+    with pytest.raises(SingularMatrixError, match="group element must be invertible"):
+        chart_equivalent(ChartPoint(identity(3), x), ChartPoint(singular, y), CTX3)
+    with pytest.raises(SingularMatrixError, match="group element must be invertible"):
+        in_stabilizer_P_x(singular, y, CTX3)
+    rng = random.Random(64)
+    cases = 0
+    for n, ctx, size in settings():
+        for _ in range(4):
+            x = point_of_size(rng, n, size)
+            y = point_of_size(rng, n, rng.choice([k for k in range(1, n + 1) if k != size]))
+            g = rand_invertible(rng, n, ctx.p)
+            singular = _zero_column(g, rng.randint(1, n))
+            with pytest.raises(SingularMatrixError, match="group element must be invertible"):
+                chart_equivalent(ChartPoint(g, x), ChartPoint(singular, y), ctx)
+            cases += 1
+    assert cases >= 200
+
+
+def test_unipotent_matrix_refuses_a_root_outside_the_dimension():
+    with pytest.raises(DomainError, match="outside 1..2"):
+        unipotent_matrix(ElementaryUnipotent(Root(1, 3), Fraction(1)), 2)
+    with pytest.raises(DomainError, match="outside 1..3"):
+        unipotent_matrix(ElementaryUnipotent(Root(0, 2), Fraction(1)), 3)
+
+
+def test_sampler_refuses_a_point_outside_the_dimension():
+    with pytest.raises(DomainError, match="outside 1..2"):
+        sample_P_x_generators(interior_point([0, 1, 2]), 1, 1, PrimeContext(2, 2))

@@ -242,6 +242,47 @@ def test_canonical_class_gauge():
         assert canonical_class(c) == c
 
 
+def _with_zeros(rng, basis, zeros, ctx):
+    vals = [LogValue.finite(rand_fraction(rng)) for _ in range(ctx.n - zeros)]
+    vals += [LogValue.zero()] * zeros
+    rng.shuffle(vals)
+    return diagonal_seminorm(basis, vals, ctx)
+
+
+def test_canonical_class_derives_the_inverse_of_its_basis():
+    # the carried inverse of the canonical basis, derived from the input's,
+    # is the one a fresh inversion gives; kernels arrive scattered, already
+    # in echelon form (a canonical basis with its columns permuted), or from
+    # the pullback of an L-valued functional
+    from padicbuilding.arith import _inverse_parts
+
+    rng = random.Random(54)
+    cases = 0
+    for n in range(2, 7):
+        zero_counts = set()
+        for k in range(420):
+            ctx = PrimeContext(rng.choice([2, 3, 5]), n, 1 + k % 3)
+            zeros = rng.randint(0, n - 1)
+            g = _with_zeros(rng, rand_invertible(rng, n, ctx.p, rng.randint(1, 4)), zeros, ctx)
+            if k % 3 == 1:
+                c = canonical_class(g)
+                order = list(range(n))
+                rng.shuffle(order)
+                g = diagonal_seminorm(mat_from_cols([c.column(i) for i in order]),
+                                      [c.values[i] for i in order], ctx)
+            elif k % 3 == 2:
+                zs = [rand_lscalar(rng, ctx) for _ in range(n)]
+                if all(z.coeffs == (0,) * ctx.e for z in zs):
+                    continue
+                g = pullback_from_functional(zs, ctx)
+            zero_counts.add(sum(v.is_zero for v in g.values))
+            c = canonical_class(g)
+            assert c._inv == _inverse_parts(c.basis), (g.basis, g.values)
+            cases += 1
+        assert zero_counts == set(range(n)), (n, zero_counts)
+    assert cases >= 2000
+
+
 def test_orthogonalize_examples():
     g = gauge_norm(CTX2)
     # already canonical family is untouched
