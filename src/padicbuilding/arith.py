@@ -418,29 +418,31 @@ def solve_linear(m, b) -> tuple:
 
 
 def _inverse_parts(m):
-    """(N, d) with N an integer matrix, d > 0 and m^-1 = N / d; None if singular.
+    """(N, d, det m) with N an integer matrix, d > 0 and m^-1 = N / d; None if singular.
 
     Row i of m joined to the unit row e_i is scaled by one integer s_i, so
-    the reduction of [S m | S] ends in [d I | d m^-1] and no column needs
-    rescaling afterwards.  N and d are divided by their common gcd.
+    the reduction of [S m | S] ends in [d I | d m^-1] with d = sign det(S m),
+    and no column needs rescaling afterwards.  N and d lose their common gcd.
     """
     n = len(m)
-    pivots, a, d = _reduced([list(row) + [int(i == j) for j in range(n)]
-                             for i, row in enumerate(m)], n)
+    a, scales = _integer_rows([list(row) + [int(i == j) for j in range(n)]
+                               for i, row in enumerate(m)])
+    pivots, d, sign = _eliminate(a, n)
     if len(pivots) < n:
         return None
     inv = [row[n:] for row in a]
     g = math.gcd(d, *(x for row in inv for x in row))
     if d < 0:
         g = -g
-    return tuple(tuple(x // g for x in row) for row in inv), d // g
+    num = tuple(tuple(x // g for x in row) for row in inv)
+    return num, d // g, Fraction(sign * d, math.prod(scales))
 
 
 def mat_inverse(m) -> tuple:
     parts = _inverse_parts(m)
     if parts is None:
         raise SingularMatrixError("matrix is singular")
-    num, d = parts
+    num, d, _ = parts
     return tuple(tuple(Fraction(x, d) for x in row) for row in num)
 
 

@@ -251,7 +251,7 @@ def alpha_evaluate(p: MonomialPoint, f: PolynomialSymV) -> LogValue:
         raise DomainError("variable count mismatch")
     if f.degree() > _MAX_DEGREE:
         raise DomainError(f"degree {f.degree()} exceeds cap {_MAX_DEGREE}")
-    return _alpha(p, *_inverse_parts(p.basis), f)
+    return _alpha(p, *_inverse_parts(p.basis)[:2], f)
 
 
 def check_multiplicative(p: MonomialPoint, f: PolynomialSymV,
@@ -259,7 +259,7 @@ def check_multiplicative(p: MonomialPoint, f: PolynomialSymV,
     """Exact test alpha(f g) = alpha(f) alpha(g), with one basis inversion."""
     if f.nvars != p.ctx.n or g.nvars != p.ctx.n:
         raise DomainError("variable count mismatch")
-    num, d = _inverse_parts(p.basis)
+    num, d, _ = _inverse_parts(p.basis)
     return _alpha(p, num, d, poly_mul(f, g)) == _alpha(p, num, d, f) * _alpha(p, num, d, g)
 
 

@@ -56,14 +56,15 @@ from .seminorm import (
 
 @dataclass(frozen=True, eq=False)
 class BuildingPoint:
-    """Seminorm class in canonical gauge; equality is class equality."""
+    """Seminorm class in canonical gauge; equality is class equality, False across contexts."""
 
     seminorm: DiagonalSeminorm
 
     def __eq__(self, other):
         if not isinstance(other, BuildingPoint):
             return NotImplemented
-        return class_equals(self.seminorm, other.seminorm)
+        a, b = self.seminorm, other.seminorm
+        return a.ctx == b.ctx and class_equals(a, b)
 
     __hash__ = None
 

@@ -14,7 +14,9 @@ formed, so equality questions are decided exactly.
 Each seminorm carries the inverse of its basis in integer form, N / d,
 computed once when it is built (or derived from its parent's), so that
 evaluation runs on Python ints: a vector's denominators are cleared once,
-and only integer dot products and their p-adic valuations follow.
+and only integer dot products and their p-adic valuations follow.  The
+same elimination gives v_p(det basis), also carried, so (class) equality
+takes one tight bound and a volume (_volume), not a bound each way.
 
 Orthogonalization and the pullback of a norm from an L-valued functional
 share one reduction kernel that also runs on ints: each vector is one
@@ -26,7 +28,7 @@ so every weight S log(|x_j| q^{c_j}) is an integer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .apartment import ApartmentPoint, apartment_point
@@ -48,10 +50,11 @@ from .arith import (
     l_scale,
     mat,
     mat_col,
-    mat_det,  # noqa: F401  -- kept bound: the benchmark tracer wraps each module's mat_det
+    mat_det,
     mat_from_cols,
     mat_mul,
     reduced_echelon,
+    val_k,
     val_l,
 )
 from .errors import (
@@ -73,6 +76,7 @@ class DiagonalSeminorm:
     ctx: PrimeContext
     # (N, d): integer matrix N and integer d > 0 with basis^-1 = N / d
     _inv: tuple = field(compare=False, repr=False)
+    _vdet: int = field(compare=False, repr=False)  # v_p(det basis)
 
     def column(self, i: int) -> tuple:
         return mat_col(self.basis, i)
@@ -98,7 +102,7 @@ def diagonal_seminorm(basis, values, ctx: PrimeContext) -> DiagonalSeminorm:
     inv = _inverse_parts(basis)
     if inv is None:
         raise SingularMatrixError("basis is singular")
-    return DiagonalSeminorm(basis, values, ctx, inv)
+    return DiagonalSeminorm(basis, values, ctx, inv[:2], val_k(inv[2], ctx))
 
 
 def evaluate(g: DiagonalSeminorm, v) -> LogValue:
@@ -128,8 +132,19 @@ def evaluate(g: DiagonalSeminorm, v) -> LogValue:
 
 def kernel_of(g: DiagonalSeminorm) -> list:
     """Canonical (reduced echelon) basis of ker gamma = span of zero columns."""
+    return _kernel(g)[0]
+
+
+def _kernel(g: DiagonalSeminorm) -> tuple:
+    """(R, v_p(det C)) for the kernel columns K = R C, R reduced echelon, C = K on R's pivots."""
     cols = [g.column(i) for i, v in enumerate(g.values) if v.is_zero]
-    return reduced_echelon(cols)
+    piv = [next(j for j, a in enumerate(c) if a) for c in cols]
+    if piv == sorted(set(piv)) and all(c[j] == int(s == t) for s, c in enumerate(cols)
+                                            for t, j in enumerate(piv)):
+        return cols, 0
+    ker = reduced_echelon(cols)
+    piv = [next(j for j, a in enumerate(r) if a) for r in ker]
+    return ker, val_k(mat_det([[c[j] for c in cols] for j in piv]), g.ctx)
 
 
 def compose_with(g: DiagonalSeminorm, m) -> DiagonalSeminorm:
@@ -142,16 +157,17 @@ def compose_with(g: DiagonalSeminorm, m) -> DiagonalSeminorm:
     if m_inv is None:
         raise SingularMatrixError("group element must be invertible")
     # (m basis)^-1 = basis^-1 m^-1 = (N M) / (d e)
-    (num, d), (m_num, e) = g._inv, m_inv
+    (num, d), (m_num, e, det) = g._inv, m_inv
     prod = _int_mat_mul(num, m_num)
     div = math.gcd(d * e, *(x for row in prod for x in row))
     inv = tuple(tuple(x // div for x in row) for row in prod), d * e // div
-    return DiagonalSeminorm(mat_mul(m, g.basis), g.values, g.ctx, inv)
+    return DiagonalSeminorm(mat_mul(m, g.basis), g.values, g.ctx, inv,
+                            g._vdet + val_k(det, g.ctx))
 
 
 def scale_seminorm(g: DiagonalSeminorm, delta) -> DiagonalSeminorm:
     """Multiply the seminorm by q^delta."""
-    return DiagonalSeminorm(g.basis, tuple(v.shift(delta) for v in g.values), g.ctx, g._inv)
+    return replace(g, values=tuple(v.shift(delta) for v in g.values))
 
 
 # ---------------------------------------------------------------------------
@@ -162,14 +178,10 @@ def phi_from_apartment(x: ApartmentPoint, ctx: PrimeContext) -> DiagonalSeminorm
     """Standard-basis seminorm with value q^(-x_i) on the piece, zero off it."""
     if not set(x.piece) <= set(range(1, ctx.n + 1)):
         raise DomainError(f"piece {x.piece} does not fit dimension {ctx.n}")
-    values = []
-    for i in range(1, ctx.n + 1):
-        if i in x.piece:
-            values.append(LogValue.finite(-x.exponent(i)))
-        else:
-            values.append(ZERO_VALUE)
+    values = tuple(LogValue.finite(-x.exponent(i)) if i in x.piece else ZERO_VALUE
+                   for i in range(1, ctx.n + 1))
     unit = tuple(tuple(int(i == j) for j in range(ctx.n)) for i in range(ctx.n))
-    return DiagonalSeminorm(identity(ctx.n), tuple(values), ctx, (unit, 1))
+    return DiagonalSeminorm(identity(ctx.n), values, ctx, (unit, 1), 0)
 
 
 def phi_inverse(g: DiagonalSeminorm) -> ApartmentPoint:
@@ -205,9 +217,20 @@ def _log_bound(g1: DiagonalSeminorm, g2: DiagonalSeminorm):
     return best
 
 
+def _volume(g: DiagonalSeminorm, s=0) -> tuple:
+    """(k, vol) for q^s g: k nonzero values c_i, vol = sum log c_i + v_p(det basis).
+
+    The kernel columns are taken as kernel_of(g).  A tight g1 <= q^s g2 is an
+    equality iff the pairs agree: equal k make the kernels equal, and on V / ker
+    the two have a common orthogonal basis (Goldman-Iwahori 1963).
+    """
+    (logs,), (den,) = _integer_rows([[v.log for v in g.values if not v.is_zero]])
+    return len(logs), Fraction(sum(logs) + (g._vdet - _kernel(g)[1]) * den, den) + len(logs) * s
+
+
 def equals(g1: DiagonalSeminorm, g2: DiagonalSeminorm) -> bool:
-    """Exact equality of seminorms as functions on V: g1 <= g2 <= g1."""
-    return _log_bound(g1, g2) == 0 and _log_bound(g2, g1) == 0
+    """Exact equality of seminorms as functions on V: g1 <= g2 tightly, and equal volumes."""
+    return _log_bound(g1, g2) == 0 and _volume(g1) == _volume(g2)
 
 
 def canonical_class(g: DiagonalSeminorm) -> DiagonalSeminorm:
@@ -222,14 +245,14 @@ def canonical_class(g: DiagonalSeminorm) -> DiagonalSeminorm:
     kept column keeps its row of N.  Every old kernel column c equals
     sum_t c[pivot_t] r_t over the echelon vectors r_t, so the row for r_t
     is sum_c c[pivot_t] N_c, with the common denominator L of those
-    coefficients cleared into d.
+    coefficients cleared into d; v_p(det basis) drops by v_p(det(c[pivot_t])).
     """
     nonker = [i for i in range(g.n) if not g.values[i].is_zero]
     cols = {i: g.column(i) for i in nonker}
     nonker.sort(key=lambda i: (-g.values[i].log, cols[i]))
     shift = -g.values[nonker[0]].log
     ker_idx = [i for i in range(g.n) if g.values[i].is_zero]
-    ker = kernel_of(g)
+    ker, kval = _kernel(g)
     num, d = g._inv
     coeffs = [[g.basis[next(j for j, a in enumerate(r) if a)][c] for c in ker_idx] for r in ker]
     scale = math.lcm(*(a.denominator for row in coeffs for a in row))
@@ -241,14 +264,13 @@ def canonical_class(g: DiagonalSeminorm) -> DiagonalSeminorm:
     inv = tuple(tuple(x // div for x in row) for row in rows), d * scale // div
     values = [g.values[i].shift(shift) for i in nonker] + [ZERO_VALUE] * len(ker)
     return DiagonalSeminorm(mat_from_cols([cols[i] for i in nonker] + ker), tuple(values),
-                            g.ctx, inv)
+                            g.ctx, inv, g._vdet - kval)
 
 
 def class_equals(g1: DiagonalSeminorm, g2: DiagonalSeminorm) -> bool:
-    """Equality up to a positive constant: g1 <= q^s g2 <= q^(s+t) g1 with s + t = 0."""
+    """Equality up to a positive constant: g1 <= q^s g2 tightly, and equal volumes."""
     s = _log_bound(g1, g2)
-    t = None if s is None else _log_bound(g2, g1)
-    return t is not None and s + t == 0
+    return s is not None and _volume(g1) == _volume(g2, s)
 
 
 # ---------------------------------------------------------------------------

@@ -459,7 +459,8 @@ def test_integer_kernel_agrees_with_fraction_oracle():
                 solve_linear(m, b)
             continue
         seen.add("invertible")
-        num, d = parts
+        num, d, det = parts
+        assert det == _oracle_det(m)
         assert d > 0 and all(isinstance(x, int) for row in num for x in row)
         assert math.gcd(d, *(x for row in num for x in row)) == 1
         assert tuple(tuple(Fraction(x, d) for x in row) for row in num) == oracle

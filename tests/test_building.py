@@ -257,6 +257,20 @@ def test_building_point_kernel_and_eq():
                      mat([[5, 0], [0, 5]])))
 
 
+def test_points_over_different_contexts_are_unequal():
+    x2, x3 = interior_point([0, 0]), interior_point([0, 0, 0])
+    b = building_point(phi_from_apartment(x2, CTX2))
+    others = [building_point(phi_from_apartment(x2, PrimeContext(3, 2))),      # another p
+              building_point(phi_from_apartment(x3, PrimeContext(2, 3))),      # another n
+              building_point(phi_from_apartment(x2, PrimeContext(2, 2, 2)))]   # another e
+    for other in others:
+        assert not b == other and b != other and not other == b
+        assert b not in [other] and other not in [b]
+        with pytest.raises(DomainError):
+            class_equals(b.seminorm, other.seminorm)
+    assert b in others + [b] and b != 3 and not b == 3
+
+
 def test_random_unit_draws_what_choice_over_the_unit_list_draws():
     for p in (2, 3, 5, 7, 11):
         units = [c for c in range(1, p * p) if c % p != 0]
