@@ -19,8 +19,9 @@ Exponent vectors are packed into one integer each (Kronecker
 substitution), so multiplying two monomials is adding two ints; each power
 of a substituted form is computed once per call, and sorted terms reuse
 the product over their common exponent prefix.  check_multiplicative
-inverts the basis once for its three evaluations, and poly_mul multiplies
-on the same packed integers.
+inverts the basis once and rewrites f and g once each: substitution is a
+ring homomorphism, so alpha(f g) comes from the packed product of the two
+rewrites.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .arith import (
     _int_val,
     _integer_rows,
     _inverse_parts,
+    identity,
     k_rank,
     l_from_k,
     l_is_zero,
@@ -72,8 +74,6 @@ def monomial_point(basis, radii, ctx: PrimeContext) -> MonomialPoint:
 
 
 def gauss_point(ctx: PrimeContext) -> MonomialPoint:
-    from .arith import identity
-
     return monomial_point(identity(ctx.n), (LogValue.finite(0),) * ctx.n, ctx)
 
 
@@ -124,13 +124,6 @@ def _places(base: int, n: int) -> list:
     return [base ** (n - 1 - j) for j in range(n)]
 
 
-def _unpack(key: int, base: int, n: int) -> tuple:
-    mu = [0] * n
-    for j in range(n - 1, -1, -1):
-        key, mu[j] = divmod(key, base)
-    return tuple(mu)
-
-
 def _packed_mul(f: dict, g: dict) -> dict:
     out = {}
     get = out.get
@@ -139,24 +132,6 @@ def _packed_mul(f: dict, g: dict) -> dict:
             k = k1 + k2
             out[k] = get(k, 0) + c1 * c2
     return out
-
-
-def poly_mul(f: PolynomialSymV, g: PolynomialSymV) -> PolynomialSymV:
-    """The product f g, multiplied on integers with packed exponents."""
-    if f.nvars != g.nvars:
-        raise DomainError("variable count mismatch")
-    n = f.nvars
-    if not f.terms or not g.terms:
-        return PolynomialSymV((), n)
-    base = f.degree() + g.degree() + 1
-    places = _places(base, n)
-    (fi, gi), (df, dg) = _integer_rows([[c for _, c in f.terms], [c for _, c in g.terms]])
-    packed = [{sum(k * b for k, b in zip(nu, places)): a for (nu, _), a in zip(h.terms, ints)}
-              for h, ints in ((f, fi), (g, gi))]
-    prod = _packed_mul(*packed)
-    den = df * dg
-    return PolynomialSymV(tuple((_unpack(key, base, n), Fraction(prod[key], den))
-                                for key in sorted(prod) if prod[key]), n)
 
 
 # ---------------------------------------------------------------------------
@@ -168,19 +143,19 @@ def poly_mul(f: PolynomialSymV, g: PolynomialSymV) -> PolynomialSymV:
 _MAX_DEGREE = 8
 
 
-def _rewrite_in_basis(num, f: PolynomialSymV) -> tuple:
+def _rewrite_in_basis(num, f: PolynomialSymV, base: int) -> tuple:
     """Integer coefficients of f in the basis whose inverse is num / d.
 
     With f = F / D for an integer polynomial F, substituting the integer
     forms L_i = sum_j num[j][i] w_j for v_i in F gives sum c_mu w^mu, and
     then f = sum c_mu / (D d^|mu|) w^mu: every term of F that contributes
-    to w^mu has degree |mu|.  Monomials are packed with B = deg f + 1.
-    The powers L_i^k are computed once, and since the terms are sorted a
-    term reuses the product over the exponent prefix it shares with the
-    term before it.  Returns ({packed mu: c_mu}, D, B); some c_mu may be 0.
+    to w^mu has degree |mu|.  Monomials are packed with the given base
+    B > deg f.  The powers L_i^k are computed once, and since the terms
+    are sorted a term reuses the product over the exponent prefix it
+    shares with the term before it.  Returns ({packed mu: c_mu}, D); some
+    c_mu may be 0.
     """
     n = len(num)
-    base = f.degree() + 1
     places = _places(base, n)
     powers = [[{0: 1}, {places[j]: num[j][i] for j in range(n) if num[j][i]}]
               for i in range(n)]
@@ -205,11 +180,11 @@ def _rewrite_in_basis(num, f: PolynomialSymV) -> tuple:
             for k2, c2 in powers[n - 1][nu[n - 1]].items():
                 k = k1 + k2
                 out[k] = get(k, 0) + c1 * c2
-    return out, den, base
+    return out, den
 
 
-def _alpha(p: MonomialPoint, num, d: int, f: PolynomialSymV) -> LogValue:
-    coeffs, den, base = _rewrite_in_basis(num, f)
+def _alpha(p: MonomialPoint, d: int, coeffs: dict, den: int, base: int) -> LogValue:
+    """alpha of the rewrite sum coeffs[mu] / (den d^|mu|) w^mu packed with base."""
     q = p.ctx.p
     vd, vden = _int_val(d, q), _int_val(den, q)
     # the radii's logs as integers over one common denominator, last first
@@ -251,7 +226,9 @@ def alpha_evaluate(p: MonomialPoint, f: PolynomialSymV) -> LogValue:
         raise DomainError("variable count mismatch")
     if f.degree() > _MAX_DEGREE:
         raise DomainError(f"degree {f.degree()} exceeds cap {_MAX_DEGREE}")
-    return _alpha(p, *_inverse_parts(p.basis)[:2], f)
+    num, d, _ = _inverse_parts(p.basis)
+    base = f.degree() + 1
+    return _alpha(p, d, *_rewrite_in_basis(num, f, base), base)
 
 
 def check_multiplicative(p: MonomialPoint, f: PolynomialSymV,
@@ -260,7 +237,12 @@ def check_multiplicative(p: MonomialPoint, f: PolynomialSymV,
     if f.nvars != p.ctx.n or g.nvars != p.ctx.n:
         raise DomainError("variable count mismatch")
     num, d, _ = _inverse_parts(p.basis)
-    return _alpha(p, num, d, poly_mul(f, g)) == _alpha(p, num, d, f) * _alpha(p, num, d, g)
+    # no total degree of f, g or f g reaches the base, so no key carries
+    base = max(f.degree(), 0) + max(g.degree(), 0) + 1
+    (cf, df), (cg, dg) = (_rewrite_in_basis(num, h, base) for h in (f, g))
+    # substitution is a ring homomorphism: f g rewrites to the product, over D_f D_g
+    return (_alpha(p, d, _packed_mul(cf, cg), df * dg, base)
+            == _alpha(p, d, cf, df, base) * _alpha(p, d, cg, dg, base))
 
 
 def monomial_class_equals(p1: MonomialPoint, p2: MonomialPoint) -> bool:

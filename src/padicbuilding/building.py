@@ -56,7 +56,7 @@ from .seminorm import (
 
 @dataclass(frozen=True, eq=False)
 class BuildingPoint:
-    """Seminorm class in canonical gauge; equality is class equality, False across contexts."""
+    """Seminorm class in canonical gauge; equality is class equality, False across p or n."""
 
     seminorm: DiagonalSeminorm
 
@@ -64,7 +64,7 @@ class BuildingPoint:
         if not isinstance(other, BuildingPoint):
             return NotImplemented
         a, b = self.seminorm, other.seminorm
-        return a.ctx == b.ctx and class_equals(a, b)
+        return (a.ctx.p, a.ctx.n) == (b.ctx.p, b.ctx.n) and class_equals(a, b)
 
     __hash__ = None
 

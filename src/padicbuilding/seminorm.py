@@ -205,7 +205,7 @@ def _log_bound(g1: DiagonalSeminorm, g2: DiagonalSeminorm):
     them (Goldman-Iwahori 1963).  A column in g2's kernel on which g1 is
     nonzero admits no s.
     """
-    if g1.ctx != g2.ctx:
+    if (g1.ctx.p, g1.ctx.n) != (g2.ctx.p, g2.ctx.n):
         raise DomainError("seminorms live over different contexts")
     best = None
     for i, c in enumerate(g2.values):

@@ -13,6 +13,7 @@ from padicbuilding import (
     f_point,
     l_scalar,
     monomial_element,
+    polynomial,
     unipotent_matrix,
 )
 from padicbuilding.arith import identity, mat, mat_mul
@@ -151,8 +152,6 @@ def rand_direction(rng, n):
 
 
 def rand_poly(rng, n, max_deg=3, max_terms=4):
-    from padicbuilding import polynomial
-
     terms = []
     for _ in range(rng.randint(1, max_terms)):
         nu = [0] * n
@@ -163,3 +162,18 @@ def rand_poly(rng, n, max_deg=3, max_terms=4):
             c = Fraction(1)
         terms.append((tuple(nu), c))
     return polynomial(terms, n)
+
+
+def fraction_mul(f: dict, g: dict) -> dict:
+    """Product of {exponent tuple: Fraction} dicts, on tuples, zeros dropped."""
+    out = {}
+    for nu1, c1 in f.items():
+        for nu2, c2 in g.items():
+            nu = tuple(a + b for a, b in zip(nu1, nu2))
+            out[nu] = out.get(nu, 0) + c1 * c2
+    return {nu: c for nu, c in out.items() if c != 0}
+
+
+def reference_product(f, g):
+    """The product f g, computed independently of the library's packed integers."""
+    return polynomial(fraction_mul(dict(f.terms), dict(g.terms)), f.nvars)

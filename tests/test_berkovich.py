@@ -29,18 +29,19 @@ from padicbuilding import (
     r_reduce_rational,
 )
 from padicbuilding.arith import ZERO_VALUE, identity, mat, mat_from_cols, mat_mul, nullspace, val_k
-from padicbuilding.berkovich import poly_mul
 from padicbuilding.errors import DomainError, ZeroFunctionalError
 from padicbuilding.seminorm import diagonal_seminorm, scale_seminorm
 from padicbuilding.serialize import building_point_to_doc
 
 from randgen import (
+    fraction_mul,
     rand_fraction,
     rand_invertible,
     rand_lscalar,
     rand_poly,
     rand_seminorm,
     rand_values,
+    reference_product,
 )
 
 CTX2 = PrimeContext(2, 2)
@@ -85,16 +86,16 @@ def test_check_multiplicative_examples():
     p1 = monomial_point(identity(2), (LogValue.finite(1), ONE), CTX2)
     v1 = polynomial([((1, 0), 1)], 2)
     assert check_multiplicative(p1, v1, v1)
-    assert alpha_evaluate(p1, poly_mul(v1, v1)) == LogValue.finite(2)
+    assert alpha_evaluate(p1, polynomial([((2, 0), 1)], 2)) == LogValue.finite(2)
 
 
 def test_check_multiplicative_refuses_wrong_variable_counts_before_multiplying(monkeypatch):
     import padicbuilding.berkovich as berkovich
 
-    def no_product(f, g):
-        raise AssertionError("poly_mul ran before the variable counts were checked")
+    def no_inverse(m):
+        raise AssertionError("the basis was inverted before the variable counts were checked")
 
-    monkeypatch.setattr(berkovich, "poly_mul", no_product)
+    monkeypatch.setattr(berkovich, "_inverse_parts", no_inverse)
     gp = gauss_point(CTX2)
     v2 = polynomial([((1, 0), 1)], 2)
     v3 = polynomial([((0, 1, 1), 2)], 3)
@@ -280,21 +281,6 @@ def test_omega_dichotomy_random():
         assert in_omega(zf) == (r_reduce_L_point(zf).kernel() == [])
 
 
-def _fraction_mul(f: dict, g: dict) -> dict:
-    # the Fraction product on exponent tuples that poly_mul used before
-    # exponents were packed into integers
-    out = {}
-    for nu1, c1 in f.items():
-        for nu2, c2 in g.items():
-            nu = tuple(a + b for a, b in zip(nu1, nu2))
-            out[nu] = out.get(nu, 0) + c1 * c2
-    return {nu: c for nu, c in out.items() if c != 0}
-
-
-def _reference_poly_mul(f, g):
-    return polynomial(_fraction_mul(dict(f.terms), dict(g.terms)), f.nvars)
-
-
 def _reference_alpha(p, f):
     # the Fraction rewrite alpha_evaluate replaced: substitute the rational
     # inverse basis, expand, then take |coefficient| * prod radii^exponents
@@ -309,7 +295,7 @@ def _reference_alpha(p, f):
         term = {(0,) * n: a}
         for i, k in enumerate(nu):
             for _ in range(k):
-                term = _fraction_mul(term, forms[i])
+                term = fraction_mul(term, forms[i])
         for mu, c in term.items():
             out[mu] = out.get(mu, 0) + c
     best = ZERO
@@ -384,26 +370,59 @@ def test_alpha_evaluate_matches_fraction_rewrite_up_to_the_degree_cap():
     assert powers == 2 * 8 * (5 + 6) and zero_radius_polys == 48
 
 
-def test_poly_mul_matches_the_fraction_product():
+def test_check_multiplicative_at_the_packing_edges():
+    # zero, constant and dense factors, and pure powers v_i^a v_i^b whose
+    # product fills one packed place: a base below deg f + deg g + 1 carries
     rng = random.Random(71)
-    zeros = constants = 0
-    for _ in range(600):
-        n = rng.randint(2, 6)
-        f = rand_poly(rng, n, max_deg=rng.randint(0, 5), max_terms=5)
-        kind = rng.randrange(4)
+    oracles = 0
+    for case in range(400):
+        kind = case % 4
+        n = rng.randint(2, 4) if kind < 3 else rng.randint(2, 3)
+        ctx = PrimeContext(rng.choice([2, 3, 5]), n)
+        p = monomial_point(rand_invertible(rng, n, ctx.p, steps=rng.randint(1, 3)),
+                           rand_values(rng, n), ctx)
         if kind == 0:
-            g = polynomial([], n)
+            f, g = rand_poly(rng, n, max_deg=rng.randint(0, 4), max_terms=4), polynomial([], n)
         elif kind == 1:
-            g = polynomial([((0,) * n, rand_fraction(rng) or 1)], n)
+            f = rand_poly(rng, n, max_deg=rng.randint(0, 4), max_terms=4)
+            g = polynomial([((0,) * n, Fraction(rng.randint(1, 9), rng.choice([1, ctx.p, 4])))], n)
+        elif kind == 2:
+            f, g = (rand_poly(rng, n, max_deg=rng.randint(1, 4), max_terms=5) for _ in range(2))
         else:
-            g = rand_poly(rng, n, max_deg=rng.randint(0, 4), max_terms=4)
-        zeros += not g.terms
-        constants += g.degree() == 0
+            i, total = rng.randrange(n), 2 + case // 4 % 15
+            a = rng.randint(1, total - 1)
+            f, g = (polynomial([(tuple(k * (j == i) for j in range(n)), rand_fraction(rng) or 1)], n)
+                    for k in (a, total - a))
         for a, b in ((f, g), (g, f)):
-            product = poly_mul(a, b)
-            assert product == _reference_poly_mul(a, b)
-            assert all(type(k) is int for nu, _ in product.terms for k in nu)
-    assert zeros >= 100 and constants >= 100
+            assert check_multiplicative(p, a, b), (p, a, b)
+        product = reference_product(f, g)
+        if product.degree() <= 8:
+            oracles += 1
+            assert alpha_evaluate(p, product) == alpha_evaluate(p, f) * alpha_evaluate(p, g)
+    assert oracles >= 340
+
+
+def test_check_multiplicative_inverts_once_and_rewrites_twice(monkeypatch):
+    import padicbuilding.berkovich as berkovich
+
+    calls = []
+    for name in ("_inverse_parts", "_rewrite_in_basis"):
+        def counted(*args, _name=name, _inner=getattr(berkovich, name)):
+            calls.append(_name)
+            return _inner(*args)
+        monkeypatch.setattr(berkovich, name, counted)
+    rng = random.Random(73)
+    for _ in range(20):
+        p = monomial_point(rand_invertible(rng, 3, 2), rand_values(rng, 3), PrimeContext(2, 3))
+        calls.clear()
+        check_multiplicative(p, rand_poly(rng, 3), rand_poly(rng, 3))
+        assert sorted(calls) == ["_inverse_parts", "_rewrite_in_basis", "_rewrite_in_basis"]
+
+
+def test_rational_and_l_point_reductions_agree_across_e():
+    z = [3, 4]
+    ramified = l_functional([l_from_k(t, CTX22) for t in z], CTX22)
+    assert r_reduce_rational(z, CTX2) == r_reduce_L_point(ramified)
 
 
 def test_polynomial_rejects_fractional_exponents():

@@ -260,15 +260,18 @@ def test_building_point_kernel_and_eq():
 def test_points_over_different_contexts_are_unequal():
     x2, x3 = interior_point([0, 0]), interior_point([0, 0, 0])
     b = building_point(phi_from_apartment(x2, CTX2))
-    others = [building_point(phi_from_apartment(x2, PrimeContext(3, 2))),      # another p
-              building_point(phi_from_apartment(x3, PrimeContext(2, 3))),      # another n
-              building_point(phi_from_apartment(x2, PrimeContext(2, 2, 2)))]   # another e
+    others = [building_point(phi_from_apartment(x2, PrimeContext(3, 2))),   # another p
+              building_point(phi_from_apartment(x3, PrimeContext(2, 3)))]   # another n
     for other in others:
         assert not b == other and b != other and not other == b
         assert b not in [other] and other not in [b]
         with pytest.raises(DomainError):
             class_equals(b.seminorm, other.seminorm)
     assert b in others + [b] and b != 3 and not b == 3
+    # e only says how L-valued inputs are read; the seminorm lives on K^n
+    ramified = building_point(phi_from_apartment(x2, PrimeContext(2, 2, 2)))
+    assert b == ramified and ramified == b and not b != ramified
+    assert class_equals(b.seminorm, ramified.seminorm)
 
 
 def test_random_unit_draws_what_choice_over_the_unit_list_draws():

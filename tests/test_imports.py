@@ -3,6 +3,9 @@
 A stdlib stand-in for a linter's unused-import rule (F401), so that a
 deletion cannot leave an import behind.  `__init__.py` re-exports by
 importing and is skipped; an import line marked `# noqa: F401` is exempt.
+Likewise every module-level private function and constant is referenced
+somewhere in the package besides its own definition, so that a deletion
+cannot leave a helper behind.
 """
 
 import ast
@@ -47,3 +50,44 @@ def test_an_unused_import_is_caught(tmp_path):
                     "from re import compile  # noqa: F401\n\n"
                     "def f(x: floor) -> int:\n    return x\n", encoding="utf-8")
     assert _unused_imports(path) == [(1, "os"), (3, "ceil")]
+
+
+def _dead_private_helpers(paths):
+    """(file, line, name) of each module-level private def or assignment
+    that no other top-level statement of the package references."""
+    defined, statements = [], []
+    for path in paths:
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [node.id for t in targets for node in ast.walk(t)
+                         if isinstance(node, ast.Name)]
+            else:
+                names = []
+            defined += [(path.name, stmt.lineno, name, stmt) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+            refs = {node.id for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            statements.append((stmt, refs | {node.attr for node in ast.walk(stmt)
+                                              if isinstance(node, ast.Attribute)}))
+    return sorted((file, line, name) for file, line, name, stmt in defined
+                  if not any(name in refs for other, refs in statements if other is not stmt))
+
+
+def test_every_private_helper_is_referenced():
+    assert _dead_private_helpers(sorted(SRC.glob("*.py"))) == []
+
+
+def test_a_dead_private_helper_is_caught(tmp_path):
+    a, b = tmp_path / "a.py", tmp_path / "b.py"
+    a.write_text("_LIMIT = 3\n_SPARE: int = 4\n__all__ = []\n\n"
+                 "def _used(x):\n    return x + _LIMIT\n\n"
+                 "def _recursive(x):\n    return _recursive(x - 1) if x else 0\n\n"
+                 "def _dead():\n    return 1\n\n"
+                 "def _by_attribute():\n    return 2\n", encoding="utf-8")
+    b.write_text("from . import a\nfrom .a import _used\n\n"
+                 "def public(x):\n    return _used(x) + a._by_attribute()\n", encoding="utf-8")
+    assert _dead_private_helpers([a, b]) == [("a.py", 2, "_SPARE"), ("a.py", 8, "_recursive"),
+                                             ("a.py", 11, "_dead")]
