@@ -15,6 +15,8 @@ complement iff the induced seminorm is a norm.
 Evaluation substitutes the integer form N / d of the inverse basis into a
 polynomial whose denominators were cleared once, so the rewrite runs on
 Python ints and each coefficient's valuation is read off in closed form.
+Only the live columns (nonzero radius) enter the substituted forms: a
+zero radius sends every monomial in its column to 0.
 Exponent vectors are packed into one integer each (Kronecker
 substitution), so multiplying two monomials is adding two ints; each power
 of a substituted form is computed once per call, and sorted terms reuse
@@ -138,35 +140,46 @@ def _packed_mul(f: dict, g: dict) -> dict:
 # Evaluation of monomial points
 # ---------------------------------------------------------------------------
 
-# alpha_evaluate refuses polynomials of higher degree: the rewrite's size grows
-# like (degree + n choose n)
+# alpha_evaluate refuses polynomials of higher degree: the rewrite runs on the
+# live columns only, so its size grows like (degree + n_live choose n_live)
 _MAX_DEGREE = 8
 
 
-def _rewrite_in_basis(num, f: PolynomialSymV, base: int) -> tuple:
+def _point_parts(p: MonomialPoint) -> tuple:
+    """(N, live columns, (p, v(d), integer radius logs last first, their denominator))."""
+    num, d, _ = _inverse_parts(p.basis)
+    (rad,), (scale,) = _integer_rows([[0 if r.is_zero else r.log for r in p.radii]])
+    live = [j for j, r in enumerate(p.radii) if not r.is_zero]
+    return num, live, (p.ctx.p, _int_val(d, p.ctx.p), rad[::-1], scale)
+
+
+def _rewrite_in_basis(num, live, f: PolynomialSymV, base: int) -> tuple:
     """Integer coefficients of f in the basis whose inverse is num / d.
 
     With f = F / D for an integer polynomial F, substituting the integer
-    forms L_i = sum_j num[j][i] w_j for v_i in F gives sum c_mu w^mu, and
-    then f = sum c_mu / (D d^|mu|) w^mu: every term of F that contributes
-    to w^mu has degree |mu|.  Monomials are packed with the given base
-    B > deg f.  The powers L_i^k are computed once, and since the terms
-    are sorted a term reuses the product over the exponent prefix it
-    shares with the term before it.  Returns ({packed mu: c_mu}, D); some
-    c_mu may be 0.
+    forms L_i = sum_{j live} num[j][i] w_j for v_i in F gives sum c_mu w^mu,
+    and f = sum c_mu / (D d^|mu|) w^mu on the live columns: every term of F
+    that contributes to w^mu has degree |mu|, and w_j = 0 for the columns of
+    zero radius is a ring homomorphism dropping only monomials of value 0.
+    Monomials are packed with the given base B > deg f.  The powers L_i^k
+    are computed once, and since the terms are sorted a term reuses the
+    product over the exponent prefix it shares with the term before it.
+    Returns ({packed mu: c_mu}, D); some c_mu may be 0.
     """
     n = len(num)
     places = _places(base, n)
-    powers = [[{0: 1}, {places[j]: num[j][i] for j in range(n) if num[j][i]}]
+    powers = [[{0: 1}, {places[j]: num[j][i] for j in live if num[j][i]}]
               for i in range(n)]
     (ints,), (den,) = _integer_rows([[c for _, c in f.terms]])
     out = {}
     get = out.get
     # prefix[i] is the product of L_j^nu_j over j < i for the current term
     prefix = [{0: 1}] + [None] * (n - 1)
-    prev = None
+    prev = (-1,) * n  # no exponent is -1, so the first term starts at 0
     for (nu, _), a in zip(f.terms, ints):
-        start = 0 if prev is None else next((i for i in range(n) if nu[i] != prev[i]), n - 1)
+        start = 0
+        while start < n - 1 and nu[start] == prev[start]:
+            start += 1
         prev = nu
         for i in range(start, n):
             pw = powers[i]
@@ -183,30 +196,25 @@ def _rewrite_in_basis(num, f: PolynomialSymV, base: int) -> tuple:
     return out, den
 
 
-def _alpha(p: MonomialPoint, d: int, coeffs: dict, den: int, base: int) -> LogValue:
+def _alpha(parts: tuple, coeffs: dict, den: int, base: int) -> LogValue:
     """alpha of the rewrite sum coeffs[mu] / (den d^|mu|) w^mu packed with base."""
-    q = p.ctx.p
-    vd, vden = _int_val(d, q), _int_val(den, q)
-    # the radii's logs as integers over one common denominator, last first
-    (rad,), (scale,) = _integer_rows([[0 if r.is_zero else r.log for r in p.radii]])
-    last_first = list(zip(reversed(rad), (r.is_zero for r in reversed(p.radii))))
+    q, vd, rad, scale = parts
+    vden = _int_val(den, q)
     best = None
     for key, c in coeffs.items():
         if not c:
             continue
         size = log = 0
-        for r, zero in last_first:
+        for r in rad:
             key, k = divmod(key, base)
             if k:
-                if zero:
-                    break
                 size += k
                 log += k * r
-        else:
-            # scale * (-v(c / (D d^|mu|)) + sum_k mu_k log r_k)
-            log += scale * (vden + size * vd - _int_val(c, q))
-            if best is None or log > best:
-                best = log
+        # scale * (-v(c / (D d^|mu|)) + sum_k mu_k log r_k) is at most this, as v(c) >= 0
+        log += scale * (vden + size * vd)
+        if best is None or log > best:
+            log -= scale * _int_val(c, q)
+            best = log if best is None else max(best, log)
     return ZERO_VALUE if best is None else LogValue.finite(Fraction(best, scale))
 
 
@@ -216,19 +224,20 @@ def alpha_evaluate(p: MonomialPoint, f: PolynomialSymV) -> LogValue:
     The polynomial is first rewritten exactly in the point's own basis:
     its denominators are cleared once, the integer inverse N / d of the
     basis is substituted on Python ints with each exponent vector packed
-    into one integer and each power of a substituted form computed once,
-    and every surviving key is unpacked once to read |mu|, the radii and
-    the closed-form valuation of its coefficient.
+    into one integer, each power of a substituted form computed once and
+    the columns of zero radius dropped; every surviving key is unpacked
+    once to read |mu| and the radii, and the closed-form valuation of its
+    coefficient is read only when the term could still raise the maximum.
     Conventions: radius^0 = 1 (so constants evaluate to their absolute
     value) and zero^k = zero for k > 0.
     """
     if f.nvars != p.ctx.n:
         raise DomainError("variable count mismatch")
-    if f.degree() > _MAX_DEGREE:
-        raise DomainError(f"degree {f.degree()} exceeds cap {_MAX_DEGREE}")
-    num, d, _ = _inverse_parts(p.basis)
     base = f.degree() + 1
-    return _alpha(p, d, *_rewrite_in_basis(num, f, base), base)
+    if base > _MAX_DEGREE + 1:
+        raise DomainError(f"degree {base - 1} exceeds cap {_MAX_DEGREE}")
+    num, live, parts = _point_parts(p)
+    return _alpha(parts, *_rewrite_in_basis(num, live, f, base), base)
 
 
 def check_multiplicative(p: MonomialPoint, f: PolynomialSymV,
@@ -236,13 +245,13 @@ def check_multiplicative(p: MonomialPoint, f: PolynomialSymV,
     """Exact test alpha(f g) = alpha(f) alpha(g), with one basis inversion."""
     if f.nvars != p.ctx.n or g.nvars != p.ctx.n:
         raise DomainError("variable count mismatch")
-    num, d, _ = _inverse_parts(p.basis)
+    num, live, parts = _point_parts(p)
     # no total degree of f, g or f g reaches the base, so no key carries
     base = max(f.degree(), 0) + max(g.degree(), 0) + 1
-    (cf, df), (cg, dg) = (_rewrite_in_basis(num, h, base) for h in (f, g))
+    (cf, df), (cg, dg) = (_rewrite_in_basis(num, live, h, base) for h in (f, g))
     # substitution is a ring homomorphism: f g rewrites to the product, over D_f D_g
-    return (_alpha(p, d, _packed_mul(cf, cg), df * dg, base)
-            == _alpha(p, d, cf, df, base) * _alpha(p, d, cg, dg, base))
+    return (_alpha(parts, _packed_mul(cf, cg), df * dg, base)
+            == _alpha(parts, cf, df, base) * _alpha(parts, cg, dg, base))
 
 
 def monomial_class_equals(p1: MonomialPoint, p2: MonomialPoint) -> bool:

@@ -335,39 +335,49 @@ def _monomial_of_degree(rng, n, degree):
     return tuple(nu)
 
 
-def _prefix_sharing_poly(rng, n, degree, count):
+def _prefix_sharing_poly(rng, n, degree, count, p):
     # a term of the given degree and neighbours that agree with it on a
-    # prefix of the exponents, so the sorted terms share prefixes
+    # prefix of the exponents, so the sorted terms share prefixes; some
+    # neighbours carry p^2 or p^3, so an upper bound that assumes v(c) = 0
+    # can make them look larger than they are
     head = _monomial_of_degree(rng, n, degree)
     terms = {head: rand_fraction(rng) or 1}
     for j in rng.sample(range(n), count):
         nu = head[:j] + _monomial_of_degree(rng, n - j, rng.randint(0, degree - sum(head[:j])))
-        terms.setdefault(nu, rand_fraction(rng) or 1)
+        terms.setdefault(nu, (rand_fraction(rng) or 1) * p ** rng.choice([0, 2, 3]))
     return polynomial(terms, n)
 
 
 def test_alpha_evaluate_matches_fraction_rewrite_up_to_the_degree_cap():
     # pure powers v_i^deg fill one packed place up to deg, so a packing base
-    # of deg rather than deg + 1 carries; half the points have a zero radius
+    # of deg rather than deg + 1 carries.  Every count of zero radii from 0
+    # to n - 1 occurs at each n.  The odd powers have an integer coefficient
+    # divisible by p^2 or p^3, so every coefficient of their rewrite is, the
+    # maximising one included: alpha must read v(c), not its bound v(c) >= 0.
     rng = random.Random(67)
-    powers = zero_radius_polys = 0
-    for n in (5, 6):
+    powers = divisible = 0
+    zero_counts = set()
+    for n in (2, 3, 4, 5, 6):
         for degree in (7, 8):
             for k in range(8):
                 ctx = PrimeContext(rng.choice([2, 3, 5]), n)
                 radii = list(rand_values(rng, n, allow_zero=False))
-                if k % 2:
-                    radii[rng.randrange(n)] = ZERO
+                for j in rng.sample(range(n), k % n):
+                    radii[j] = ZERO
+                zero_counts.add((n, k % n))
                 p = monomial_point(rand_invertible(rng, n, ctx.p, steps=rng.randint(2, 8)), radii, ctx)
-                polys = [polynomial([(tuple(degree * (j == i) for j in range(n)), rand_fraction(rng) or 1)], n)
-                         for i in range(n)]
+                coefficients = [rng.randint(1, 9) * ctx.p ** rng.randint(2, 3) if i % 2
+                                else rand_fraction(rng) or 1 for i in range(n)]
+                polys = [polynomial([(tuple(degree * (j == i) for j in range(n)), c)], n)
+                         for i, c in enumerate(coefficients)]
                 powers += len(polys)
-                polys += [_prefix_sharing_poly(rng, n, degree, 3) for _ in range(3)]
-                zero_radius_polys += 3 * (k % 2)
+                divisible += n // 2
+                polys += [_prefix_sharing_poly(rng, n, degree, min(n, 3), ctx.p) for _ in range(3)]
                 for f in polys:
                     assert f.degree() == degree
                     assert alpha_evaluate(p, f) == _reference_alpha(p, f), (p, f)
-    assert powers == 2 * 8 * (5 + 6) and zero_radius_polys == 48
+    assert zero_counts == {(n, z) for n in (2, 3, 4, 5, 6) for z in range(n)}
+    assert powers == 2 * 8 * (2 + 3 + 4 + 5 + 6) and divisible == 2 * 8 * (1 + 1 + 2 + 2 + 3)
 
 
 def test_check_multiplicative_at_the_packing_edges():
@@ -417,6 +427,38 @@ def test_check_multiplicative_inverts_once_and_rewrites_twice(monkeypatch):
         calls.clear()
         check_multiplicative(p, rand_poly(rng, 3), rand_poly(rng, 3))
         assert sorted(calls) == ["_inverse_parts", "_rewrite_in_basis", "_rewrite_in_basis"]
+
+
+def test_check_multiplicative_compares_the_fraction_rewrite_alphas(monkeypatch):
+    # the answer is True on every input, so check the three values it
+    # compares instead: alpha(f g), alpha(f) and alpha(g), in that order,
+    # at points with every count of zero radii from 0 to n - 1
+    import padicbuilding.berkovich as berkovich
+
+    alphas = []
+
+    def recorded(*args, _inner=berkovich._alpha):
+        alphas.append(_inner(*args))
+        return alphas[-1]
+
+    monkeypatch.setattr(berkovich, "_alpha", recorded)
+    rng = random.Random(79)
+    zero_counts, finite = set(), 0
+    for case in range(120):
+        n = 2 + case % 3
+        ctx = PrimeContext(rng.choice([2, 3, 5]), n)
+        radii = list(rand_values(rng, n, allow_zero=False))
+        for j in rng.sample(range(n), case // 3 % n):
+            radii[j] = ZERO
+        zero_counts.add((n, case // 3 % n))
+        p = monomial_point(rand_invertible(rng, n, ctx.p, steps=rng.randint(1, 3)), radii, ctx)
+        f, g = (rand_poly(rng, n, max_deg=3, max_terms=4) for _ in range(2))
+        alphas.clear()
+        assert check_multiplicative(p, f, g)
+        expected = [_reference_alpha(p, h) for h in (reference_product(f, g), f, g)]
+        assert alphas == expected, (p, f, g)
+        finite += any(r.is_zero for r in radii) and not expected[0].is_zero
+    assert zero_counts == {(n, z) for n in (2, 3, 4) for z in range(n)} and finite >= 40
 
 
 def test_rational_and_l_point_reductions_agree_across_e():
