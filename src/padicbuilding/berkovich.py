@@ -233,11 +233,11 @@ def alpha_evaluate(p: MonomialPoint, f: PolynomialSymV) -> LogValue:
     """
     if f.nvars != p.ctx.n:
         raise DomainError("variable count mismatch")
-    base = f.degree() + 1
-    if base > _MAX_DEGREE + 1:
-        raise DomainError(f"degree {base - 1} exceeds cap {_MAX_DEGREE}")
+    degree = f.degree()
+    if degree > _MAX_DEGREE:
+        raise DomainError(f"degree {degree} exceeds cap {_MAX_DEGREE}")
     num, live, parts = _point_parts(p)
-    return _alpha(parts, *_rewrite_in_basis(num, live, f, base), base)
+    return _alpha(parts, *_rewrite_in_basis(num, live, f, degree + 1), degree + 1)
 
 
 def check_multiplicative(p: MonomialPoint, f: PolynomialSymV,
