@@ -47,9 +47,9 @@ def apartment_point(piece, exponents) -> ApartmentPoint:
         raise DomainError("empty piece")
     if len(set(idxs)) != len(idxs) or idxs[0] < 1:
         raise DomainError(f"invalid piece {idxs}")
-    exps = [Fraction(x) for _, x in pairs]
+    exps = tuple(x if type(x) is Fraction else Fraction(x) for _, x in pairs)
     base = exps[0]
-    return ApartmentPoint(idxs, tuple(x - base for x in exps))
+    return ApartmentPoint(idxs, tuple(x - base for x in exps) if base else exps)
 
 
 def interior_point(exponents) -> ApartmentPoint:

@@ -25,6 +25,7 @@ from functools import total_ordering
 from .errors import DivisionByZeroError, DomainError, SingularMatrixError
 
 INF = math.inf
+_ZERO, _ONE = Fraction(0), Fraction(1)      # shared by identity(); Fractions are immutable
 
 
 # Miller-Rabin with the first 13 primes as bases decides primality exactly
@@ -299,7 +300,7 @@ def mat(rows) -> tuple:
 
 
 def identity(n: int) -> tuple:
-    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
+    return tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n))
 
 
 def mat_vec(m, v) -> tuple:

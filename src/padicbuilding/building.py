@@ -40,7 +40,6 @@ from .arith import (
     identity,
     mat,
     mat_det,
-    mat_mul,
     val_k,
 )
 from .errors import DomainError, SingularMatrixError, SubspaceNotPreservedError
@@ -254,7 +253,9 @@ def sigma_project(g, piece) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Random stabilizer elements (deterministic under an explicit seed)
+# Random stabilizer elements (deterministic under an explicit seed).  A product
+# is carried as its list of columns and each factor is applied as a column
+# operation, so no factor matrix is built and no matrix product runs.
 # ---------------------------------------------------------------------------
 
 def _random_unit(p: int, rng) -> int:
@@ -267,20 +268,21 @@ def _random_unit(p: int, rng) -> int:
     return sign * (k // (p - 1) * p + k % (p - 1) + 1)
 
 
-def _admissible_unipotent(x, ctx, bound, rng):
-    n = ctx.n
-    i, j = rng.sample(range(1, n + 1), 2)
+def _admissible_unipotent(cols, x, ctx, bound, rng):
+    # times 1 + omega e_ij: column j gains omega times column i
+    i, j = rng.sample(range(1, ctx.n + 1), 2)
     f = f_point(x, Root(i, j))
     if f == INF:
-        return identity(n)
+        return
     lo = -bound if f == -INF else ceil(f)
     v = rng.randint(lo, lo + bound)
     omega = Fraction(rng.randint(1, ctx.p - 1)) * Fraction(ctx.p) ** v
-    return unipotent_matrix(ElementaryUnipotent(Root(i, j), omega), n)
+    cols[j - 1] = [a + omega * b if b else a for a, b in zip(cols[j - 1], cols[i - 1])]
 
 
-def _fixing_permutation(x, ctx, rng):
-    # permute indices with equal exponents, and the off-piece indices freely
+def _fixing_permutation(cols, x, ctx, rng):
+    # permute indices with equal exponents, and the off-piece indices freely;
+    # times the matrix with a 1 at (image[j], j): column j becomes column image[j]
     groups = {}
     for i in range(1, ctx.n + 1):
         key = x.exponent(i) if i in x.piece else "off"
@@ -290,22 +292,16 @@ def _fixing_permutation(x, ctx, rng):
         shuffled = members[:]
         rng.shuffle(shuffled)
         image.update(dict(zip(members, shuffled)))
-    rows = [[Fraction(0)] * ctx.n for _ in range(ctx.n)]
-    for j in range(1, ctx.n + 1):
-        rows[image[j] - 1][j - 1] = Fraction(1)
-    return mat(rows)
+    cols[:] = [cols[image[j] - 1] for j in range(1, ctx.n + 1)]
 
 
-def _fixing_diagonal(x, ctx, bound, rng):
-    # units everywhere; off the piece any p-power is allowed
-    diag = []
+def _fixing_diagonal(cols, x, ctx, bound, rng):
+    # units everywhere; off the piece any p-power is allowed; column i scales by the i-th
     for i in range(1, ctx.n + 1):
         d = Fraction(_random_unit(ctx.p, rng))
         if i not in x.piece:
             d *= Fraction(ctx.p) ** rng.randint(-bound, bound)
-        diag.append(d)
-    return mat([[diag[a] if a == b else Fraction(0) for b in range(ctx.n)]
-                for a in range(ctx.n)])
+        cols[i - 1] = [d * a if a else a for a in cols[i - 1]]
 
 
 def sample_P_x_generators(x: ApartmentPoint, count: int, bound: int,
@@ -313,25 +309,28 @@ def sample_P_x_generators(x: ApartmentPoint, count: int, bound: int,
     """Random products of admissible unipotents and monomials fixing x.
 
     Every returned matrix stabilizes the class of phi(x); an empty factor
-    list yields the identity.  `bound` caps valuations and unit sizes.
+    list yields the identity.  `bound` >= 0 caps valuations and unit sizes.
+    Each factor is applied to the product's columns as a column operation.
     """
     if count < 1:
         raise DomainError("count must be >= 1")
+    if bound < 0:
+        raise DomainError("bound must be >= 0")
     if x.piece[-1] > ctx.n:             # pieces are sorted and start at 1 or above
         raise DomainError(f"piece {x.piece} has an index outside 1..{ctx.n}")
     rng = random.Random(seed)
     out = []
     for _ in range(count):
-        g = identity(ctx.n)
+        cols = list(identity(ctx.n))    # the identity's rows are its columns
         for _ in range(rng.randint(0, 3)):
             kind = rng.randrange(3)
             if kind == 0:
-                factor = _admissible_unipotent(x, ctx, bound, rng)
+                _admissible_unipotent(cols, x, ctx, bound, rng)
             elif kind == 1:
-                factor = _fixing_permutation(x, ctx, rng)
+                _fixing_permutation(cols, x, ctx, rng)
             else:
-                factor = _fixing_diagonal(x, ctx, bound, rng)
-            g = mat_mul(g, factor)
+                _fixing_diagonal(cols, x, ctx, bound, rng)
+        g = tuple(zip(*cols))
         if mat_det(g) == 0:
             raise SingularMatrixError("sampler produced a singular matrix")
         out.append(g)

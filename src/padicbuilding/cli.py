@@ -21,6 +21,7 @@ from .errors import DomainError, ParseError
 _CAPS = {"--n": 64, "--e": 64, "--count": 1000, "--bound": 64}
 # An @file payload longer than this is exit 3; it fits a 64 x 64 matrix of 1000-digit rationals.
 _PAYLOAD_BYTES = 16 << 20
+_ENCODER = json.JSONEncoder(sort_keys=True)       # writes both envelopes
 
 
 class _Parser(argparse.ArgumentParser):
@@ -252,13 +253,12 @@ def main(argv=None) -> int:
         "result": result,
         "regauged": req.regauged,
     }
-    print(json.dumps(envelope, sort_keys=True))
+    print(_ENCODER.encode(envelope))
     return 0
 
 
 def _fail(code, message, status):
-    print(json.dumps({"ok": False, "error": code, "message": message},
-                     sort_keys=True), file=sys.stderr)
+    print(_ENCODER.encode({"ok": False, "error": code, "message": message}), file=sys.stderr)
     return status
 
 

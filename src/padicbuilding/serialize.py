@@ -29,13 +29,12 @@ def _is_int_array(doc) -> bool:
 
 
 def frac_to_str(x) -> str:
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
+    return f"{x.numerator}/{x.denominator}"     # an int or a Fraction, both kept in lowest terms
 
 
 _MAX_DIGITS = 1000
 _INT_BOUND = 10 ** _MAX_DIGITS
-_RATIONAL = re.compile(r"-?[0-9]{1,%d}(/[0-9]{1,%d})?" % (_MAX_DIGITS, _MAX_DIGITS))
+_RATIONAL = re.compile(r"(-?[0-9]{1,%d})(?:/([0-9]{1,%d}))?" % (_MAX_DIGITS, _MAX_DIGITS))
 
 
 def frac_from_str(doc, where="rational") -> Fraction:
@@ -45,12 +44,13 @@ def frac_from_str(doc, where="rational") -> Fraction:
         if abs(doc) >= _INT_BOUND:
             raise ParseError(f"integer has more than {_MAX_DIGITS} digits", where)
         return Fraction(doc)
-    if _RATIONAL.fullmatch(doc) is None:
+    match = _RATIONAL.fullmatch(doc)
+    if match is None:
         raise ParseError(f"bad rational {doc[:40]!r}: expected -?digits(/digits)? "
                          f"with at most {_MAX_DIGITS} digits per part", where)
-    num, _, den = doc.partition("/")
-    try:
-        return Fraction(int(num), int(den or 1))
+    num, den = match.groups()
+    try:     # an integer, from JSON or without "/den", is already in lowest terms
+        return Fraction(int(num), int(den)) if den else Fraction(int(num))
     except ZeroDivisionError as exc:
         raise ParseError(f"bad rational {doc!r}: {exc}", where)
 

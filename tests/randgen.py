@@ -1,7 +1,8 @@
 """Seeded random generators shared by the test modules."""
 
+import random
 from fractions import Fraction
-from math import ceil
+from math import ceil, inf
 
 from padicbuilding import (
     ElementaryUnipotent,
@@ -111,6 +112,55 @@ def violating_unipotent(rng, x, ctx):
         j = rng.choice(outside)
         omega = Fraction(ctx.p) ** rng.randint(-2, 2)
     return unipotent_matrix(ElementaryUnipotent(Root(i, j), omega), ctx.n)
+
+
+def reference_sample_P_x(x, count, bound, ctx, seed=0):
+    """The P_x sampler as a product of dense factor matrices.
+
+    It draws from `random.Random(seed)` in the library's order, with the unit
+    drawn by `choice` over the whole unit list, so only small primes are
+    practical.  Each factor is built as a matrix and multiplied on the right.
+    """
+    n, p = ctx.n, ctx.p
+    units = [c for c in range(1, p * p) if c % p != 0]
+    units += [-c for c in units]
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        g = identity(n)
+        for _ in range(rng.randint(0, 3)):
+            kind = rng.randrange(3)
+            if kind == 0:
+                i, j = rng.sample(range(1, n + 1), 2)
+                f = f_point(x, Root(i, j))
+                if f == inf:
+                    continue
+                lo = -bound if f == -inf else ceil(f)
+                v = rng.randint(lo, lo + bound)
+                omega = Fraction(rng.randint(1, p - 1)) * Fraction(p) ** v
+                factor = unipotent_matrix(ElementaryUnipotent(Root(i, j), omega), n)
+            elif kind == 1:
+                groups = {}
+                for i in range(1, n + 1):
+                    groups.setdefault(x.exponent(i) if i in x.piece else "off", []).append(i)
+                image = {}
+                for members in groups.values():
+                    shuffled = members[:]
+                    rng.shuffle(shuffled)
+                    image.update(zip(members, shuffled))
+                factor = mat([[1 if a == image[b] else 0 for b in range(1, n + 1)]
+                              for a in range(1, n + 1)])
+            else:
+                diag = []
+                for i in range(1, n + 1):
+                    d = Fraction(rng.choice(units))
+                    if i not in x.piece:
+                        d *= Fraction(p) ** rng.randint(-bound, bound)
+                    diag.append(d)
+                factor = mat([[diag[a] if a == b else 0 for b in range(n)] for a in range(n)])
+            g = mat_mul(g, factor)
+        out.append(g)
+    return out
 
 
 def rand_values(rng, n, allow_zero=True):

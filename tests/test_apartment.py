@@ -49,6 +49,22 @@ def test_gauge_normalization():
         apartment_point([1, 1], [0, 0])
 
 
+def test_gauge_matches_the_always_subtracting_normalization():
+    # int, Fraction and mixed exponents, with zero and nonzero gauges at min(I)
+    rng = random.Random(14)
+    cases = [([1, 2, 3], [0, 2, -1]), ([3, 1], [2, Fraction(-7, 3)]), ([2], [4]),
+             ([2, 4], [Fraction(0), 5]), ([1, 3], [Fraction(1, 2), Fraction(1)])]
+    for _ in range(300):
+        piece = rng.sample(range(1, 7), rng.randint(1, 6))
+        cases.append((piece, [rng.choice([rng.randint(-3, 3), rand_fraction(rng)])
+                              if rng.random() < 0.8 else 0 for _ in piece]))
+    for piece, exps in cases:
+        pairs = sorted(zip(piece, exps))
+        x = apartment_point(piece, exps)
+        assert x.exponents == tuple(Fraction(t) - Fraction(pairs[0][1]) for _, t in pairs)
+        assert all(type(t) is Fraction for t in x.exponents)
+
+
 def test_root_eval_examples():
     x = interior_point([0, 1])
     assert root_eval(Root(1, 2), x) == -1

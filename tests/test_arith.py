@@ -483,6 +483,15 @@ def test_mat_mul_agrees_with_fraction_products():
         assert all(type(x) is Fraction for row in got for x in row)
 
 
+def test_identity_equals_the_fresh_fraction_matrix():
+    # identity shares two Fraction constants; the matrix is the same as built afresh
+    for n in range(7):
+        got = identity(n)
+        assert got == tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
+        assert all(type(x) is Fraction for row in got for x in row)
+        assert mat_mul(got, got) == got
+
+
 def _trial_division(m):
     return m >= 2 and all(m % d for d in range(2, math.isqrt(m) + 1))
 

@@ -42,6 +42,7 @@ from randgen import (
     rand_invertible,
     rand_monomial,
     rand_point,
+    reference_sample_P_x,
     violating_unipotent,
 )
 
@@ -280,6 +281,29 @@ def test_random_unit_draws_what_choice_over_the_unit_list_draws():
         pool = units + [-c for c in units]
         a, b = random.Random(p), random.Random(p)
         assert [_random_unit(p, a) for _ in range(500)] == [b.choice(pool) for _ in range(500)]
+
+
+def test_sampler_matches_the_matrix_product_reference():
+    # 2 000 cases: n = 2..6, p in {2, 3, 5, 7}, every bound 0..4 and count 1..5,
+    # interior and boundary pieces
+    rng = random.Random(14)
+    for n in range(2, 7):
+        for p in (2, 3, 5, 7):
+            ctx = PrimeContext(p, n)
+            for k in range(100):
+                x = rand_point(rng, n, interior=k % 2 == 0)
+                bound, count, seed = k % 5, k // 20 + 1, rng.randrange(1 << 30)
+                got = sample_P_x_generators(x, count, bound, ctx, seed)
+                assert got == reference_sample_P_x(x, count, bound, ctx, seed)
+                assert all(type(a) is Fraction for g in got for row in g for a in row)
+
+
+def test_sampler_refuses_a_negative_bound_whatever_the_seed():
+    # before any draw: the answer used to depend on whether a draw reached randint(lo, lo - 1)
+    x = interior_point([0, 1, 2])
+    for seed in range(40):
+        with pytest.raises(DomainError, match="bound must be >= 0"):
+            sample_P_x_generators(x, 1, -1, PrimeContext(3, 3), seed)
 
 
 def test_sample_generators_at_a_large_prime():

@@ -349,6 +349,20 @@ def test_rational_grammar_is_strict():
             ser.frac_from_str(bad)
 
 
+def test_rational_reader_and_writer_agree_with_fraction():
+    # the reader builds the Fraction from its regex groups, without a gcd for an integer;
+    # the writer prints an int and the equal Fraction alike
+    digits = "9" * 999 + "6"
+    for text in ("-0/5", "007/014", "12", "-12", "0", "-0", digits, "-" + digits,
+                 digits + "/" + "0" * 999 + "8", "-" + "3" * 1000 + "/" + digits):
+        got = ser.frac_from_str(text)
+        assert type(got) is Fraction and got == Fraction(text)
+    for k in (0, 12, -12, 10 ** 999):
+        got = ser.frac_from_str(k)
+        assert type(got) is Fraction and got == Fraction(k)
+        assert ser.frac_to_str(k) == ser.frac_to_str(Fraction(k)) == f"{k}/1"
+
+
 def test_cli_rejects_exponent_grammar(capsys):
     code, out, err = run(capsys, "phi", "--p", "2", "--n", "2",
                          "--point", '{"I":[1,2],"x":["0/1","1e3"]}')

@@ -35,7 +35,14 @@ def _labelled_by_flag(code, out, err):
         "--m.trans: translation must be an array"
 
 
-CHANGED = {"help": _usage, "no-arguments": _usage, "trans-not-array": _labelled_by_flag}
+def _bound_refused(code, out, err):
+    # a negative --bound is refused before any draw; it used to leak randrange's ValueError
+    return code == 2 and not out and json.loads(err) == \
+        {"ok": False, "error": "Domain", "message": "bound must be >= 0"}
+
+
+CHANGED = {"help": _usage, "no-arguments": _usage, "trans-not-array": _labelled_by_flag,
+           "bound-negative": _bound_refused}
 
 
 def _run(case, tmp_path):
