@@ -4,13 +4,14 @@ Every subcommand takes the configuration flags --p --n [--e] plus payload
 flags holding inline JSON or @file references, and writes a single JSON
 envelope to stdout.  Exit codes: 0 ok, 2 domain error, 3 parse error,
 4 unknown command.  Randomized commands require an explicit --seed so
-runs are reproducible.  `COMMANDS` declares each command once.
+runs are reproducible.  `COMMANDS` declares each command once; `_parse` reads
+flags with argparse's grammar and messages, without argparse.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
 
 from . import apartment, berkovich, building, seminorm, serialize
@@ -22,11 +23,7 @@ _CAPS = {"--n": 64, "--e": 64, "--count": 1000, "--bound": 64}
 # An @file payload longer than this is exit 3; it fits a 64 x 64 matrix of 1000-digit rationals.
 _PAYLOAD_BYTES = 16 << 20
 _ENCODER = json.JSONEncoder(sort_keys=True)       # writes both envelopes
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise ParseError(message, self.prog)
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")    # argparse reads such a token as a value
 
 
 def _given(value, where):
@@ -121,7 +118,10 @@ class _Request:
         return doc
 
     def vector(self, doc, where):
-        return serialize.vector_from_doc(doc, where)
+        v = serialize.vector_from_doc(doc, where)
+        if len(v) != self.n:
+            raise DomainError(f"{where}: expected {self.n} entries, got {len(v)}")
+        return v
 
     def vectors(self, doc, where):
         return serialize.matrix_from_doc(doc, where)
@@ -170,7 +170,7 @@ def _sample(ctx, x, count, bound, seed):
 
 
 # command -> (handler, {flag: reader}, summary).  A reader names a _Request method, or is
-# int or str for a flag passed on as argparse parsed it; a flag in brackets is optional.
+# int or str for a flag passed on as _parse read it; a flag in brackets is optional.
 # The handler gets ctx and the decoded payloads in flag order and returns the result.
 COMMANDS = {
     "phi": (lambda ctx, x: serialize.seminorm_to_doc(seminorm.phi_from_apartment(x, ctx)),
@@ -203,19 +203,61 @@ COMMANDS = {
 }
 
 
-def _parser(cmd, flags):
-    parser = _Parser(prog=f"padicbuilding {cmd}", add_help=False)
-    parser.add_argument("--p", type=int, required=True)
-    parser.add_argument("--n", type=int, required=True)
-    parser.add_argument("--e", type=int, default=1)
-    for flag, reader in flags.items():
-        name = flag.strip("[]")
-        typed = {"type": int, "required": name == flag} if reader is int else {}
-        parser.add_argument(name, dest=name, **typed)
-    return parser
+def _flag_table(flags):
+    """{option: (dest, is int)} in argparse's order, the defaults and the required options."""
+    table = {"--p": ("p", True), "--n": ("n", True), "--e": ("e", True)}
+    table.update((f.strip("[]"), (f.strip("[]"), r is int)) for f, r in flags.items())
+    required = ["--p", "--n"] + [f for f, r in flags.items() if r is int and f[0] != "["]
+    return table, {**dict.fromkeys(dest for dest, _ in table.values()), "e": 1}, required
 
 
-_PARSERS = {cmd: _parser(cmd, flags) for cmd, (_, flags, _) in COMMANDS.items()}
+_FLAGS = {cmd: _flag_table(flags) for cmd, (_, flags, _) in COMMANDS.items()}
+
+
+def _option(token, table, where):
+    """None for a value, else (the option or None if unknown, its `=` value or None)."""
+    if token[:1] != "-" or token == "-":
+        return None
+    name, eq, value = token.partition("=")
+    matches = [name] if name in table else [option for option in table if option.startswith(name)]
+    if len(matches) > 1:
+        raise ParseError(f"ambiguous option: {token} could match {', '.join(matches)}", where)
+    if matches:
+        return matches[0], value if eq else None
+    return None if " " in token or _NEGATIVE.match(token) else (None, None)
+
+
+def _parse(cmd, flags, argv):
+    """argv as argparse read it, with its errors in argparse's order: an ambiguous prefix
+    anywhere, a missing or non-int value, a missing required flag, unrecognized tokens."""
+    table, defaults, required = flags
+    where = f"padicbuilding {cmd}"
+    end = argv.index("--") if "--" in argv else len(argv)      # `--` and all after it are extras
+    found = [_option(token, table, where) for token in argv[:end]] + [(None, None)]
+    args, extras, k = dict(defaults), [], 0
+    while k < end:
+        option, value = found[k] or (None, None)
+        k += 1
+        if option is None:
+            extras.append(argv[k - 1])
+            continue
+        if value is None:
+            if found[k] is not None:
+                raise ParseError(f"argument {option}: expected one argument", where)
+            value, k = argv[k], k + 1
+        dest, is_int = table[option]
+        try:
+            args[dest] = int(value) if is_int else value
+        except ValueError:
+            raise ParseError(f"argument {option}: invalid int value: {value!r}", where)
+    missing = [option for option in required if args[table[option][0]] is None]
+    if missing:
+        raise ParseError(f"the following arguments are required: {', '.join(missing)}", where)
+    extras += argv[end:]
+    if extras:
+        raise ParseError(f"unrecognized arguments: {' '.join(extras)}", where)
+    return args
+
 
 _HELP = "\n".join(
     ["usage: padicbuilding COMMAND --p P --n N [--e E] [payload flags]", "", "commands:"]
@@ -226,8 +268,7 @@ _HELP = "\n".join(
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = sys.argv[1:] if argv is None else argv
     if not argv or argv[0] in ("-h", "--help"):
         print(_HELP)
         return 0
@@ -236,7 +277,7 @@ def main(argv=None) -> int:
         return _fail("UnknownCommand", f"unknown command {cmd!r}", 4)
     handler, flags, _ = COMMANDS[cmd]
     try:
-        args = vars(_PARSERS[cmd].parse_args(argv[1:]))
+        args = _parse(cmd, _FLAGS[cmd], argv[1:])
         ctx = PrimeContext(args["p"], _capped(args["n"], "--n"), _capped(args["e"], "--e"))
         req = _Request(ctx)
         result = handler(ctx, *[req.read(flag, reader, args) for flag, reader in flags.items()])
@@ -246,14 +287,8 @@ def main(argv=None) -> int:
         name = type(exc).__name__
         code = name[:-5] if name.endswith("Error") else name
         return _fail(code or "Domain", str(exc), 2)
-    envelope = {
-        "ok": True,
-        "command": cmd,
-        "config": {"p": ctx.p, "n": ctx.n, "e": ctx.e},
-        "result": result,
-        "regauged": req.regauged,
-    }
-    print(_ENCODER.encode(envelope))
+    print(_ENCODER.encode({"ok": True, "command": cmd, "result": result, "regauged": req.regauged,
+                           "config": {"p": ctx.p, "n": ctx.n, "e": ctx.e}}))
     return 0
 
 

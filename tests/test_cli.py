@@ -337,6 +337,19 @@ def test_cli_fsigma_checks_root_range(capsys):
     assert code == 0 and out["result"] == {"f": "0/1"}
 
 
+def test_cli_ray_limit_checks_direction_length(capsys):
+    # under --n 5 this x0 is a boundary point; a short --d used to answer in dimension 3
+    x0 = '{"I":[1,2,3],"x":["0","1","2"]}'
+    code, out, err = run(capsys, "ray-limit", "--p", "2", "--n", "5",
+                         "--x0", x0, "--d", '["0","0","1"]')
+    assert code == 2 and out is None
+    assert err == {"ok": False, "error": "Domain", "message": "--d: expected 5 entries, got 3"}
+    code, out, err = run(capsys, "ray-limit", "--p", "2", "--n", "5",
+                         "--x0", x0, "--d", '["0","0","1","0","0"]')
+    assert code == 2 and out is None and err["error"] == "Domain"
+    assert err["message"] == "ray base point must be interior; project first"
+
+
 def test_rational_grammar_is_strict():
     for good, value in (("3", 3), ("-7/21", Fraction(-1, 3)), ("0/5", 0), (12, 12),
                         ("9" * 1000 + "/" + "1" * 1000, Fraction(10 ** 1000 - 1, (10 ** 1000 - 1) // 9))):

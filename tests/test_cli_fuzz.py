@@ -4,7 +4,9 @@ Hypothesis (derandomized, so CI sees the same examples on every run)
 builds requests from the command table: a command or an unknown word, the
 configuration flags, and for each payload flag either a document of the
 shape its reader expects (sized for --n most of the time), some other JSON
-value, a non-JSON string, or nothing.  Every answer must be exit code 0,
+value, a non-JSON string, or nothing.  Each flag is spelled exactly, by a
+unique prefix or as `--flag=value`, and some requests end in `--`, `-h`, a
+bare word or a flag with no value.  Every answer must be exit code 0,
 2, 3 or 4 with exactly one JSON envelope, on stdout for 0 and on stderr
 otherwise.
 """
@@ -17,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padicbuilding.cli import COMMANDS, main
+from test_cli_parse import spellings
 
 GOOD_RATIONAL = st.builds(lambda a, b, slash: f"{a}/{b}" if slash else a,
                           st.integers(-9, 9), st.integers(1, 4), st.booleans())
@@ -87,6 +90,15 @@ def _reduce_payload(draw, name, n, e, rat):
     return json.dumps(doc)
 
 
+def _spelled(draw, flag, value, table):
+    """`flag value`, the flag exact or cut to a prefix no other flag of `table` has, or
+    `flag=value`."""
+    how = draw(st.integers(0, 2))
+    if how == 2:
+        return [f"{flag}={value}"]
+    return [draw(st.sampled_from(spellings(flag, table))) if how else flag, value]
+
+
 @st.composite
 def requests(draw):
     cmd = draw(st.sampled_from(sorted(COMMANDS) + ["zap"]))
@@ -94,12 +106,16 @@ def requests(draw):
     bad = draw(st.integers(0, 9))
     n = draw(st.sampled_from([1, 0, 65] if bad == 4 else [2, 3, 4]))
     e = draw(st.sampled_from([0, 65] if bad == 5 else [1, 2]))
-    argv = [cmd, "--p", str(draw(st.sampled_from([4, 1, -3] if bad == 6 else [2, 3, 5]))),
-            "--n", str(n), "--e", str(e)]
+    flags = COMMANDS[cmd][1] if cmd in COMMANDS else {}
+    table = ["--p", "--n", "--e"] + [flag.strip("[]") for flag in flags]
+    p = draw(st.sampled_from([4, 1, -3] if bad == 6 else [2, 3, 5]))
+    argv = [cmd]
+    for flag, value in (("--p", p), ("--n", n), ("--e", e)):
+        argv += _spelled(draw, flag, str(value), table)
     size = n if 1 <= n <= 4 and draw(st.integers(0, 5)) else draw(st.integers(1, 4))
     degree = e if 1 <= e <= 2 else 2
     rat = RATIONAL if draw(st.booleans()) else GOOD_RATIONAL
-    for flag, reader in (COMMANDS[cmd][1] if cmd in COMMANDS else {}).items():
+    for flag, reader in flags.items():
         name = flag.strip("[]")
         choice = draw(st.integers(0, 19))    # 9: other JSON, 10: not JSON, 11: flag left out
         if choice == 11:
@@ -114,9 +130,11 @@ def requests(draw):
             value = draw(st.sampled_from(["", "{", "[1,", "@/nonexistent", "nul", "'x'"]))
         else:
             value = json.dumps(_doc(draw, reader, size, degree, rat))
-        argv += [name, value]
+        argv += _spelled(draw, name, value, table)
     if draw(st.integers(0, 19)) == 7:
         argv += ["--zap", "1"]
+    if draw(st.integers(0, 9)) == 3:
+        argv.append(draw(st.sampled_from(["--", "-h", "zap"] + table)))
     return argv
 
 

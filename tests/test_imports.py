@@ -5,10 +5,14 @@ deletion cannot leave an import behind.  `__init__.py` re-exports by
 importing and is skipped; an import line marked `# noqa: F401` is exempt.
 Likewise every module-level private function and constant is referenced
 somewhere in the package besides its own definition, so that a deletion
-cannot leave a helper behind.
+cannot leave a helper behind.  And the command line reads its flags without
+importing argparse.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -91,3 +95,12 @@ def test_a_dead_private_helper_is_caught(tmp_path):
                  "def public(x):\n    return _used(x) + a._by_attribute()\n", encoding="utf-8")
     assert _dead_private_helpers([a, b]) == [("a.py", 2, "_SPARE"), ("a.py", 8, "_recursive"),
                                              ("a.py", 11, "_dead")]
+
+
+def test_the_cli_does_not_import_argparse():
+    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    code = "import sys, padicbuilding.cli; print('argparse' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout == "False\n"
