@@ -139,6 +139,8 @@ def nu_translation(diag, ctx: PrimeContext) -> MonomialElement:
     ds = [Fraction(d) for d in diag]
     if any(d == 0 for d in ds):
         raise ZeroDiagonalError("diagonal entry is zero")
+    if len(ds) != ctx.n:
+        raise DomainError(f"diagonal has {len(ds)} entries, expected {ctx.n}")
     return monomial_element(range(1, len(ds) + 1), [-val_k(d, ctx) for d in ds])
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 
-from .errors import DivisionByZeroError, DomainError, SingularMatrixError
+from .errors import DomainError, SingularMatrixError
 
 INF = math.inf
 _ZERO, _ONE = Fraction(0), Fraction(1)      # shared by identity(); Fractions are immutable
@@ -253,28 +253,6 @@ def l_mul(z: LScalar, w: LScalar, ctx: PrimeContext) -> LScalar:
 def l_scale(c, z: LScalar) -> LScalar:
     c = Fraction(c)
     return LScalar(tuple(c * a for a in z.coeffs))
-
-
-def _l_mul_matrix(z: LScalar, ctx: PrimeContext):
-    # matrix of multiplication by z on L viewed as K^e (power basis)
-    e, p = ctx.e, ctx.p
-    rows = [[Fraction(0)] * e for _ in range(e)]
-    for i, a in enumerate(z.coeffs):
-        if a == 0:
-            continue
-        for j in range(e):
-            k = i + j
-            rows[k % e][j] += a * (p ** (k // e))
-    return tuple(tuple(r) for r in rows)
-
-
-def l_inv(z: LScalar, ctx: PrimeContext) -> LScalar:
-    """Multiplicative inverse in L; exact (z * l_inv(z) = 1)."""
-    if l_is_zero(z):
-        raise DivisionByZeroError("inverse of zero in L")
-    m = _l_mul_matrix(z, ctx)
-    one = tuple([Fraction(1)] + [Fraction(0)] * (ctx.e - 1))
-    return LScalar(solve_linear(m, one))
 
 
 def k_rank(zs, ctx: PrimeContext) -> int:

@@ -221,6 +221,8 @@ def in_U_a_sigma(u: ElementaryUnipotent, points, ctx: PrimeContext) -> bool:
     The conventions for infinite thresholds fall out of v(0) = +infinity:
     threshold +infinity admits only the identity, -infinity admits all.
     """
+    if not {u.root.i, u.root.j} <= set(range(1, ctx.n + 1)):
+        raise DomainError(f"root ({u.root.i}, {u.root.j}) has an index outside 1..{ctx.n}")
     return val_k(u.entry, ctx) >= f_sigma(points, u.root)
 
 

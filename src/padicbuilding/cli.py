@@ -4,8 +4,11 @@ Every subcommand takes the configuration flags --p --n [--e] plus payload
 flags holding inline JSON or @file references, and writes a single JSON
 envelope to stdout.  Exit codes: 0 ok, 2 domain error, 3 parse error,
 4 unknown command.  Randomized commands require an explicit --seed so
-runs are reproducible.  `COMMANDS` declares each command once; `_parse` reads
-flags with argparse's grammar and messages, without argparse.
+runs are reproducible.  A payload its mode does not read is exit 3, not
+dropped: `act --m` takes no --g or --seminorm, `act --g` no --point, and
+`reduce` takes --mp only with --kind monomial and --z only without it.
+`COMMANDS` declares each command once; `_parse` reads flags with argparse's
+grammar and messages, without argparse.
 """
 
 from __future__ import annotations
@@ -133,10 +136,18 @@ class _Request:
         return serialize.lfunctional_from_doc(doc, self.ctx, where)
 
 
+def _unread(payloads, mode):
+    for flag, value in payloads.items():
+        if value is not None:
+            raise ParseError(f"not read with {mode}", flag)
+
+
 def _act(ctx, m, x, g, s):
     if m is not None:
+        _unread({"--g": g, "--seminorm": s}, "--m")
         return serialize.apartment_point_to_doc(apartment.act_monomial(m, _given(x, "--point")))
     if g is not None:
+        _unread({"--point": x}, "--g")
         b = building.act_group(g, building.building_point(_given(s, "--seminorm")))
         return serialize.building_point_to_doc(b)
     raise ParseError("act needs either --m with --point or --g with --seminorm")
@@ -145,11 +156,14 @@ def _act(ctx, m, x, g, s):
 def _reduce(ctx, kind, mp, z):
     # the kind says how to read the payload: --z is a rational vector or an L-functional
     if kind == "monomial":
+        _unread({"--z": z}, "--kind monomial")
         b = berkovich.r_reduce_monomial(
             serialize.monomial_point_from_doc(_payload(mp, "--mp"), ctx, "--mp"))
     elif kind == "rational":
+        _unread({"--mp": mp}, "--kind rational")
         b = berkovich.r_reduce_rational(serialize.vector_from_doc(_payload(z, "--z"), "--z"), ctx)
     elif kind == "l-point":
+        _unread({"--mp": mp}, "--kind l-point")
         zf = serialize.lfunctional_from_doc(_payload(z, "--z"), ctx, "--z")
         b = berkovich.r_reduce_L_point(zf)
     else:

@@ -5,10 +5,6 @@ class DomainError(Exception):
     """Base class for violated mathematical preconditions."""
 
 
-class DivisionByZeroError(DomainError):
-    pass
-
-
 class SingularMatrixError(DomainError):
     pass
 

@@ -402,6 +402,8 @@ def pullback_from_functional(zs, ctx: PrimeContext) -> DiagonalSeminorm:
 
 def pullback_value(zs, v, ctx: PrimeContext) -> LogValue:
     """Direct evaluation q^(-val_L(z(v))), the oracle for the pullback."""
+    if len(zs) != ctx.n or len(v) != ctx.n:
+        raise DomainError(f"functional has {len(zs)} entries, vector {len(v)}: expected {ctx.n}")
     acc = l_scalar([0], ctx)
     for z, x in zip(zs, v):
         acc = l_add(acc, l_scale(x, z))

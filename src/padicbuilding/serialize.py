@@ -28,6 +28,14 @@ def _is_int_array(doc) -> bool:
     return isinstance(doc, list) and all(type(i) is int for i in doc)
 
 
+def _built(where, build, *args):
+    # build(*args) from decoded parts; the library's refusal of them is a ParseError at where
+    try:
+        return build(*args)
+    except (DomainError, ValueError) as exc:
+        raise ParseError(str(exc), where)
+
+
 def frac_to_str(x) -> str:
     return f"{x.numerator}/{x.denominator}"     # an int or a Fraction, both kept in lowest terms
 
@@ -102,10 +110,7 @@ def lscalar_from_doc(doc, ctx, where="scalar") -> arith.LScalar:
     if not isinstance(doc, list):
         raise ParseError("expected a coefficient array", where)
     coeffs = [frac_from_str(x, f"{where}[{k}]") for k, x in enumerate(doc)]
-    try:
-        return arith.l_scalar(coeffs, ctx)
-    except ValueError as exc:
-        raise ParseError(str(exc), where)
+    return _built(where, arith.l_scalar, coeffs, ctx)
 
 
 def apartment_point_to_doc(x: apartment.ApartmentPoint):
@@ -124,10 +129,7 @@ def apartment_point_from_doc(doc, where="point"):
     exps = [frac_from_str(t, f"{where}.x[{k}]") for k, t in enumerate(doc["x"])]
     if len(exps) != len(piece):
         raise ParseError("piece and exponent lengths differ", where)
-    try:
-        point = apartment.apartment_point(piece, exps)
-    except DomainError as exc:
-        raise ParseError(str(exc), where)
+    point = _built(where, apartment.apartment_point, piece, exps)
     given = dict(zip(piece, exps))
     regauged = any(point.exponent(i) != given[i] for i in point.piece)
     return point, regauged
@@ -141,10 +143,7 @@ def monomial_from_doc(doc, where="monomial"):
     if not isinstance(doc["trans"], list):
         raise ParseError("translation must be an array", where + ".trans")
     trans = [frac_from_str(t, f"{where}.trans[{k}]") for k, t in enumerate(doc["trans"])]
-    try:
-        m = apartment.monomial_element(doc["perm"], trans)
-    except DomainError as exc:
-        raise ParseError(str(exc), where)
+    m = _built(where, apartment.monomial_element, doc["perm"], trans)
     regauged = tuple(trans) != m.trans
     return m, regauged
 
@@ -152,10 +151,7 @@ def monomial_from_doc(doc, where="monomial"):
 def root_from_doc(doc, where="root"):
     if not (_is_int_array(doc) and len(doc) == 2):
         raise ParseError("expected [i, j]", where)
-    try:
-        return apartment.Root(doc[0], doc[1])
-    except DomainError as exc:
-        raise ParseError(str(exc), where)
+    return _built(where, apartment.Root, doc[0], doc[1])
 
 
 def box_from_doc(doc, where="box"):
@@ -169,10 +165,7 @@ def box_from_doc(doc, where="box"):
             raise ParseError("expected [lo, hi]", f"{where}.intervals[{k}]")
         ivs.append((frac_from_str(pair[0], f"{where}.intervals[{k}][0]"),
                     frac_from_str(pair[1], f"{where}.intervals[{k}][1]")))
-    try:
-        return apartment.open_box(ivs)
-    except DomainError as exc:
-        raise ParseError(str(exc), where)
+    return _built(where, apartment.open_box, ivs)
 
 
 def seminorm_to_doc(g: seminorm.DiagonalSeminorm):
@@ -180,15 +173,18 @@ def seminorm_to_doc(g: seminorm.DiagonalSeminorm):
             "values": [logvalue_to_doc(v) for v in g.values]}
 
 
-def seminorm_from_doc(doc, ctx, where="seminorm"):
-    if not isinstance(doc, dict) or not {"basis", "values"} <= set(doc):
-        raise ParseError("expected {\"basis\": ..., \"values\": [...]}", where)
+def _basis_and_values(doc, key, where):
+    # {"basis": matrix, key: [LogValue, ...]}, the shape of seminorms and monomial points
+    if not isinstance(doc, dict) or not {"basis", key} <= set(doc):
+        raise ParseError(f"expected {{\"basis\": ..., \"{key}\": [...]}}", where)
     basis = matrix_from_doc(doc["basis"], where + ".basis")
-    if not isinstance(doc["values"], list):
-        raise ParseError("values must be an array", where + ".values")
-    values = [logvalue_from_doc(v, f"{where}.values[{k}]")
-              for k, v in enumerate(doc["values"])]
-    return seminorm.diagonal_seminorm(basis, values, ctx)
+    if not isinstance(doc[key], list):
+        raise ParseError(f"{key} must be an array", f"{where}.{key}")
+    return basis, [logvalue_from_doc(v, f"{where}.{key}[{k}]") for k, v in enumerate(doc[key])]
+
+
+def seminorm_from_doc(doc, ctx, where="seminorm"):
+    return seminorm.diagonal_seminorm(*_basis_and_values(doc, "values", where), ctx)
 
 
 def building_point_to_doc(b: building.BuildingPoint):
@@ -204,14 +200,7 @@ def monomial_point_to_doc(p: berkovich.MonomialPoint):
 
 
 def monomial_point_from_doc(doc, ctx, where="monomial-point"):
-    if not isinstance(doc, dict) or not {"basis", "radii"} <= set(doc):
-        raise ParseError("expected {\"basis\": ..., \"radii\": [...]}", where)
-    basis = matrix_from_doc(doc["basis"], where + ".basis")
-    if not isinstance(doc["radii"], list):
-        raise ParseError("radii must be an array", where + ".radii")
-    radii = [logvalue_from_doc(r, f"{where}.radii[{k}]")
-             for k, r in enumerate(doc["radii"])]
-    return berkovich.monomial_point(basis, radii, ctx)
+    return berkovich.monomial_point(*_basis_and_values(doc, "radii", where), ctx)
 
 
 def lfunctional_from_doc(doc, ctx, where="functional"):

@@ -90,6 +90,11 @@ def test_nu_translation_examples():
         nu_translation([1, 0], PrimeContext(2, 2))
 
 
+def test_nu_translation_refuses_a_size_mismatch():
+    with pytest.raises(DomainError, match="diagonal has 3 entries, expected 2"):
+        nu_translation([2, 4, 8], PrimeContext(2, 2))
+
+
 def test_act_monomial_examples():
     w = monomial_element([2, 1], [0, 0])
     x = interior_point([0, 1])

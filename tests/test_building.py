@@ -144,6 +144,12 @@ def test_in_U_a_sigma_conventions():
     assert not in_U_a_sigma(ElementaryUnipotent(Root(1, 2), Fraction(1)), [x], CTX2)
 
 
+def test_in_U_a_sigma_refuses_a_root_outside_n():
+    u = ElementaryUnipotent(Root(5, 1), Fraction(1))
+    with pytest.raises(DomainError, match=r"root \(5, 1\) has an index outside 1..2"):
+        in_U_a_sigma(u, [interior_point([0, 1])], CTX2)
+
+
 def test_in_U_a_sigma_matches_stabilizer():
     rng = random.Random(18)
     for _ in range(150):

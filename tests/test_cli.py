@@ -383,12 +383,42 @@ def test_cli_rejects_exponent_grammar(capsys):
 
 
 def test_cli_values_and_radii_must_be_arrays(capsys):
-    code, out, err = run(capsys, "phi-inv", "--p", "2", "--n", "2", "--seminorm",
-                         '{"basis":[["1/1","0/1"],["0/1","1/1"]],"values":5}')
-    assert code == 3 and out is None and err["error"] == "ParseError"
-    code, out, err = run(capsys, "reduce", "--p", "2", "--n", "2", "--kind", "monomial",
-                         "--mp", '{"basis":[["1/1","0/1"],["0/1","1/1"]],"radii":5}')
-    assert code == 3 and out is None and err["error"] == "ParseError"
+    basis = '"basis":[["1/1","0/1"],["0/1","1/1"]]'
+    for argv, key in ((("phi-inv", "--seminorm"), "values"),
+                      (("reduce", "--kind", "monomial", "--mp"), "radii")):
+        flag = argv[-1]
+        for doc, message in (
+                ("[]", f'{flag}: expected {{"basis": ..., "{key}": [...]}}'),
+                (f"{{{basis}}}", f'{flag}: expected {{"basis": ..., "{key}": [...]}}'),
+                (f'{{{basis},"{key}":5}}', f"{flag}.{key}: {key} must be an array"),
+                (f'{{{basis},"{key}":["zero",5]}}',
+                 f'{flag}.{key}[1]: expected "zero" or {{"log": "a/b"}}')):
+            code, out, err = run(capsys, argv[0], "--p", "2", "--n", "2", *argv[1:], doc)
+            assert code == 3 and out is None
+            assert err == {"ok": False, "error": "ParseError", "message": message}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("act", "--m", '{"perm":[2,1],"trans":["0/1","0/1"]}', "--point", POINT2,
+      "--g", '[["1/1","0/1"],["0/1","1/1"]]'), "--g: not read with --m"),
+    (("act", "--m", '{"perm":[2,1],"trans":["0/1","0/1"]}', "--point", POINT2,
+      "--seminorm", '{"basis":[["1/1","0/1"],["0/1","1/1"]],"values":[{"log":"0/1"},"zero"]}'),
+     "--seminorm: not read with --m"),
+    (("act", "--g", '[["1/1","0/1"],["0/1","1/1"]]', "--point", POINT2,
+      "--seminorm", '{"basis":[["1/1","0/1"],["0/1","1/1"]],"values":[{"log":"0/1"},"zero"]}'),
+     "--point: not read with --g"),
+    (("reduce", "--kind", "monomial", "--z", '["1/1","0/1"]',
+      "--mp", '{"basis":[["1/1","0/1"],["0/1","1/1"]],"radii":[{"log":"0/1"},"zero"]}'),
+     "--z: not read with --kind monomial"),
+    (("reduce", "--kind", "rational", "--z", '["1/1","0/1"]', "--mp", '{"basis":1}'),
+     "--mp: not read with --kind rational"),
+    (("reduce", "--e", "2", "--kind", "l-point", "--z", '[["1/1","0/1"],["0/1","1/1"]]',
+      "--mp", '{"basis":1}'), "--mp: not read with --kind l-point"),
+])
+def test_cli_refuses_a_payload_its_mode_does_not_read(capsys, argv, message):
+    code, out, err = run(capsys, argv[0], "--p", "2", "--n", "2", *argv[1:])
+    assert code == 3 and out is None
+    assert err == {"ok": False, "error": "ParseError", "message": message}
 
 
 @pytest.mark.parametrize("flags", [

@@ -3,10 +3,10 @@
 A stdlib stand-in for a linter's unused-import rule (F401), so that a
 deletion cannot leave an import behind.  `__init__.py` re-exports by
 importing and is skipped; an import line marked `# noqa: F401` is exempt.
-Likewise every module-level private function and constant is referenced
-somewhere in the package besides its own definition, so that a deletion
-cannot leave a helper behind.  And the command line reads its flags without
-importing argparse.
+Likewise every module-level private function, class and constant is loaded,
+by name or as an attribute, somewhere in the package besides its own
+definition, so that a deletion cannot leave a helper behind.  And the
+command line reads its flags without importing argparse.
 """
 
 import ast
@@ -57,12 +57,12 @@ def test_an_unused_import_is_caught(tmp_path):
 
 
 def _dead_private_helpers(paths):
-    """(file, line, name) of each module-level private def or assignment
-    that no other top-level statement of the package references."""
+    """(file, line, name) of each module-level private def, class or assignment
+    that no other top-level statement of the package loads."""
     defined, statements = [], []
     for path in paths:
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 names = [stmt.name]
             elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
                 targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
@@ -72,10 +72,10 @@ def _dead_private_helpers(paths):
                 names = []
             defined += [(path.name, stmt.lineno, name, stmt) for name in names
                         if name.startswith("_") and not name.startswith("__")]
-            refs = {node.id for node in ast.walk(stmt)
-                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-            statements.append((stmt, refs | {node.attr for node in ast.walk(stmt)
-                                              if isinstance(node, ast.Attribute)}))
+            loads = [node for node in ast.walk(stmt)
+                     if isinstance(getattr(node, "ctx", None), ast.Load)]
+            statements.append((stmt, {node.id for node in loads if isinstance(node, ast.Name)}
+                               | {node.attr for node in loads if isinstance(node, ast.Attribute)}))
     return sorted((file, line, name) for file, line, name, stmt in defined
                   if not any(name in refs for other, refs in statements if other is not stmt))
 
@@ -90,11 +90,15 @@ def test_a_dead_private_helper_is_caught(tmp_path):
                  "def _used(x):\n    return x + _LIMIT\n\n"
                  "def _recursive(x):\n    return _recursive(x - 1) if x else 0\n\n"
                  "def _dead():\n    return 1\n\n"
-                 "def _by_attribute():\n    return 2\n", encoding="utf-8")
+                 "def _by_attribute():\n    return 2\n\n"
+                 "class _Spare:\n    pass\n\nclass _Kept:\n    pass\n\n_STORED = 0\n",
+                 encoding="utf-8")
     b.write_text("from . import a\nfrom .a import _used\n\n"
-                 "def public(x):\n    return _used(x) + a._by_attribute()\n", encoding="utf-8")
+                 "def public(x):\n    a._STORED = x\n"
+                 "    return _used(x) + a._by_attribute(), a._Kept()\n", encoding="utf-8")
     assert _dead_private_helpers([a, b]) == [("a.py", 2, "_SPARE"), ("a.py", 8, "_recursive"),
-                                             ("a.py", 11, "_dead")]
+                                             ("a.py", 11, "_dead"), ("a.py", 17, "_Spare"),
+                                             ("a.py", 23, "_STORED")]
 
 
 def test_the_cli_does_not_import_argparse():

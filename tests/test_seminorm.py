@@ -363,6 +363,12 @@ def test_pullback_agrees_with_direct_evaluation():
                     assert evaluate(g, v) == pullback_value(zs, v, ctx)
 
 
+@pytest.mark.parametrize("zs, v", [(2, 3), (3, 2), (1, 1)])
+def test_pullback_value_refuses_a_size_mismatch(zs, v):
+    with pytest.raises(DomainError, match=f"functional has {zs} entries, vector {v}: expected 2"):
+        pullback_value([l_from_k(1, CTX22)] * zs, [Fraction(1)] * v, CTX22)
+
+
 def test_distance_constants_examples():
     g = gauge_norm(CTX2)
     assert distance_constants(g, g) == (0, 0)
