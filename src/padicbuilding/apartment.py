@@ -38,9 +38,17 @@ class ApartmentPoint:
         except ValueError:
             raise IndexOutsidePieceError(f"index {i} not in piece {self.piece}")
 
+    def checked(self, n: int) -> ApartmentPoint:
+        """This point, once its piece is found in 1..n."""
+        if self.piece[-1] > n:              # pieces are sorted and start at 1 or above
+            raise DomainError(f"piece {self.piece} does not fit dimension {n}")
+        return self
+
 
 def apartment_point(piece, exponents) -> ApartmentPoint:
     """Build a point, sorting the piece and enforcing the gauge at min(I)."""
+    if len(piece) != len(exponents):
+        raise DomainError(f"piece has {len(piece)} indices but {len(exponents)} exponents")
     pairs = sorted(zip(piece, exponents))
     idxs = tuple(i for i, _ in pairs)
     if not idxs:
@@ -68,6 +76,12 @@ class Root:
     def __post_init__(self):
         if self.i == self.j:
             raise DomainError("root needs distinct indices")
+
+    def checked(self, n: int) -> Root:
+        """This root, once both of its indices are found in 1..n."""
+        if not {self.i, self.j} <= set(range(1, n + 1)):
+            raise DomainError(f"root ({self.i}, {self.j}) has an index outside 1..{n}")
+        return self
 
 
 def root_eval(a: Root, x: ApartmentPoint) -> Fraction:
@@ -160,10 +174,12 @@ def monomial_matrix(m: MonomialElement, ctx: PrimeContext):
     since v(K^*) = Z; rational translations exist as abstract apartment
     motions but not as group elements.
     """
+    n = m.n
+    if n != ctx.n:
+        raise DomainError(f"monomial element has size {n}, expected {ctx.n}")
     for t in m.trans:
         if t.denominator != 1:
             raise DomainError(f"translation {m.trans} is not integral")
-    n = m.n
     rows = [[Fraction(0)] * n for _ in range(n)]
     for j in range(1, n + 1):
         i = m.apply_index(j)

@@ -12,18 +12,18 @@ induces the seminorm v -> |z(v)|, whose class is the reduction of the
 corresponding projective point.  The point lies in the hyperplane
 complement iff the induced seminorm is a norm.
 
-Evaluation substitutes the integer form N / d of the inverse basis into a
-polynomial whose denominators were cleared once, so the rewrite runs on
-Python ints and each coefficient's valuation is read off in closed form.
-Only the live columns (nonzero radius) enter the substituted forms: a
-zero radius sends every monomial in its column to 0.
+A point carries its degree-one seminorm, and with it the integer form
+N / d of the inverse basis, so evaluation inverts nothing: it substitutes
+N / d into a polynomial whose denominators were cleared once, so the
+rewrite runs on Python ints and each coefficient's valuation is read off
+in closed form.  Only the live columns (nonzero radius) enter the
+substituted forms: a zero radius sends every monomial in its column to 0.
 Exponent vectors are packed into one integer each (Kronecker
 substitution), so multiplying two monomials is adding two ints; each power
 of a substituted form is computed once per call, and sorted terms reuse
 the product over their common exponent prefix.  check_multiplicative
-inverts the basis once and rewrites f and g once each: substitution is a
-ring homomorphism, so alpha(f g) comes from the packed product of the two
-rewrites.
+rewrites f and g once each: substitution is a ring homomorphism, so
+alpha(f g) comes from the packed product of the two rewrites.
 """
 
 from __future__ import annotations
@@ -37,17 +37,15 @@ from .arith import (
     PrimeContext,
     _int_val,
     _integer_rows,
-    _inverse_parts,
     identity,
     k_rank,
     l_from_k,
     l_is_zero,
-    mat,
-    mat_det,
 )
 from .building import BuildingPoint, building_point
-from .errors import DomainError, SingularMatrixError, ZeroFunctionalError
+from .errors import DomainError, ZeroFunctionalError
 from .seminorm import (
+    DiagonalSeminorm,
     class_equals,
     diagonal_seminorm,
     pullback_from_functional,
@@ -56,23 +54,17 @@ from .seminorm import (
 
 @dataclass(frozen=True)
 class MonomialPoint:
-    """Multiplicative seminorm on Sym V: basis columns with radii."""
+    """j(gamma), the multiplicative extension of a seminorm gamma on V; radii = its values."""
 
-    basis: tuple
-    radii: tuple
-    ctx: PrimeContext
+    seminorm: DiagonalSeminorm
+
+    basis = property(lambda self: self.seminorm.basis)
+    radii = property(lambda self: self.seminorm.values)
+    ctx = property(lambda self: self.seminorm.ctx)
 
 
 def monomial_point(basis, radii, ctx: PrimeContext) -> MonomialPoint:
-    basis = mat(basis)
-    radii = tuple(radii)
-    if len(radii) != ctx.n or len(basis) != ctx.n or any(len(r) != ctx.n for r in basis):
-        raise DomainError(f"need {ctx.n} columns and radii")
-    if all(r.is_zero for r in radii):
-        raise DomainError("at least one radius must be nonzero")
-    if mat_det(basis) == 0:
-        raise SingularMatrixError("basis is singular")
-    return MonomialPoint(basis, radii, ctx)
+    return MonomialPoint(diagonal_seminorm(basis, radii, ctx))
 
 
 def gauss_point(ctx: PrimeContext) -> MonomialPoint:
@@ -147,7 +139,7 @@ _MAX_DEGREE = 8
 
 def _point_parts(p: MonomialPoint) -> tuple:
     """(N, live columns, (p, v(d), integer radius logs last first, their denominator))."""
-    num, d, _ = _inverse_parts(p.basis)
+    num, d = p.seminorm._inv
     (rad,), (scale,) = _integer_rows([[0 if r.is_zero else r.log for r in p.radii]])
     live = [j for j, r in enumerate(p.radii) if not r.is_zero]
     return num, live, (p.ctx.p, _int_val(d, p.ctx.p), rad[::-1], scale)
@@ -222,8 +214,8 @@ def alpha_evaluate(p: MonomialPoint, f: PolynomialSymV) -> LogValue:
     """sup over monomials of |coefficient| * prod radii^exponents.
 
     The polynomial is first rewritten exactly in the point's own basis:
-    its denominators are cleared once, the integer inverse N / d of the
-    basis is substituted on Python ints with each exponent vector packed
+    its denominators are cleared once, the carried integer inverse N / d
+    of the basis is substituted on Python ints with each exponent vector packed
     into one integer, each power of a substituted form computed once and
     the columns of zero radius dropped; every surviving key is unpacked
     once to read |mu| and the radii, and the closed-form valuation of its
@@ -242,7 +234,7 @@ def alpha_evaluate(p: MonomialPoint, f: PolynomialSymV) -> LogValue:
 
 def check_multiplicative(p: MonomialPoint, f: PolynomialSymV,
                          g: PolynomialSymV) -> bool:
-    """Exact test alpha(f g) = alpha(f) alpha(g), with one basis inversion."""
+    """Exact test alpha(f g) = alpha(f) alpha(g), with one rewrite of each factor."""
     if f.nvars != p.ctx.n or g.nvars != p.ctx.n:
         raise DomainError("variable count mismatch")
     num, live, parts = _point_parts(p)
@@ -261,7 +253,7 @@ def monomial_class_equals(p1: MonomialPoint, p2: MonomialPoint) -> bool:
     a single constant c; a monomial point is the multiplicative extension
     of its degree-one part, so the classes of those parts decide equality.
     """
-    return class_equals(*(diagonal_seminorm(p.basis, p.radii, p.ctx) for p in (p1, p2)))
+    return class_equals(p1.seminorm, p2.seminorm)
 
 
 # ---------------------------------------------------------------------------
@@ -270,13 +262,12 @@ def monomial_class_equals(p1: MonomialPoint, p2: MonomialPoint) -> bool:
 
 def j_section(b: BuildingPoint) -> MonomialPoint:
     """Extend a seminorm class multiplicatively to the polynomial ring."""
-    s = b.seminorm
-    return monomial_point(s.basis, s.values, s.ctx)
+    return MonomialPoint(b.seminorm)
 
 
 def r_reduce_monomial(p: MonomialPoint) -> BuildingPoint:
     """Restrict a monomial seminorm to degree one; satisfies r o j = id."""
-    return building_point(diagonal_seminorm(p.basis, p.radii, p.ctx))
+    return building_point(p.seminorm)
 
 
 def r_reduce_rational(z, ctx: PrimeContext) -> BuildingPoint:

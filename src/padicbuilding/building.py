@@ -92,8 +92,7 @@ class ElementaryUnipotent:
 
 
 def unipotent_matrix(u: ElementaryUnipotent, n: int) -> tuple:
-    if not {u.root.i, u.root.j} <= set(range(1, n + 1)):
-        raise DomainError(f"root ({u.root.i}, {u.root.j}) has an index outside 1..{n}")
+    u.root.checked(n)
     rows = [[Fraction(1 if a == b else 0) for b in range(n)] for a in range(n)]
     rows[u.root.i - 1][u.root.j - 1] = Fraction(u.entry)
     return mat(rows)
@@ -113,8 +112,7 @@ def _checked(g, x: ApartmentPoint, n: int) -> tuple:
     """g as a Fraction matrix, once the chart (g, x) is checked against n."""
     if len(g) != n or any(len(row) != n for row in g):
         raise DomainError(f"group element must be {n}x{n}")
-    if x.piece[-1] > n:                 # pieces are sorted and start at 1 or above
-        raise DomainError(f"piece {x.piece} does not fit dimension {n}")
+    x.checked(n)
     return mat(g)
 
 
@@ -143,11 +141,6 @@ def _bound(rows, x: ApartmentPoint, xs, ys: dict, scale: int, p: int):
     return best
 
 
-def _full_rank(rows) -> bool:
-    # one forward Bareiss pass over a copy of a square integer matrix
-    return len(_eliminate([list(r) for r in rows], len(rows), reduce=False)[0]) == len(rows)
-
-
 def _same_class(rows, x: ApartmentPoint, y: ApartmentPoint, p: int) -> bool:
     """Whether phi(x) o m and phi(y) agree up to scaling, for m = rows / d.
 
@@ -164,7 +157,8 @@ def _same_class(rows, x: ApartmentPoint, y: ApartmentPoint, p: int) -> bool:
     apartment), on which the first is at most the second, so the volumes
     agree exactly when the norms do.  When s exists, m[I_x, complement of
     I_y] = 0: m is block triangular, and its diagonal blocks decide its
-    singularity.
+    singularity, the complementary one by mat_det unless it is empty.
+    Without s, mat_det of m decides it.
     """
     scale = math.lcm(*(a.denominator for a in x.exponents),
                      *(a.denominator for a in y.exponents))
@@ -173,7 +167,7 @@ def _same_class(rows, x: ApartmentPoint, y: ApartmentPoint, p: int) -> bool:
     s = _bound(rows, x, xs, ys, scale, p)
     k = len(x.piece)
     if s is None or k != len(y.piece):
-        if not _full_rank(rows):
+        if mat_det(rows) == 0:
             raise SingularMatrixError("group element must be invertible")
         return False
     n = len(rows)
@@ -181,7 +175,8 @@ def _same_class(rows, x: ApartmentPoint, y: ApartmentPoint, p: int) -> bool:
     off_y = [j for j in range(1, n + 1) if j not in ys]
     block = [[rows[i - 1][j - 1] for j in y.piece] for i in x.piece]
     pivots, det, _ = _eliminate(block, k, reduce=False)
-    if len(pivots) < k or not _full_rank([[rows[i - 1][j - 1] for j in off_y] for i in off_x]):
+    off_block = [[rows[i - 1][j - 1] for j in off_y] for i in off_x]
+    if len(pivots) < k or off_x and mat_det(off_block) == 0:
         raise SingularMatrixError("group element must be invertible")
     return -sum(xs) - scale * _int_val(det, p) == k * s - sum(ys.values())
 
@@ -221,9 +216,8 @@ def in_U_a_sigma(u: ElementaryUnipotent, points, ctx: PrimeContext) -> bool:
     The conventions for infinite thresholds fall out of v(0) = +infinity:
     threshold +infinity admits only the identity, -infinity admits all.
     """
-    if not {u.root.i, u.root.j} <= set(range(1, ctx.n + 1)):
-        raise DomainError(f"root ({u.root.i}, {u.root.j}) has an index outside 1..{ctx.n}")
-    return val_k(u.entry, ctx) >= f_sigma(points, u.root)
+    a = u.root.checked(ctx.n)
+    return val_k(u.entry, ctx) >= f_sigma([x.checked(ctx.n) for x in points], a)
 
 
 def fixes_pointwise(m: MonomialElement, points) -> bool:

@@ -74,10 +74,8 @@ class _Request:
 
     def point(self, doc, where):
         x, regauged = serialize.apartment_point_from_doc(doc, where)
-        if x.piece[-1] > self.n:            # pieces are sorted and start at 1 or above
-            raise DomainError(f"piece {x.piece} does not fit dimension {self.n}")
         self.regauged |= regauged
-        return x
+        return x.checked(self.n)
 
     def points(self, doc, where):
         if not isinstance(doc, list) or not doc:
@@ -104,10 +102,7 @@ class _Request:
         return m
 
     def root(self, doc, where):
-        a = serialize.root_from_doc(doc, where)
-        if not {a.i, a.j} <= set(range(1, self.n + 1)):
-            raise DomainError(f"root ({a.i}, {a.j}) has an index outside 1..{self.n}")
-        return a
+        return serialize.root_from_doc(doc, where).checked(self.n)
 
     def box(self, doc, where):
         box = serialize.box_from_doc(doc, where)

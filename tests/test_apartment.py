@@ -49,6 +49,14 @@ def test_gauge_normalization():
         apartment_point([1, 1], [0, 0])
 
 
+def test_apartment_point_refuses_unequal_piece_and_exponent_lengths():
+    # zip would silently truncate the longer of the two
+    with pytest.raises(DomainError, match="^piece has 3 indices but 2 exponents$"):
+        apartment_point([1, 2, 3], [0, 1])
+    with pytest.raises(DomainError, match="^piece has 2 indices but 3 exponents$"):
+        apartment_point([1, 2], [0, 1, 5])
+
+
 def test_gauge_matches_the_always_subtracting_normalization():
     # int, Fraction and mixed exponents, with zero and nonzero gauges at min(I)
     rng = random.Random(14)
@@ -111,6 +119,11 @@ def test_act_monomial_refuses_a_piece_outside_its_size():
         act_monomial(w, apartment_point([3], [0]))
 
 
+def test_monomial_compose_refuses_a_size_mismatch():
+    with pytest.raises(DomainError, match="^size mismatch$"):
+        monomial_compose(monomial_identity(2), monomial_identity(3))
+
+
 def test_monomial_group_law():
     rng = random.Random(21)
     for _ in range(300):
@@ -129,6 +142,13 @@ def test_monomial_matrix_requires_integrality():
     m = monomial_element([1, 2], [0, Fraction(1, 2)])
     with pytest.raises(DomainError):
         monomial_matrix(m, PrimeContext(2, 2))
+
+
+def test_monomial_matrix_refuses_an_element_of_another_size():
+    m = monomial_element([2, 1, 3], [0, 1, 2])
+    with pytest.raises(DomainError, match="^monomial element has size 3, expected 2$"):
+        monomial_matrix(m, PrimeContext(2, 2))
+    assert len(monomial_matrix(m, PrimeContext(2, 3))) == 3
 
 
 def test_s_project_examples():

@@ -292,6 +292,17 @@ def test_kernel_and_pivots_on_functional_matrices():
         assert ker == nullspace(zmat)
 
 
+def test_degenerate_arguments_are_refused():
+    with pytest.raises(ValueError, match="^negative powers not supported$"):
+        LogValue.finite(1) ** -1
+    with pytest.raises(ValueError, match="^k_rank of empty family$"):
+        k_rank([], CTX22)
+    with pytest.raises(ValueError, match="^solve_linear needs a square system$"):
+        solve_linear(identity(2), (1, 2, 3))
+    with pytest.raises(ValueError, match="^nullspace of empty matrix$"):
+        nullspace([])
+
+
 def test_matrix_helpers_reject_length_mismatch():
     with pytest.raises(ValueError):
         mat_vec(identity(2), (1, 2, 3))

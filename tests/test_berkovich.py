@@ -29,7 +29,7 @@ from padicbuilding import (
     r_reduce_rational,
 )
 from padicbuilding.arith import ZERO_VALUE, identity, mat, mat_from_cols, mat_mul, nullspace, val_k
-from padicbuilding.errors import DomainError, ZeroFunctionalError
+from padicbuilding.errors import DomainError, SingularMatrixError, ZeroFunctionalError
 from padicbuilding.seminorm import diagonal_seminorm, scale_seminorm
 from padicbuilding.serialize import building_point_to_doc
 
@@ -59,6 +59,15 @@ def test_alpha_evaluate_examples():
     degenerate = monomial_point(identity(2), (ONE, ZERO), CTX2)
     assert alpha_evaluate(degenerate, polynomial([((0, 1), 1)], 2)) == ZERO
     assert alpha_evaluate(gp, polynomial([], 2)) == ZERO
+
+
+def test_polynomial_and_alpha_refuse_bad_exponents_and_variable_counts():
+    with pytest.raises(DomainError, match=r"^bad multi-index \(1, -1\)$"):
+        polynomial([((1, -1), 1)], 2)
+    with pytest.raises(DomainError, match=r"^bad multi-index \(1,\)$"):
+        polynomial([((1,), 1)], 2)
+    with pytest.raises(DomainError, match="^variable count mismatch$"):
+        alpha_evaluate(gauss_point(CTX2), polynomial([((1, 0, 0), 1)], 3))
 
 
 def test_alpha_degree_cap():
@@ -92,16 +101,33 @@ def test_check_multiplicative_examples():
 def test_check_multiplicative_refuses_wrong_variable_counts_before_multiplying(monkeypatch):
     import padicbuilding.berkovich as berkovich
 
-    def no_inverse(m):
-        raise AssertionError("the basis was inverted before the variable counts were checked")
+    def no_rewrite(*args):
+        raise AssertionError("a polynomial was rewritten before the variable counts were checked")
 
-    monkeypatch.setattr(berkovich, "_inverse_parts", no_inverse)
+    monkeypatch.setattr(berkovich, "_rewrite_in_basis", no_rewrite)
     gp = gauss_point(CTX2)
     v2 = polynomial([((1, 0), 1)], 2)
     v3 = polynomial([((0, 1, 1), 2)], 3)
     for f, g in ((v3, v3), (v2, v3), (v3, v2)):
         with pytest.raises(DomainError):
             check_multiplicative(gp, f, g)
+
+
+def test_monomial_point_refuses_a_singular_basis_and_all_zero_radii():
+    with pytest.raises(SingularMatrixError, match="^basis is singular$"):
+        monomial_point(mat([[1, 2], [2, 4]]), (ONE, ONE), CTX2)
+    with pytest.raises(DomainError, match="^seminorm must not vanish identically$"):
+        monomial_point(identity(2), (ZERO, ZERO), CTX2)
+
+
+def test_a_monomial_point_is_its_seminorm():
+    b = building_point(rand_seminorm(random.Random(5), CTX2))
+    assert j_section(b).seminorm is b.seminorm
+    rng = random.Random(6)
+    basis, radii = rand_invertible(rng, 3, 3), rand_values(rng, 3)
+    p1, p2 = (monomial_point(basis, radii, PrimeContext(3, 3)) for _ in range(2))
+    assert p1 is not p2 and p1 == p2 and hash(p1) == hash(p2)
+    assert (p1.basis, p1.radii, p1.ctx) == (mat(basis), tuple(radii), PrimeContext(3, 3))
 
 
 def test_monomial_class_equals_examples():
@@ -411,21 +437,29 @@ def test_check_multiplicative_at_the_packing_edges():
     assert oracles >= 340
 
 
-def test_check_multiplicative_inverts_once_and_rewrites_twice(monkeypatch):
+def test_evaluating_a_built_point_eliminates_nothing_and_rewrites_each_factor_once(monkeypatch):
+    # the point carries its seminorm's inverse: no elimination runs after it is built
+    import padicbuilding.arith as arith
     import padicbuilding.berkovich as berkovich
 
     calls = []
-    for name in ("_inverse_parts", "_rewrite_in_basis"):
-        def counted(*args, _name=name, _inner=getattr(berkovich, name)):
+    for module, name in ((arith, "_eliminate"), (berkovich, "_rewrite_in_basis")):
+        def counted(*args, _name=name, _inner=getattr(module, name), **kwargs):
             calls.append(_name)
-            return _inner(*args)
-        monkeypatch.setattr(berkovich, name, counted)
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
     rng = random.Random(73)
     for _ in range(20):
         p = monomial_point(rand_invertible(rng, 3, 2), rand_values(rng, 3), PrimeContext(2, 3))
+        assert calls == ["_eliminate"]
         calls.clear()
-        check_multiplicative(p, rand_poly(rng, 3), rand_poly(rng, 3))
-        assert sorted(calls) == ["_inverse_parts", "_rewrite_in_basis", "_rewrite_in_basis"]
+        f, g = rand_poly(rng, 3), rand_poly(rng, 3)
+        check_multiplicative(p, f, g)
+        assert calls == ["_rewrite_in_basis", "_rewrite_in_basis"]
+        calls.clear()
+        alpha_evaluate(p, f)
+        assert calls == ["_rewrite_in_basis"]
+        calls.clear()
 
 
 def test_check_multiplicative_compares_the_fraction_rewrite_alphas(monkeypatch):

@@ -150,6 +150,12 @@ def test_in_U_a_sigma_refuses_a_root_outside_n():
         in_U_a_sigma(u, [interior_point([0, 1])], CTX2)
 
 
+def test_in_U_a_sigma_refuses_a_point_outside_n():
+    u = ElementaryUnipotent(Root(1, 2), Fraction(1))
+    with pytest.raises(DomainError, match=r"^piece \(1, 2, 3\) does not fit dimension 2$"):
+        in_U_a_sigma(u, [interior_point([0, 1]), apartment_point([1, 2, 3], [0, 5, 9])], CTX2)
+
+
 def test_in_U_a_sigma_matches_stabilizer():
     rng = random.Random(18)
     for _ in range(150):

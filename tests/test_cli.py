@@ -421,6 +421,52 @@ def test_cli_refuses_a_payload_its_mode_does_not_read(capsys, argv, message):
     assert err == {"ok": False, "error": "ParseError", "message": message}
 
 
+NORM2 = '{"basis":[["1/1","0/1"],["0/1","1/1"]],"values":[{"log":"0/1"},{"log":"0/1"}]}'
+
+
+@pytest.mark.parametrize("argv, code, error, message", [
+    (("phi", "--point", "[]"), 3, "ParseError", '--point: expected {"I": [...], "x": [...]}'),
+    (("phi", "--point", '{"I":[1,2],"x":["0/1"]}'), 3, "ParseError",
+     "--point: piece and exponent lengths differ"),
+    (("ray-limit", "--x0", POINT2, "--d", "[]"), 3, "ParseError", "--d: expected a nonempty array"),
+    (("stab", "--g", "[]", "--point", POINT2), 3, "ParseError", "--g: expected a nonempty row array"),
+    (("stab", "--g", '[["1/1","0/1"],["1/1"]]', "--point", POINT2), 3, "ParseError",
+     "--g: ragged matrix"),
+    (("equiv", "--c1", "[]", "--c2", "[]"), 3, "ParseError", '--c1: expected {"g": ..., "x": ...}'),
+    (("act", "--m", "[]", "--point", POINT2), 3, "ParseError",
+     '--m: expected {"perm": [...], "trans": [...]}'),
+    (("act", "--m", '{"perm":[1,1],"trans":["0/1","0/1"]}', "--point", POINT2), 3, "ParseError",
+     "--m: not a permutation of 1..2: (1, 1)"),
+    (("act", "--m", '{"perm":[2,1],"trans":["0/1"]}', "--point", POINT2), 3, "ParseError",
+     "--m: translation length mismatch"),
+    (("gamma-member", "--y", POINT2, "--box", "[]", "--I", "[1]"), 3, "ParseError",
+     '--box: expected {"intervals": [[lo, hi], ...]}'),
+    (("gamma-member", "--y", POINT2, "--box", '{"intervals":[["0/1"]]}', "--I", "[1]"), 3,
+     "ParseError", "--box.intervals[0]: expected [lo, hi]"),
+    (("gamma-member", "--y", POINT2, "--box", '{"intervals":[["1/1","0/1"]]}', "--I", "[1]"), 3,
+     "ParseError", "--box: empty interval (1, 0)"),
+    (("omega", "--z", "5"), 3, "ParseError", '--z: expected {"z": [[...], ...]} or an array'),
+    (("omega", "--e", "2", "--z", '[5,["1/1"]]'), 3, "ParseError",
+     "--z[0]: expected a coefficient array"),
+    (("omega", "--e", "2", "--z", '[["1/1","2/1","3/1"],["1/1"]]'), 3, "ParseError",
+     "--z[0]: expected at most 2 coefficients, got 3"),
+    (("ortho", "--us", '[["1/1","0/1","0/1"]]', "--ambient", NORM2), 2, "Domain",
+     "expected at most n vectors of length n"),
+])
+def test_cli_refuses_a_malformed_payload(capsys, argv, code, error, message):
+    got, out, err = run(capsys, argv[0], "--p", "2", "--n", "2", *argv[1:])
+    assert (got, out) == (code, None)
+    assert err == {"ok": False, "error": error, "message": message}
+
+
+def test_cli_fsigma_is_minus_infinity_when_no_piece_holds_i(capsys):
+    code, out, err = run(capsys, "fsigma", "--p", "2", "--n", "2",
+                         "--sigma", '[{"I":[2],"x":["0/1"]}]', "--root", "[1,2]")
+    assert (code, err) == (0, None)
+    assert out == {"ok": True, "command": "fsigma", "result": {"f": "-inf"}, "regauged": False,
+                   "config": {"p": 2, "n": 2, "e": 1}}
+
+
 @pytest.mark.parametrize("flags", [
     ("phi", "--point", '{"I":[true,2],"x":["0/1","0/1"]}'),
     ("gamma-member", "--y", POINT2, "--box", '{"intervals":[["-1/1","1/1"]]}', "--I", "[true]"),

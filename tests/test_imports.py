@@ -2,7 +2,8 @@
 
 A stdlib stand-in for a linter's unused-import rule (F401), so that a
 deletion cannot leave an import behind.  `__init__.py` re-exports by
-importing and is skipped; an import line marked `# noqa: F401` is exempt.
+importing and is skipped.  No import is exempt: one kept only so that
+another module can patch or trace it must go.
 Likewise every module-level private function, class and constant is loaded,
 by name or as an attribute, somewhere in the package besides its own
 definition, so that a deletion cannot leave a helper behind.  And the
@@ -22,17 +23,13 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
 def _unused_imports(path):
-    source = path.read_text(encoding="utf-8")
-    lines = source.splitlines()
-    tree = ast.parse(source)
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
-                if "# noqa: F401" in lines[alias.lineno - 1]:
-                    continue
                 name = alias.asname or alias.name.split(".")[0]
                 imported[name] = alias.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
@@ -51,7 +48,7 @@ def test_every_import_is_used(path):
 def test_an_unused_import_is_caught(tmp_path):
     path = tmp_path / "mod.py"
     path.write_text("import os\nfrom math import (\n    ceil,\n    floor,\n)\n"
-                    "from re import compile  # noqa: F401\n\n"
+                    "\n"
                     "def f(x: floor) -> int:\n    return x\n", encoding="utf-8")
     assert _unused_imports(path) == [(1, "os"), (3, "ceil")]
 

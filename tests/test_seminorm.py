@@ -293,6 +293,7 @@ def test_orthogonalize_examples():
     # reduction example: {v1, v1 + 2 v2} -> {v1, 2 v2}
     out = orthogonalize([(1, 0), (1, 2)], g)
     assert out == [(1, 0), (0, 2)]
+    assert orthogonalize([], g) == []
     # power basis of L over K is already orthogonal for the pulled-back norm
     ambient = diagonal_seminorm(identity(2), (ONE, LogValue.finite(Fraction(-1, 2))),
                                 CTX22)
@@ -367,6 +368,13 @@ def test_pullback_agrees_with_direct_evaluation():
 def test_pullback_value_refuses_a_size_mismatch(zs, v):
     with pytest.raises(DomainError, match=f"functional has {zs} entries, vector {v}: expected 2"):
         pullback_value([l_from_k(1, CTX22)] * zs, [Fraction(1)] * v, CTX22)
+
+
+def test_chart_and_pullback_refuse_a_size_mismatch():
+    with pytest.raises(DomainError, match=r"^piece \(1, 3\) does not fit dimension 2$"):
+        phi_from_apartment(apartment_point([1, 3], [0, 1]), CTX2)
+    with pytest.raises(DomainError, match="^expected 2 functional entries$"):
+        pullback_from_functional([l_from_k(1, CTX22)] * 3, CTX22)
 
 
 def test_distance_constants_examples():
