@@ -292,8 +292,7 @@ def gamma_membership(y: ApartmentPoint, box: OpenBox, piece) -> bool:
     i_set = set(piece)
     if not i_set or not i_set < set(range(1, n + 1)):
         raise DomainError("need a nonempty proper subset I of {1..n}")
-    if not set(y.piece) <= set(range(1, n + 1)):
-        raise DomainError(f"piece {y.piece} does not fit dimension {n}")
+    y.checked(n)
     if not i_set <= set(y.piece):
         return False
     lower, upper = -INF, INF            # strict bounds on c

@@ -266,7 +266,9 @@ def j_section(b: BuildingPoint) -> MonomialPoint:
 
 
 def r_reduce_monomial(p: MonomialPoint) -> BuildingPoint:
-    """Restrict a monomial seminorm to degree one; satisfies r o j = id."""
+    """Restrict a monomial seminorm to degree one; satisfies r o j = id.
+
+    j(b) carries b's marked canonical seminorm, which building_point keeps."""
     return building_point(p.seminorm)
 
 

@@ -312,8 +312,7 @@ def sample_P_x_generators(x: ApartmentPoint, count: int, bound: int,
         raise DomainError("count must be >= 1")
     if bound < 0:
         raise DomainError("bound must be >= 0")
-    if x.piece[-1] > ctx.n:             # pieces are sorted and start at 1 or above
-        raise DomainError(f"piece {x.piece} has an index outside 1..{ctx.n}")
+    x.checked(ctx.n)
     rng = random.Random(seed)
     out = []
     for _ in range(count):

@@ -22,7 +22,10 @@ Orthogonalization and the pullback of a norm from an L-valued functional
 share one reduction kernel that also runs on ints: each vector is one
 integer row over one positive denominator, kept gcd-reduced, and the
 exponents c_j of the target norm are put over one common denominator S,
-so every weight S log(|x_j| q^{c_j}) is an integer.
+so every weight S log(|x_j| q^{c_j}) is an integer; evaluate compares its
+live logs over one common denominator the same way.  canonical_class marks
+its output and returns a marked seminorm unchanged, so r o j canonicalizes
+nothing; every other constructor, scaling included, leaves the mark off.
 """
 
 from __future__ import annotations
@@ -77,6 +80,7 @@ class DiagonalSeminorm:
     # (N, d): integer matrix N and integer d > 0 with basis^-1 = N / d
     _inv: tuple = field(compare=False, repr=False)
     _vdet: int = field(compare=False, repr=False)  # v_p(det basis)
+    _canonical: bool = field(default=False, compare=False, repr=False)  # canonical_class output
 
     def column(self, i: int) -> tuple:
         return mat_col(self.basis, i)
@@ -109,25 +113,27 @@ def evaluate(g: DiagonalSeminorm, v) -> LogValue:
     """gamma(v) = max_i |lambda_i| gamma(w_i) where v = sum lambda_i w_i.
 
     With v = w / D for an integer vector w, lambda_i = (N_i . w) / (d D), so
-    only the integer dot products N_i . w need a valuation.
+    only the integer dot products N_i . w need a valuation.  With the live logs
+    over one denominator S, the max is taken on the integers S log(|lambda_i| gamma(w_i)).
     """
     (w,), (den,) = _integer_rows([[x if type(x) is Fraction else Fraction(x) for x in v]])
     num, d = g._inv
     if len(w) != len(num):
         raise DomainError(f"vector has {len(w)} entries, expected {len(num)}")
     p = g.ctx.p
+    s = math.lcm(*(val.log.denominator for val in g.values if val.log is not None))
     best = None
     for row, val in zip(num, g.values, strict=True):
-        if val.is_zero:
+        if val.log is None:
             continue
-        s = sum(a * x for a, x in zip(row, w, strict=True))
-        if s:
-            cand = val.log - _int_val(s, p)
+        t = sum(a * x for a, x in zip(row, w, strict=True))
+        if t:
+            cand = val.log.numerator * (s // val.log.denominator) - s * _int_val(t, p)
             if best is None or cand > best:
                 best = cand
     if best is None:
         return ZERO_VALUE
-    return LogValue.finite(best + _int_val(d, p) + _int_val(den, p))
+    return LogValue(Fraction(best + s * (_int_val(d, p) + _int_val(den, p)), s))
 
 
 def kernel_of(g: DiagonalSeminorm) -> list:
@@ -167,7 +173,7 @@ def compose_with(g: DiagonalSeminorm, m) -> DiagonalSeminorm:
 
 def scale_seminorm(g: DiagonalSeminorm, delta) -> DiagonalSeminorm:
     """Multiply the seminorm by q^delta."""
-    return replace(g, values=tuple(v.shift(delta) for v in g.values))
+    return replace(g, values=tuple(v.shift(delta) for v in g.values), _canonical=False)
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +182,7 @@ def scale_seminorm(g: DiagonalSeminorm, delta) -> DiagonalSeminorm:
 
 def phi_from_apartment(x: ApartmentPoint, ctx: PrimeContext) -> DiagonalSeminorm:
     """Standard-basis seminorm with value q^(-x_i) on the piece, zero off it."""
-    if not set(x.piece) <= set(range(1, ctx.n + 1)):
-        raise DomainError(f"piece {x.piece} does not fit dimension {ctx.n}")
+    x.checked(ctx.n)
     values = tuple(LogValue.finite(-x.exponent(i)) if i in x.piece else ZERO_VALUE
                    for i in range(1, ctx.n + 1))
     unit = tuple(tuple(int(i == j) for j in range(ctx.n)) for i in range(ctx.n))
@@ -246,7 +251,10 @@ def canonical_class(g: DiagonalSeminorm) -> DiagonalSeminorm:
     sum_t c[pivot_t] r_t over the echelon vectors r_t, so the row for r_t
     is sum_c c[pivot_t] N_c, with the common denominator L of those
     coefficients cleared into d; v_p(det basis) drops by v_p(det(c[pivot_t])).
+    The result is marked canonical, and a marked input is returned as is.
     """
+    if g._canonical:
+        return g
     nonker = [i for i in range(g.n) if not g.values[i].is_zero]
     cols = {i: g.column(i) for i in nonker}
     nonker.sort(key=lambda i: (-g.values[i].log, cols[i]))
@@ -264,7 +272,7 @@ def canonical_class(g: DiagonalSeminorm) -> DiagonalSeminorm:
     inv = tuple(tuple(x // div for x in row) for row in rows), d * scale // div
     values = [g.values[i].shift(shift) for i in nonker] + [ZERO_VALUE] * len(ker)
     return DiagonalSeminorm(mat_from_cols([cols[i] for i in nonker] + ker), tuple(values),
-                            g.ctx, inv, g._vdet - kval)
+                            g.ctx, inv, g._vdet - kval, True)
 
 
 def class_equals(g1: DiagonalSeminorm, g2: DiagonalSeminorm) -> bool:

@@ -100,6 +100,10 @@ def test_criterion_02_section_identity():
             ctx = rand_ctx(rng)
             b = building_point(rand_seminorm(rng, ctx, steps=2))
             assert r_reduce_monomial(j_section(b)) == b
+            # j(b) carries b's marked seminorm; an unmarked copy of it is canonicalized in full
+            unmarked = monomial_point(b.seminorm.basis, b.seminorm.values, ctx)
+            r = r_reduce_monomial(unmarked)
+            assert r == b and (r.seminorm.basis, r.seminorm.values) == (b.seminorm.basis, b.seminorm.values)
 
 
 def test_criterion_03_stabilizer_identity():

@@ -508,5 +508,5 @@ def test_unipotent_matrix_refuses_a_root_outside_the_dimension():
 
 
 def test_sampler_refuses_a_point_outside_the_dimension():
-    with pytest.raises(DomainError, match="outside 1..2"):
+    with pytest.raises(DomainError, match=r"^piece \(1, 2, 3\) does not fit dimension 2$"):
         sample_P_x_generators(interior_point([0, 1, 2]), 1, 1, PrimeContext(2, 2))

@@ -997,3 +997,121 @@ def test_orthogonalize_refuses_dependent_families_that_never_reduce_to_zero():
         us = _combined(rng, _p_power_family(rng, n, rng.randint(2, n), ctx.p), ctx.p)
         with pytest.raises(DependentInputError):
             orthogonalize(us, rand_norm(rng, ctx, steps=2))
+
+
+# ---------------------------------------------------------------------------
+# The canonical mark: canonical_class returns its own output as it is
+# ---------------------------------------------------------------------------
+
+def _parts(g):
+    return g.basis, g.values, g._inv, g._vdet
+
+
+def test_canonical_class_returns_a_marked_seminorm_as_is():
+    # the shortcut returns what the full path returns: an unmarked copy of a
+    # canonical seminorm canonicalizes to the same basis, values and carried
+    # inverse; kernels arrive scattered over a random basis, so outside
+    # echelon form, and r(j(b)) keeps b's seminorm itself
+    from padicbuilding import building_point, j_section, r_reduce_monomial
+
+    rng = random.Random(91)
+    cases = scattered = 0
+    for n in range(2, 7):
+        zero_counts = set()
+        for k in range(600):
+            ctx = PrimeContext(rng.choice([2, 3, 5]), n, 1 + k % 2)
+            zeros = k % n
+            g = _with_zeros(rng, rand_invertible(rng, n, ctx.p, rng.randint(1, 4)), zeros, ctx)
+            scattered += _kernel_columns(g) != kernel_of(g)
+            zero_counts.add(zeros)
+            c = canonical_class(g)
+            assert c._canonical and not g._canonical
+            assert canonical_class(c) is c
+            unmarked = diagonal_seminorm(c.basis, c.values, ctx)
+            assert not unmarked._canonical
+            assert _parts(canonical_class(unmarked)) == _parts(c), (g.basis, g.values)
+            b = building_point(g)
+            assert r_reduce_monomial(j_section(b)).seminorm is b.seminorm
+            cases += 1
+        assert zero_counts == set(range(n))
+    assert cases >= 3000 and scattered > 1000
+
+
+def test_scaling_and_translating_drop_the_canonical_mark():
+    # a scaled canonical seminorm is no longer gauged, so canonical_class
+    # must take the full path on it and give back the canonical one
+    rng = random.Random(92)
+    for n in range(2, 6):
+        for _ in range(40):
+            ctx = PrimeContext(rng.choice([2, 3, 5]), n)
+            c = canonical_class(rand_seminorm(rng, ctx, steps=rng.randint(1, 3)))
+            for delta in (1, Fraction(-1, 2), Fraction(1, 3)):
+                scaled = scale_seminorm(c, delta)
+                assert not scaled._canonical
+                assert _parts(canonical_class(scaled)) == _parts(c)
+            assert not compose_with(c, rand_invertible(rng, n, ctx.p, steps=2))._canonical
+    c = canonical_class(diagonal_seminorm(identity(2), (ONE, LogValue.finite(-1)), CTX2))
+    assert canonical_class(scale_seminorm(c, 1)).values == (ONE, LogValue.finite(-1))
+
+
+# ---------------------------------------------------------------------------
+# evaluate on integer logs against the Fraction loop it replaces
+# ---------------------------------------------------------------------------
+
+def _fraction_loop_evaluate(g, v):
+    # the maximum taken on Fraction logs: one subtraction and one comparison per live row
+    from padicbuilding.arith import _int_val, _integer_rows
+
+    (w,), (den,) = _integer_rows([[Fraction(x) for x in v]])
+    num, d = g._inv
+    p = g.ctx.p
+    best = None
+    for row, val in zip(num, g.values, strict=True):
+        if val.is_zero:
+            continue
+        s = sum(a * x for a, x in zip(row, w, strict=True))
+        if s:
+            cand = val.log - _int_val(s, p)
+            if best is None or cand > best:
+                best = cand
+    if best is None:
+        return ZERO
+    return LogValue.finite(best + _int_val(d, p) + _int_val(den, p))
+
+
+def _evaluate_cases(rng, g):
+    # Fraction, int and str entries, the zero vector and a kernel vector
+    n = g.n
+    v = _p_vector(rng, n, g.ctx.p)
+    ker = [g.column(i) for i in range(n) if g.values[i].is_zero]
+    vs = [v, tuple(rng.randint(-40, 40) * g.ctx.p ** rng.randint(0, 3) for _ in range(n)),
+          tuple(str(x) for x in _p_vector(rng, n, g.ctx.p)), (0,) * n]
+    if ker:
+        vs.append(vec_scale(rand_fraction(rng, 6, 6) or 1, rng.choice(ker)))
+    return vs
+
+
+def test_evaluate_matches_the_fraction_loop():
+    rng = random.Random(93)
+    pairs, kernels, dens, kinds = 0, 0, set(), set()
+    for n in range(2, 7):
+        for k in range(220):
+            e = (1, 2, 3, 4)[k % 4]
+            ctx = PrimeContext(rng.choice([2, 3, 5]), n, e)
+            if k % 4 == 0:
+                g = rand_seminorm(rng, ctx, steps=rng.randint(1, 4))
+            else:
+                zs = [rand_lscalar(rng, ctx, zero_ok=False)] + [rand_lscalar(rng, ctx) for _ in range(n - 1)]
+                g = pullback_from_functional(zs, ctx)
+            if k % 3 == 0:
+                g = scale_seminorm(g, Fraction(1, 3))
+            dens.update(v.log.denominator for v in g.values if not v.is_zero)
+            kernels += not g.is_norm()
+            for v in _evaluate_cases(rng, g):
+                want = _fraction_loop_evaluate(g, v)
+                assert evaluate(g, v) == want, (g, v)
+                assert want == _reference_evaluate(g, [Fraction(x) for x in v])
+                kinds.add("zero" if want.is_zero else type(v[0]).__name__)
+                pairs += 1
+    assert pairs >= 5000 and kernels > 300 and {2, 3, 4} <= dens
+    assert kinds == {"zero", "Fraction", "int", "str"}
