@@ -196,6 +196,12 @@ def l_scalar(coeffs, ctx: PrimeContext) -> LScalar:
     return LScalar(tuple(cs))
 
 
+def _check_l_coeffs(zs, ctx: PrimeContext):
+    # l_scalar pads to ctx.e coefficients; a scalar built at another e would be misread
+    if any(len(z.coeffs) != ctx.e for z in zs):
+        raise DomainError(f"every scalar needs e = {ctx.e} coefficients")
+
+
 def l_from_k(c, ctx: PrimeContext) -> LScalar:
     return l_scalar([Fraction(c)], ctx)
 
@@ -302,12 +308,6 @@ def mat_mul(a, b) -> tuple:
     return tuple(tuple(Fraction(sum(x * y for x, y in zip(row, col, strict=True)), r * c)
                        for col, c in zip(bcols, cs))
                  for row, r in zip(arows, rs))
-
-
-def _int_mat_mul(a, b) -> list:
-    """Product of two integer matrices."""
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
 
 
 def mat_col(m, j) -> tuple:
@@ -418,6 +418,8 @@ def _inverse_parts(m):
 
 
 def mat_inverse(m) -> tuple:
+    if any(len(row) != len(m) for row in m):
+        raise DomainError("matrix is not square")
     parts = _inverse_parts(m)
     if parts is None:
         raise SingularMatrixError("matrix is singular")
@@ -428,6 +430,8 @@ def mat_inverse(m) -> tuple:
 def mat_det(m) -> Fraction:
     """Determinant by fraction-free forward elimination."""
     n = len(m)
+    if any(len(row) != n for row in m):
+        raise DomainError("matrix is not square")
     ints, scales = _integer_rows(m)
     pivots, d, sign = _eliminate(ints, n, reduce=False)
     return Fraction(sign * d, math.prod(scales)) if len(pivots) == n else Fraction(0)
@@ -435,7 +439,7 @@ def mat_det(m) -> Fraction:
 
 def rank(vectors) -> int:
     """Rank of a family of equal-length vectors over Q."""
-    rows, _ = _integer_rows([list(map(Fraction, v)) for v in vectors])
+    rows, _ = _integer_rows(mat(vectors))
     if not rows:
         return 0
     return len(_eliminate(rows, len(rows[0]), reduce=False)[0])
@@ -447,7 +451,7 @@ def reduced_echelon(vectors) -> list:
     Used as the normal form for subspaces (kernels), so equality of spans
     becomes equality of lists.
     """
-    rows = [list(map(Fraction, v)) for v in vectors]
+    rows = mat(vectors)
     if not rows:
         return []
     pivots, a, d = _reduced(rows, len(rows[0]))
@@ -459,7 +463,7 @@ def _kernel_and_pivots(m):
     if not m:
         raise ValueError("nullspace of empty matrix")
     ncols = len(m[0])
-    pivots, rows, d = _reduced([list(map(Fraction, r)) for r in m], ncols)
+    pivots, rows, d = _reduced(mat(m), ncols)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:

@@ -35,6 +35,7 @@ from .arith import (
     ZERO_VALUE,
     LogValue,
     PrimeContext,
+    _check_l_coeffs,
     _int_val,
     _integer_rows,
     identity,
@@ -294,6 +295,7 @@ def l_functional(zs, ctx: PrimeContext) -> LFunctional:
     zs = tuple(zs)
     if len(zs) != ctx.n:
         raise DomainError(f"expected {ctx.n} entries")
+    _check_l_coeffs(zs, ctx)
     if all(l_is_zero(z) for z in zs):
         raise ZeroFunctionalError("functional is zero")
     return LFunctional(zs, ctx)

@@ -11,12 +11,13 @@ norm to a subspace.
 Values are kept in log scale (see arith.LogValue); no real number is ever
 formed, so equality questions are decided exactly.
 
-Each seminorm carries the inverse of its basis in integer form, N / d,
-computed once when it is built (or derived from its parent's), so that
-evaluation runs on Python ints: a vector's denominators are cleared once,
-and only integer dot products and their p-adic valuations follow.  The
-same elimination gives v_p(det basis), also carried, so (class) equality
-takes one tight bound and a volume (_volume), not a bound each way.
+Each seminorm carries the inverse of its basis in integer form, N / d, and
+v_p(det basis), both from one elimination in diagonal_seminorm (compose_with
+builds the moved basis through it); only canonical_class and scale_seminorm
+derive them from their input's.  So evaluation runs on Python ints: a
+vector's denominators are cleared once, and only integer dot products and
+their p-adic valuations follow; and (class) equality takes one tight bound
+and a volume (_volume), not a bound each way.
 
 Orthogonalization and the pullback of a norm from an L-valued functional
 share one reduction kernel that also runs on ints: each vector is one
@@ -40,8 +41,8 @@ from .arith import (
     ZERO_VALUE,
     LogValue,
     PrimeContext,
+    _check_l_coeffs,
     _eliminate,
-    _int_mat_mul,
     _int_val,
     _integer_rows,
     _inverse_parts,
@@ -154,21 +155,14 @@ def _kernel(g: DiagonalSeminorm) -> tuple:
 
 
 def compose_with(g: DiagonalSeminorm, m) -> DiagonalSeminorm:
-    """The translate gamma o m^{-1}: transport the basis, keep the values."""
+    """The translate gamma o m^{-1}: diagonal_seminorm inverts the moved basis m basis afresh."""
     n = g.ctx.n
     if len(m) != n or any(len(row) != n for row in m):
         raise DomainError(f"group element must be {n}x{n}")
-    m = mat(m)
-    m_inv = _inverse_parts(m)
-    if m_inv is None:
-        raise SingularMatrixError("group element must be invertible")
-    # (m basis)^-1 = basis^-1 m^-1 = (N M) / (d e)
-    (num, d), (m_num, e, det) = g._inv, m_inv
-    prod = _int_mat_mul(num, m_num)
-    div = math.gcd(d * e, *(x for row in prod for x in row))
-    inv = tuple(tuple(x // div for x in row) for row in prod), d * e // div
-    return DiagonalSeminorm(mat_mul(m, g.basis), g.values, g.ctx, inv,
-                            g._vdet + val_k(det, g.ctx))
+    try:
+        return diagonal_seminorm(mat_mul(mat(m), g.basis), g.values, g.ctx)
+    except SingularMatrixError:
+        raise SingularMatrixError("group element must be invertible") from None
 
 
 def scale_seminorm(g: DiagonalSeminorm, delta) -> DiagonalSeminorm:
@@ -395,6 +389,7 @@ def pullback_from_functional(zs, ctx: PrimeContext) -> DiagonalSeminorm:
     zs = list(zs)
     if len(zs) != ctx.n:
         raise DomainError(f"expected {ctx.n} functional entries")
+    _check_l_coeffs(zs, ctx)
     if all(l_is_zero(z) for z in zs):
         raise ZeroFunctionalError("functional is zero")
     zmat = mat([[zs[i].coeffs[j] for i in range(ctx.n)] for j in range(ctx.e)])
@@ -412,6 +407,7 @@ def pullback_value(zs, v, ctx: PrimeContext) -> LogValue:
     """Direct evaluation q^(-val_L(z(v))), the oracle for the pullback."""
     if len(zs) != ctx.n or len(v) != ctx.n:
         raise DomainError(f"functional has {len(zs)} entries, vector {len(v)}: expected {ctx.n}")
+    _check_l_coeffs(zs, ctx)
     acc = l_scalar([0], ctx)
     for z, x in zip(zs, v):
         acc = l_add(acc, l_scale(x, z))

@@ -103,7 +103,7 @@ def matrix_from_doc(doc, where="matrix"):
     rows = [vector_from_doc(r, f"{where}[{k}]") for k, r in enumerate(doc)]
     if any(len(r) != len(rows[0]) for r in rows):
         raise ParseError("ragged matrix", where)
-    return arith.mat(rows)
+    return tuple(rows)
 
 
 def lscalar_from_doc(doc, ctx, where="scalar") -> arith.LScalar:
@@ -188,10 +188,7 @@ def seminorm_from_doc(doc, ctx, where="seminorm"):
 
 
 def building_point_to_doc(b: building.BuildingPoint):
-    doc = seminorm_to_doc(b.seminorm)
-    kernel = b.kernel()
-    doc["kernel"] = matrix_to_doc(kernel) if kernel else []
-    return doc
+    return {**seminorm_to_doc(b.seminorm), "kernel": matrix_to_doc(b.kernel())}
 
 
 def monomial_point_to_doc(p: berkovich.MonomialPoint):

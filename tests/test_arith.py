@@ -321,6 +321,18 @@ def test_a_ragged_matrix_is_a_domain_error():
         mat([[1, 0], [0]])
     with pytest.raises(DomainError, match="ragged matrix"):
         sigma_project([[1, 0], [0]], [1])
+    for family in ([[1, 2, 3], [4, 5]], [(1, 2), (3,)]):
+        for fn in (rank, reduced_echelon, nullspace):
+            with pytest.raises(DomainError, match="^ragged matrix$"):
+                fn(family)
+
+
+def test_determinant_and_inverse_refuse_a_non_square_matrix():
+    for m in ([[1, 2, 3], [4, 5, 6]], [[1, 2], [3, 4], [5, 6]], [[1, 2], [3]]):
+        with pytest.raises(DomainError, match="^matrix is not square$"):
+            mat_det(m)
+        with pytest.raises(DomainError, match="^matrix is not square$"):
+            mat_inverse(m)
 
 
 def test_l_add_sub():

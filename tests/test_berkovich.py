@@ -294,6 +294,14 @@ def test_in_omega_examples():
         l_functional([l_scalar([0], CTX22)] * 2, CTX22)
 
 
+def test_l_functional_refuses_a_scalar_built_at_another_e():
+    ctx1, ctx3 = PrimeContext(3, 2), PrimeContext(3, 2, 3)
+    for zs, ctx in (([l_pi(ctx3), l_from_k(1, ctx3)], ctx1),
+                    ([l_from_k(1, ctx1), l_from_k(2, ctx1)], ctx3)):
+        with pytest.raises(DomainError, match=f"^every scalar needs e = {ctx.e} coefficients$"):
+            l_functional(zs, ctx)
+
+
 def test_omega_dichotomy_random():
     rng = random.Random(31)
     for _ in range(80):

@@ -6,8 +6,10 @@ importing and is skipped.  No import is exempt: one kept only so that
 another module can patch or trace it must go.
 Likewise every module-level private function, class and constant is loaded,
 by name or as an attribute, somewhere in the package besides its own
-definition, so that a deletion cannot leave a helper behind.  And the
-command line reads its flags without importing argparse.
+definition, so that a deletion cannot leave a helper behind.  Every
+import is relative or names a standard-library module, so the runtime
+stays pure stdlib.  And the command line reads its flags without
+importing argparse.
 """
 
 import ast
@@ -51,6 +53,36 @@ def test_an_unused_import_is_caught(tmp_path):
                     "\n"
                     "def f(x: floor) -> int:\n    return x\n", encoding="utf-8")
     assert _unused_imports(path) == [(1, "os"), (3, "ceil")]
+
+
+def _non_stdlib_imports(path):
+    """(line, module) of each absolute import whose top package is not in the standard library."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name.split(".")[0] not in sys.stdlib_module_names]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_every_import_is_relative_or_stdlib(path):
+    assert _non_stdlib_imports(path) == []
+
+
+def test_a_non_stdlib_import_is_caught(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("from __future__ import annotations\n"
+                    "import os.path\nimport numpy as np, json\nfrom . import arith\n"
+                    "from .errors import DomainError\nfrom sympy.core import Rational\n"
+                    "\n"
+                    "def f():\n    import hypothesis\n", encoding="utf-8")
+    assert _non_stdlib_imports(path) == [(3, "numpy"), (6, "sympy.core"), (9, "hypothesis")]
 
 
 def _dead_private_helpers(paths):

@@ -370,6 +370,17 @@ def test_pullback_value_refuses_a_size_mismatch(zs, v):
         pullback_value([l_from_k(1, CTX22)] * zs, [Fraction(1)] * v, CTX22)
 
 
+def test_pullbacks_refuse_a_scalar_built_at_another_e():
+    ctx1, ctx3 = PrimeContext(3, 2), PrimeContext(3, 2, 3)
+    wide = [l_pi(ctx3), l_from_k(1, ctx3)]            # (pi, 1), read at e = 1
+    narrow = [l_from_k(1, ctx1), l_from_k(2, ctx1)]   # one coefficient each, read at e = 3
+    for zs, ctx in ((wide, ctx1), (narrow, ctx3)):
+        with pytest.raises(DomainError, match=f"^every scalar needs e = {ctx.e} coefficients$"):
+            pullback_value(zs, (1, 0), ctx)
+        with pytest.raises(DomainError, match=f"^every scalar needs e = {ctx.e} coefficients$"):
+            pullback_from_functional(zs, ctx)
+
+
 def test_chart_and_pullback_refuse_a_size_mismatch():
     with pytest.raises(DomainError, match=r"^piece \(1, 3\) does not fit dimension 2$"):
         phi_from_apartment(apartment_point([1, 3], [0, 1]), CTX2)
