@@ -213,6 +213,8 @@ def ray_limit(x0: ApartmentPoint, direction) -> ApartmentPoint:
     """
     d = [Fraction(t) for t in direction]
     n = len(d)
+    if x0.piece[-1] > n:
+        raise DomainError(f"direction has {n} entries, base point piece {x0.piece} needs {x0.piece[-1]}")
     if x0.piece != tuple(range(1, n + 1)):
         raise DomainError("ray base point must be interior; project first")
     dmin = min(d)

@@ -219,6 +219,7 @@ def l_is_zero(z: LScalar) -> bool:
 
 def val_l(z: LScalar, ctx: PrimeContext):
     """Valuation on L extending v_p: min_i (v_p(a_i) + i/e); v(0) = +inf."""
+    _check_l_coeffs([z], ctx)
     best = INF
     for i, a in enumerate(z.coeffs):
         if a == 0:
@@ -229,7 +230,13 @@ def val_l(z: LScalar, ctx: PrimeContext):
     return best
 
 
+def _same_length(z: LScalar, w: LScalar):
+    if len(z.coeffs) != len(w.coeffs):
+        raise DomainError(f"scalars have {len(z.coeffs)} and {len(w.coeffs)} coefficients")
+
+
 def l_add(z: LScalar, w: LScalar) -> LScalar:
+    _same_length(z, w)
     return LScalar(tuple(a + b for a, b in zip(z.coeffs, w.coeffs)))
 
 
@@ -238,11 +245,13 @@ def l_neg(z: LScalar) -> LScalar:
 
 
 def l_sub(z: LScalar, w: LScalar) -> LScalar:
+    _same_length(z, w)
     return LScalar(tuple(a - b for a, b in zip(z.coeffs, w.coeffs)))
 
 
 def l_mul(z: LScalar, w: LScalar, ctx: PrimeContext) -> LScalar:
     """Product in L, reduced by pi^e = p."""
+    _check_l_coeffs([z, w], ctx)
     e, p = ctx.e, ctx.p
     out = [Fraction(0)] * e
     for i, a in enumerate(z.coeffs):
@@ -264,7 +273,8 @@ def l_scale(c, z: LScalar) -> LScalar:
 def k_rank(zs, ctx: PrimeContext) -> int:
     """Rank over K of LScalars viewed as coefficient vectors in K^e."""
     if not zs:
-        raise ValueError("k_rank of empty family")
+        raise DomainError("k_rank of empty family")
+    _check_l_coeffs(zs, ctx)
     return rank([z.coeffs for z in zs])
 
 
@@ -388,8 +398,10 @@ def _reduced(rows, ncols: int):
 def solve_linear(m, b) -> tuple:
     """Solve m x = b exactly for square invertible m."""
     n = len(m)
-    if any(len(r) != n for r in m) or len(b) != n:
-        raise ValueError("solve_linear needs a square system")
+    if any(len(r) != n for r in m):
+        raise DomainError("matrix is not square")
+    if len(b) != n:
+        raise DomainError(f"right-hand side has {len(b)} entries, expected {n}")
     pivots, a, d = _reduced([list(row) + [bi] for row, bi in zip(m, b)], n)
     if len(pivots) < n:
         raise SingularMatrixError("matrix is singular")
@@ -461,7 +473,7 @@ def reduced_echelon(vectors) -> list:
 def _kernel_and_pivots(m):
     """`nullspace(m)` together with the pivot columns of m's row reduction."""
     if not m:
-        raise ValueError("nullspace of empty matrix")
+        raise DomainError("nullspace of empty matrix")
     ncols = len(m[0])
     pivots, rows, d = _reduced(mat(m), ncols)
     free = [c for c in range(ncols) if c not in pivots]

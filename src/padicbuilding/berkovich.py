@@ -133,8 +133,9 @@ def _packed_mul(f: dict, g: dict) -> dict:
 # Evaluation of monomial points
 # ---------------------------------------------------------------------------
 
-# alpha_evaluate refuses polynomials of higher degree: the rewrite runs on the
-# live columns only, so its size grows like (degree + n_live choose n_live)
+# alpha_evaluate refuses polynomials of higher degree, and check_multiplicative
+# factors whose degrees sum above twice it: the rewrite runs on the live
+# columns only, so its size grows like (degree + n_live choose n_live)
 _MAX_DEGREE = 8
 
 
@@ -238,9 +239,11 @@ def check_multiplicative(p: MonomialPoint, f: PolynomialSymV,
     """Exact test alpha(f g) = alpha(f) alpha(g), with one rewrite of each factor."""
     if f.nvars != p.ctx.n or g.nvars != p.ctx.n:
         raise DomainError("variable count mismatch")
-    num, live, parts = _point_parts(p)
     # no total degree of f, g or f g reaches the base, so no key carries
     base = max(f.degree(), 0) + max(g.degree(), 0) + 1
+    if base > 2 * _MAX_DEGREE + 1:
+        raise DomainError(f"degree sum {base - 1} exceeds cap {2 * _MAX_DEGREE}")
+    num, live, parts = _point_parts(p)
     (cf, df), (cg, dg) = (_rewrite_in_basis(num, live, h, base) for h in (f, g))
     # substitution is a ring homomorphism: f g rewrites to the product, over D_f D_g
     return (_alpha(parts, _packed_mul(cf, cg), df * dg, base)

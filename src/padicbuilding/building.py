@@ -236,6 +236,8 @@ def sigma_project(g, piece) -> tuple:
     if any(len(row) != n for row in g):
         raise DomainError("g must be square")
     inside = sorted(set(piece))
+    if not inside:
+        raise DomainError("empty piece")
     if not set(inside) <= set(range(1, n + 1)):
         raise DomainError(f"piece {tuple(inside)} has an index outside 1..{n}")
     outside = [i for i in range(1, n + 1) if i not in inside]

@@ -11,13 +11,14 @@ norm to a subspace.
 Values are kept in log scale (see arith.LogValue); no real number is ever
 formed, so equality questions are decided exactly.
 
-Each seminorm carries the inverse of its basis in integer form, N / d, and
-v_p(det basis), both from one elimination in diagonal_seminorm (compose_with
-builds the moved basis through it); only canonical_class and scale_seminorm
-derive them from their input's.  So evaluation runs on Python ints: a
-vector's denominators are cleared once, and only integer dot products and
-their p-adic valuations follow; and (class) equality takes one tight bound
-and a volume (_volume), not a bound each way.
+Each seminorm carries v_p(det basis) and, in integer form N / d, the live
+rows of its basis inverse: those at nonzero values, the coordinate
+functionals of V / ker (a kernel column's row is None).  Both come from one
+elimination in diagonal_seminorm (compose_with builds the moved basis
+through it); canonical_class only reorders the live rows.  So evaluation
+runs on Python ints: a vector's denominators are cleared once, and only
+integer dot products and their p-adic valuations follow; and (class)
+equality takes one tight bound and a volume (_volume), not a bound each way.
 
 Orthogonalization and the pullback of a norm from an L-valued functional
 share one reduction kernel that also runs on ints: each vector is one
@@ -78,7 +79,8 @@ class DiagonalSeminorm:
     basis: tuple
     values: tuple
     ctx: PrimeContext
-    # (N, d): integer matrix N and integer d > 0 with basis^-1 = N / d
+    # (N, d), d > 0: row i of N / d is row i of basis^-1 when value i is nonzero,
+    # else None; d and the live entries of N are coprime
     _inv: tuple = field(compare=False, repr=False)
     _vdet: int = field(compare=False, repr=False)  # v_p(det basis)
     _canonical: bool = field(default=False, compare=False, repr=False)  # canonical_class output
@@ -104,10 +106,14 @@ def diagonal_seminorm(basis, values, ctx: PrimeContext) -> DiagonalSeminorm:
         raise DomainError("one value per basis column required")
     if all(v.is_zero for v in values):
         raise DomainError("seminorm must not vanish identically")
-    inv = _inverse_parts(basis)
-    if inv is None:
+    parts = _inverse_parts(basis)
+    if parts is None:
         raise SingularMatrixError("basis is singular")
-    return DiagonalSeminorm(basis, values, ctx, inv[:2], val_k(inv[2], ctx))
+    num, d, det = parts
+    rows = [None if v.is_zero else row for row, v in zip(num, values)]
+    div = math.gcd(d, *(x for row in rows if row is not None for x in row))
+    inv = tuple(None if row is None else tuple(x // div for x in row) for row in rows), d // div
+    return DiagonalSeminorm(basis, values, ctx, inv, val_k(det, ctx))
 
 
 def evaluate(g: DiagonalSeminorm, v) -> LogValue:
@@ -179,7 +185,8 @@ def phi_from_apartment(x: ApartmentPoint, ctx: PrimeContext) -> DiagonalSeminorm
     x.checked(ctx.n)
     values = tuple(LogValue.finite(-x.exponent(i)) if i in x.piece else ZERO_VALUE
                    for i in range(1, ctx.n + 1))
-    unit = tuple(tuple(int(i == j) for j in range(ctx.n)) for i in range(ctx.n))
+    unit = tuple(tuple(int(i == j) for j in range(ctx.n)) if i + 1 in x.piece else None
+                 for i in range(ctx.n))
     return DiagonalSeminorm(identity(ctx.n), values, ctx, (unit, 1), 0)
 
 
@@ -240,12 +247,11 @@ def canonical_class(g: DiagonalSeminorm) -> DiagonalSeminorm:
     by the column entries) and all values are shifted so the leading one
     becomes q^0.
 
-    The inverse of the new basis comes from g's carried inverse N / d: a
-    kept column keeps its row of N.  Every old kernel column c equals
-    sum_t c[pivot_t] r_t over the echelon vectors r_t, so the row for r_t
-    is sum_c c[pivot_t] N_c, with the common denominator L of those
-    coefficients cleared into d; v_p(det basis) drops by v_p(det(c[pivot_t])).
-    The result is marked canonical, and a marked input is returned as is.
+    A nonzero column's row of the inverse is the functional that reads its
+    coordinate on V / ker, which a new kernel basis leaves alone, so the
+    carried live rows of N / d are only reordered; v_p(det basis) drops by
+    the kernel change's v_p(det C) (see _kernel).  The result is marked
+    canonical, and a marked input is returned as is.
     """
     if g._canonical:
         return g
@@ -253,17 +259,9 @@ def canonical_class(g: DiagonalSeminorm) -> DiagonalSeminorm:
     cols = {i: g.column(i) for i in nonker}
     nonker.sort(key=lambda i: (-g.values[i].log, cols[i]))
     shift = -g.values[nonker[0]].log
-    ker_idx = [i for i in range(g.n) if g.values[i].is_zero]
     ker, kval = _kernel(g)
     num, d = g._inv
-    coeffs = [[g.basis[next(j for j, a in enumerate(r) if a)][c] for c in ker_idx] for r in ker]
-    scale = math.lcm(*(a.denominator for row in coeffs for a in row))
-    rows = [[x * scale for x in num[i]] for i in nonker]
-    for row in coeffs:
-        ints = [a.numerator * (scale // a.denominator) for a in row]
-        rows.append([sum(a * num[c][j] for a, c in zip(ints, ker_idx)) for j in range(g.n)])
-    div = math.gcd(d * scale, *(x for row in rows for x in row))
-    inv = tuple(tuple(x // div for x in row) for row in rows), d * scale // div
+    inv = tuple(num[i] for i in nonker) + (None,) * len(ker), d
     values = [g.values[i].shift(shift) for i in nonker] + [ZERO_VALUE] * len(ker)
     return DiagonalSeminorm(mat_from_cols([cols[i] for i in nonker] + ker), tuple(values),
                             g.ctx, inv, g._vdet - kval, True)

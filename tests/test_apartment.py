@@ -197,6 +197,14 @@ def test_ray_limit_examples():
         ray_limit(apartment_point([1, 2], [0, 0]), [0, 0, 1])
 
 
+def test_ray_limit_refuses_a_base_point_larger_than_the_direction():
+    # an interior base point used to be called a boundary one
+    with pytest.raises(DomainError, match=r"^direction has 2 entries, base point piece \(1, 2, 3\) needs 3$"):
+        ray_limit(interior_point([0, 1, 2]), [1, 2])
+    with pytest.raises(DomainError, match=r"^direction has 3 entries, base point piece \(2, 4\) needs 4$"):
+        ray_limit(apartment_point([2, 4], [0, 1]), [0, 0, 1])
+
+
 def test_f_point_examples():
     x = interior_point([0, 1])
     assert f_point(x, Root(1, 2)) == 1

@@ -295,11 +295,13 @@ def test_kernel_and_pivots_on_functional_matrices():
 def test_degenerate_arguments_are_refused():
     with pytest.raises(ValueError, match="^negative powers not supported$"):
         LogValue.finite(1) ** -1
-    with pytest.raises(ValueError, match="^k_rank of empty family$"):
+    with pytest.raises(DomainError, match="^k_rank of empty family$"):
         k_rank([], CTX22)
-    with pytest.raises(ValueError, match="^solve_linear needs a square system$"):
+    with pytest.raises(DomainError, match="^right-hand side has 3 entries, expected 2$"):
         solve_linear(identity(2), (1, 2, 3))
-    with pytest.raises(ValueError, match="^nullspace of empty matrix$"):
+    with pytest.raises(DomainError, match="^matrix is not square$"):
+        solve_linear([[1, 2, 3], [4, 5, 6]], (1, 2))
+    with pytest.raises(DomainError, match="^nullspace of empty matrix$"):
         nullspace([])
 
 
@@ -340,6 +342,25 @@ def test_l_add_sub():
     b = l_scalar([3, -1], CTX22)
     assert l_add(a, b) == l_scalar([4, 1], CTX22)
     assert l_sub(a, b) == l_scalar([-2, 3], CTX22)
+
+
+def test_scalar_arithmetic_refuses_a_scalar_built_at_another_e():
+    # a scalar padded to e = 3 read at e = 1 used to be truncated or misread:
+    # l_add gave (2,), val_l of pi gave 1 and l_mul of pi gave (9,)
+    ctx1, ctx3 = PrimeContext(3, 2), PrimeContext(3, 2, 3)
+    one, pi = l_scalar([1], ctx1), l_pi(ctx3)
+    for op in (l_add, l_sub):
+        with pytest.raises(DomainError, match="^scalars have 3 and 1 coefficients$"):
+            op(l_scalar([1, 1, 1], ctx3), one)
+    with pytest.raises(DomainError, match="^every scalar needs e = 1 coefficients$"):
+        val_l(pi, ctx1)
+    with pytest.raises(DomainError, match="^every scalar needs e = 1 coefficients$"):
+        l_mul(pi, pi, ctx1)
+    with pytest.raises(DomainError, match="^every scalar needs e = 1 coefficients$"):
+        l_mul(one, pi, ctx1)
+    with pytest.raises(DomainError, match="^every scalar needs e = 3 coefficients$"):
+        k_rank([pi, one], ctx3)
+    assert val_l(pi, ctx3) == Fraction(1, 3) and l_mul(pi, pi, ctx3) == l_scalar([0, 0, 1], ctx3)
 
 
 def _naive_int_val(m, p):

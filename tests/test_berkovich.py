@@ -77,6 +77,22 @@ def test_alpha_degree_cap():
         alpha_evaluate(gp, f)
 
 
+def test_check_multiplicative_degree_cap():
+    # the factors' degrees may sum to twice alpha_evaluate's cap and no more;
+    # a zero factor counts as degree 0
+    gp, zero = gauss_point(CTX2), polynomial([], 2)
+
+    def power(i, k):
+        return polynomial([((k * (i == 0), k * (i == 1)), 1)], 2)
+
+    assert check_multiplicative(gp, power(0, 8), power(1, 8))
+    assert check_multiplicative(gp, power(0, 16), zero)
+    for f, g in ((power(0, 9), power(1, 8)), (power(0, 8), power(0, 9)),
+                 (power(1, 17), zero), (power(0, 17), power(1, 0))):
+        with pytest.raises(DomainError, match="^degree sum 17 exceeds cap 16$"):
+            check_multiplicative(gp, f, g)
+
+
 def test_alpha_in_transported_basis():
     # basis (v1, v1+v2): alpha of v2 = (second column) - (first column)
     basis = mat([[1, 1], [0, 1]])

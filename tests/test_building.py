@@ -213,6 +213,7 @@ def test_sigma_project_examples():
     ([[1, 0], [0, 1], [0, 0]], [1], "square"),
     ([[1, 0], [0, 1]], [1, 3], "outside 1..2"),
     ([[1, 0], [0, 1]], [0, 1], "outside 1..2"),
+    ([[1, 0], [0, 1]], [], "empty piece"),
 ])
 def test_sigma_project_refuses_a_size_mismatch(g, piece, message):
     with pytest.raises(DomainError, match=message) as exc:

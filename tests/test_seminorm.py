@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -18,10 +19,13 @@ from padicbuilding import (
     evaluate,
     interior_point,
     kernel_of,
+    l_add,
     l_from_k,
     l_pi,
     l_scalar,
+    l_scale,
     monomial_matrix,
+    monomial_point,
     orthogonalize,
     phi_from_apartment,
     phi_inverse,
@@ -32,6 +36,7 @@ from padicbuilding.arith import (
     mat,
     mat_det,
     mat_from_cols,
+    mat_inverse,
     mat_mul,
     mat_vec,
     rank,
@@ -251,13 +256,19 @@ def _with_zeros(rng, basis, zeros, ctx):
     return diagonal_seminorm(basis, vals, ctx)
 
 
-def test_canonical_class_derives_the_inverse_of_its_basis():
-    # the carried inverse of the canonical basis, derived from the input's,
-    # is the one a fresh inversion gives; kernels arrive scattered, already
-    # in echelon form (a canonical basis with its columns permuted), or from
-    # the pullback of an L-valued functional
-    from padicbuilding.arith import _inverse_parts
+def _live_inverse(g, inverse=None):
+    # the rows of `inverse` (basis^-1 by default) at g's nonzero values, over
+    # one denominator in lowest terms, and None at g's zero values
+    rows = [None if v.is_zero else row for row, v in zip(inverse or mat_inverse(g.basis), g.values)]
+    d = math.lcm(*(x.denominator for row in rows if row is not None for x in row))
+    return tuple(None if row is None else tuple(int(x * d) for x in row) for row in rows), d
 
+
+def test_canonical_class_derives_the_inverse_of_its_basis():
+    # the carried live rows of the canonical basis's inverse, reordered from
+    # the input's, are the ones a fresh inversion gives; kernels arrive
+    # scattered, already in echelon form (a canonical basis with its columns
+    # permuted), or from the pullback of an L-valued functional
     rng = random.Random(54)
     cases = 0
     for n in range(2, 7):
@@ -279,7 +290,7 @@ def test_canonical_class_derives_the_inverse_of_its_basis():
                 g = pullback_from_functional(zs, ctx)
             zero_counts.add(sum(v.is_zero for v in g.values))
             c = canonical_class(g)
-            assert c._inv == _inverse_parts(c.basis)[:2], (g.basis, g.values)
+            assert c._inv == _live_inverse(c), (g.basis, g.values)
             cases += 1
         assert zero_counts == set(range(n)), (n, zero_counts)
     assert cases >= 2000
@@ -446,23 +457,14 @@ def _p_vector(rng, n, p):
                  for _ in range(n))
 
 
-def _carried_inverse(g):
-    num, d = g._inv
-    assert d > 0 and all(isinstance(x, int) for row in num for x in row)
-    assert math.gcd(d, *(x for row in num for x in row)) == 1
-    return tuple(tuple(Fraction(x, d) for x in row) for row in num)
-
-
 def test_evaluate_matches_fraction_expansion():
-    from padicbuilding.arith import mat_inverse
-
     rng = random.Random(51)
     for n in range(2, 7):
         kernels = 0
         for _ in range(250):
             ctx = PrimeContext(rng.choice([2, 3, 5]), n)
             g = rand_seminorm(rng, ctx, steps=rng.randint(1, 4))
-            assert _carried_inverse(g) == mat_inverse(g.basis)
+            assert g._inv == _live_inverse(g)
             kernels += not g.is_norm()
             vs = [_p_vector(rng, n, ctx.p) for _ in range(6)]
             vs += [(Fraction(0),) * n, g.column(rng.randrange(n))]
@@ -472,7 +474,6 @@ def test_evaluate_matches_fraction_expansion():
 
 
 def test_compose_chains_carry_the_inverse_of_the_product():
-    from padicbuilding.arith import mat_inverse, mat_mul
     from randgen import rand_invertible
 
     rng = random.Random(52)
@@ -486,10 +487,10 @@ def test_compose_chains_carry_the_inverse_of_the_product():
             h = rand_invertible(rng, n, ctx.p, steps=3)
             g = compose_with(g, h)
             product = mat_mul(h, product)
-            assert _carried_inverse(g) == mat_inverse(g.basis)
+            assert g._inv == _live_inverse(g)
         start_inverse = mat_inverse(mat_mul(mat_inverse(product), g.basis))
-        assert _carried_inverse(g) == mat_mul(start_inverse, mat_inverse(product))
-        assert _carried_inverse(scale_seminorm(g, Fraction(1, 3))) == _carried_inverse(g)
+        assert g._inv == _live_inverse(g, mat_mul(start_inverse, mat_inverse(product)))
+        assert scale_seminorm(g, Fraction(1, 3))._inv == g._inv
         v = _p_vector(rng, n, ctx.p)
         assert evaluate(g, v) == _reference_evaluate(g, v)
 
@@ -1008,6 +1009,60 @@ def test_orthogonalize_refuses_dependent_families_that_never_reduce_to_zero():
         us = _combined(rng, _p_power_family(rng, n, rng.randint(2, n), ctx.p), ctx.p)
         with pytest.raises(DependentInputError):
             orthogonalize(us, rand_norm(rng, ctx, steps=2))
+
+
+# ---------------------------------------------------------------------------
+# Every constructor carries the live rows of the inverse basis, and only those
+# ---------------------------------------------------------------------------
+
+_CONSTRUCTORS = ("diagonal_seminorm", "phi_from_apartment", "compose_with", "scale_seminorm",
+                 "canonical_class", "pullback_from_functional", "monomial_point")
+
+
+def _constructed(rng, kind, ctx, zeros):
+    """A seminorm with about `zeros` zero values, scattered, made last by the named constructor."""
+    n = ctx.n
+    if kind == "phi_from_apartment":
+        piece = sorted(rng.sample(range(1, n + 1), n - zeros))
+        return phi_from_apartment(apartment_point(piece, [rand_fraction(rng) for _ in piece]), ctx)
+    if kind == "pullback_from_functional":
+        # n - zeros scalars of L, independent over K when e = n - zeros, and their combinations
+        ctx = PrimeContext(ctx.p, n, n - zeros)
+        ws = [rand_lscalar(rng, ctx, zero_ok=False) for _ in range(n - zeros)]
+        zs = ws + [reduce(l_add, (l_scale(rng.randint(-3, 3), w) for w in ws)) for _ in range(zeros)]
+        rng.shuffle(zs)
+        return pullback_from_functional(zs, ctx)
+    basis = rand_invertible(rng, n, ctx.p, rng.randint(1, 4))
+    g = _with_zeros(rng, basis, zeros, ctx)
+    if kind == "compose_with":
+        return compose_with(g, rand_invertible(rng, n, ctx.p, steps=3))
+    if kind == "scale_seminorm":
+        return scale_seminorm(g, rand_fraction(rng))
+    if kind == "canonical_class":
+        return canonical_class(g)
+    if kind == "monomial_point":
+        return monomial_point(basis, g.values, ctx).seminorm
+    return g
+
+
+def test_every_constructor_carries_only_the_live_rows_of_the_inverse():
+    # row i of the carried N / d is None exactly where value i is zero, and
+    # the other rows are those of basis^-1 over one denominator in lowest terms
+    rng = random.Random(93)
+    made = dict.fromkeys(_CONSTRUCTORS, 0)
+    scattered = 0
+    for n in range(2, 9):
+        zero_counts = set()
+        for k in range(308):
+            kind = _CONSTRUCTORS[k % len(_CONSTRUCTORS)]
+            g = _constructed(rng, kind, PrimeContext(rng.choice([2, 3, 5, 7]), n), k // 7 % n)
+            assert g._inv == _live_inverse(g), (kind, g.basis, g.values)
+            assert all(type(x) is int for row in g._inv[0] if row is not None for x in row)
+            zero_counts.add(sum(v.is_zero for v in g.values))
+            scattered += _kernel_columns(g) != kernel_of(g)
+            made[kind] += 1
+        assert zero_counts == set(range(n)), (n, zero_counts)
+    assert min(made.values()) >= 300 and sum(made.values()) >= 2000 and scattered > 500
 
 
 # ---------------------------------------------------------------------------
