@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import INF, PrimeContext, val_k
+from .arith import INF, PrimeContext, _integer_rows, val_k
 from .errors import (
     DomainError,
     IndexOutsidePieceError,
@@ -116,11 +116,13 @@ class MonomialElement:
 
 
 def monomial_element(perm, trans) -> MonomialElement:
-    perm = tuple(int(w) for w in perm)
-    n = len(perm)
-    if sorted(perm) != list(range(1, n + 1)):
+    perm = tuple(perm)
+    ws = [w if type(w) is int else Fraction(w) for w in perm]
+    n = len(ws)
+    if sorted(ws) != list(range(1, n + 1)):     # a non-integral entry fails here too
         raise DomainError(f"not a permutation of 1..{n}: {perm}")
-    ts = [Fraction(t) for t in trans]
+    perm = tuple(int(w) for w in ws)
+    ts = [t if type(t) is Fraction else Fraction(t) for t in trans]
     if len(ts) != n:
         raise DomainError("translation length mismatch")
     base = ts[0]
@@ -150,7 +152,7 @@ def monomial_inverse(m: MonomialElement) -> MonomialElement:
 
 def nu_translation(diag, ctx: PrimeContext) -> MonomialElement:
     """Translation nu(t) = -sum v(d_i) eta_i of a diagonal element t."""
-    ds = [Fraction(d) for d in diag]
+    ds = [d if type(d) is Fraction else Fraction(d) for d in diag]
     if any(d == 0 for d in ds):
         raise ZeroDiagonalError("diagonal entry is zero")
     if len(ds) != ctx.n:
@@ -211,7 +213,7 @@ def ray_limit(x0: ApartmentPoint, direction) -> ApartmentPoint:
     to the minimum while all others drift to +infinity, sending the
     corresponding seminorm values to zero.  Constant d gives back x0.
     """
-    d = [Fraction(t) for t in direction]
+    d = [t if type(t) is Fraction else Fraction(t) for t in direction]
     n = len(d)
     if x0.piece[-1] > n:
         raise DomainError(f"direction has {n} entries, base point piece {x0.piece} needs {x0.piece[-1]}")
@@ -271,7 +273,7 @@ class OpenBox:
 
 
 def open_box(intervals) -> OpenBox:
-    ivs = tuple((Fraction(lo), Fraction(hi)) for lo, hi in intervals)
+    ivs = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in iv) for iv in intervals)
     for lo, hi in ivs:
         if not lo < hi:
             raise DomainError(f"empty interval ({lo}, {hi})")
@@ -288,7 +290,8 @@ def gamma_membership(y: ApartmentPoint, box: OpenBox, piece) -> bool:
     y_j = u_j + delta_j + c on the piece of y.  Each u_j meets only c, so
     eliminating it leaves an interval test on c: lo_j < y_j - c < hi_j for
     j in I, lo_j < y_j - c for j in the piece outside I, and at index 1
-    (where u_1 = 0) either c = y_1 or c <= y_1.
+    (where u_1 = 0) either c = y_1 or c <= y_1.  The test runs on integers:
+    the exponents of y and the box ends, over one common denominator.
     """
     n = box.n
     i_set = set(piece)
@@ -297,16 +300,18 @@ def gamma_membership(y: ApartmentPoint, box: OpenBox, piece) -> bool:
     y.checked(n)
     if not i_set <= set(y.piece):
         return False
-    lower, upper = -INF, INF            # strict bounds on c
-    for j, yj in zip(y.piece, y.exponents):
-        if j == 1:
-            continue
-        lo, hi = box.intervals[j - 2]
-        upper = min(upper, yj - lo)
-        if j in i_set:
-            lower = max(lower, yj - hi)
+    off = int(y.piece[0] == 1)          # the piece is sorted, so y_1 comes first
+    ends = [e for j in y.piece[off:] for e in box.intervals[j - 2]]
+    (row,), _ = _integer_rows([[*ends, *y.exponents]])
+    k = len(ends)
+    y1 = row[k]
+    # strict bounds on c, None on an unbounded side; c <= y_1 joins upper when 1 is off I
+    lower, upper = None, (y1 if off and 1 not in i_set else None)
+    for j, lo, hi, yj in zip(y.piece[off:], row[0:k:2], row[1:k:2], row[k + off:]):
+        if upper is None or yj - lo < upper:
+            upper = yj - lo
+        if j in i_set and (lower is None or yj - hi > lower):
+            lower = yj - hi
     if 1 in i_set:
-        return lower < y.exponent(1) < upper
-    if 1 in y.piece:
-        return lower < upper and lower < y.exponent(1)
-    return lower < upper
+        return (lower is None or lower < y1) and (upper is None or y1 < upper)
+    return lower is None or lower < upper

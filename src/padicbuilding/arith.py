@@ -105,7 +105,7 @@ def _int_val(m: int, p: int) -> int:
 
 def val_k(c, ctx: PrimeContext):
     """Valuation v_p on K = Q, normalized with v(p) = 1.  v(0) = +inf."""
-    c = Fraction(c)
+    c = c if type(c) is Fraction else Fraction(c)
     if c == 0:
         return INF
     return _int_val(c.numerator, ctx.p) - _int_val(c.denominator, ctx.p)
@@ -124,7 +124,7 @@ class LogValue:
 
     @staticmethod
     def finite(log) -> "LogValue":
-        return LogValue(Fraction(log))
+        return LogValue(log if type(log) is Fraction else Fraction(log))
 
     @staticmethod
     def zero() -> "LogValue":
@@ -305,8 +305,9 @@ def _integer_rows(rows) -> tuple:
     # each rational row times the lcm of its denominators, and those lcms
     ints, scales = [], []
     for row in rows:
-        den = math.lcm(*(x.denominator for x in row))
-        ints.append([x.numerator * (den // x.denominator) for x in row])
+        pairs = [x.as_integer_ratio() for x in row]
+        den = math.lcm(*(d for _, d in pairs))
+        ints.append([a * (den // d) for a, d in pairs])
         scales.append(den)
     return ints, scales
 

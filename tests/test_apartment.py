@@ -119,6 +119,30 @@ def test_act_monomial_refuses_a_piece_outside_its_size():
         act_monomial(w, apartment_point([3], [0]))
 
 
+def test_monomial_element_refuses_a_non_integral_permutation():
+    with pytest.raises(DomainError, match=r"^not a permutation of 1\.\.2: \(1\.9, 2\.2\)$"):
+        monomial_element([1.9, 2.2], [0, 0])
+    for perm in ([Fraction(3, 2), 2], [1, Fraction(5, 2), 3], ["3/2", 1]):
+        with pytest.raises(DomainError, match="not a permutation"):
+            monomial_element(perm, [0] * len(perm))
+    # integral values of other types still read as the permutation they name
+    m = monomial_element([2.0, Fraction(1), "3", "4.0"], [0, 0, 0, 0])
+    assert m.perm == (2, 1, 3, 4) and all(type(w) is int for w in m.perm)
+
+
+def test_entry_points_take_fractions_as_they_are_and_convert_the_rest():
+    ctx = PrimeContext(3, 2)
+    third = Fraction(1, 3)
+    assert open_box([(third, 1)]).intervals[0][0] is third
+    assert open_box([("1/3", 1.0)]) == open_box([(third, Fraction(1))])
+    assert monomial_element([1, 2], [third, 1]).trans == (0, Fraction(2, 3))
+    assert monomial_element([1, 2], ["0", "1/3"]) == monomial_element([1, 2], [0, third])
+    assert nu_translation([third, "9/2"], ctx) == nu_translation([Fraction(1, 3), Fraction(9, 2)], ctx)
+    assert nu_translation([third, 9], ctx).trans == (0, -3)
+    x0 = interior_point([0, 1, 2])
+    assert ray_limit(x0, [third, "1/3", 1]) == ray_limit(x0, [third, third, Fraction(1)])
+
+
 def test_monomial_compose_refuses_a_size_mismatch():
     with pytest.raises(DomainError, match="^size mismatch$"):
         monomial_compose(monomial_identity(2), monomial_identity(3))
@@ -359,12 +383,13 @@ def _fm_feasible(constraints, nvars):
     return all(r > 0 if s else r >= 0 for _, r, s in cons)
 
 
-def fm_gamma_membership(y, box, piece):
+def fm_gamma_membership(y, box, piece, strict=True):
     """The basic-open system of gamma_membership, solved by Fourier-Motzkin.
 
     Variables x[i-2] = u_i for i in 2..n (u_1 = 0) and x[n-1] = c, the
     gauge constant.  The u_i are eliminated before c, which keeps the
-    elimination small; the answer does not depend on the order.
+    elimination small; the answer does not depend on the order.  With
+    strict=False the box is closed, so the system describes the closure.
     """
     n = box.n
     if not set(piece) <= set(y.piece):
@@ -380,8 +405,8 @@ def fm_gamma_membership(y, box, piece):
         return c
 
     for k, (lo, hi) in enumerate(box.intervals):
-        cons.append((coeffs(k + 2, -1), -lo, True))          # u_i > lo
-        cons.append((coeffs(k + 2, +1), hi, True))           # u_i < hi
+        cons.append((coeffs(k + 2, -1), -lo, strict))        # u_i > lo
+        cons.append((coeffs(k + 2, +1), hi, strict))         # u_i < hi
     for j in y.piece:
         yj = y.exponent(j)
         cons.append((coeffs(j, +1, True), yj, False))        # u_j + c <= y_j
@@ -423,3 +448,41 @@ def test_gamma_membership_matches_fourier_motzkin():
             if one == "in piece" and equal:
                 continue
             assert {m for m, o, e in answers if o == one and e == equal} == {True, False}
+
+
+def _coprime_gamma_instance(rng):
+    # denominators 1..9, so the common denominator is seldom a power of 2;
+    # u takes a box end and the drift is 0 often enough that y lands exactly
+    # on a strict bound
+    def frac(lo, hi):
+        return Fraction(rng.randint(lo, hi), rng.randint(1, 9))
+
+    n = rng.randint(2, 5)
+    ivs = []
+    for _ in range(n - 1):
+        lo = frac(-9, 9)
+        ivs.append((lo, lo + frac(1, 9)))
+    i_set = sorted(rng.sample(range(1, n + 1), rng.randint(1, n - 1)))
+    extra = [i for i in range(1, n + 1) if i not in i_set and rng.random() < 0.5]
+    piece = sorted(i_set + extra)
+    u = [Fraction(0)] + [rng.choice((lo, hi, lo + (hi - lo) * frac(-2, 10))) for lo, hi in ivs]
+    c = frac(-9, 9)
+    coords = [u[i - 1] + c + (0 if i in i_set else rng.choice((0, frac(-9, 9)))) for i in piece]
+    return apartment_point(piece, coords), open_box(ivs), i_set
+
+
+def test_gamma_membership_matches_fourier_motzkin_on_coprime_denominators():
+    rng = random.Random(9)
+    answers = []
+    for _ in range(2000):
+        y, box, i_set = _coprime_gamma_instance(rng)
+        member = gamma_membership(y, box, i_set)
+        assert member == fm_gamma_membership(y, box, i_set), (y, box, i_set)
+        # in the closure but not in Gamma: y lies exactly on a strict bound
+        edge = not member and fm_gamma_membership(y, box, i_set, strict=False)
+        one = "in I" if 1 in i_set else "in piece" if 1 in y.piece else "outside"
+        answers.append((member, one, edge))
+    # both answers, and points on a strict bound, for every position of index 1
+    for one in ("in I", "in piece", "outside"):
+        assert {m for m, o, _ in answers if o == one} == {True, False}
+        assert sum(e for _, o, e in answers if o == one) >= 40

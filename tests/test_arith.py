@@ -25,6 +25,7 @@ from padicbuilding.arith import (
     _PRIME_LIMIT,
     _int_val,
     _is_prime,
+    _integer_rows,
     _inverse_parts,
     _kernel_and_pivots,
     identity,
@@ -524,6 +525,51 @@ def test_mat_mul_agrees_with_fraction_products():
         got = mat_mul(a, b)
         assert got == expected
         assert all(type(x) is Fraction for row in got for x in row)
+
+
+def _property_integer_rows(rows):
+    # the reading through numerator and denominator that as_integer_ratio replaced
+    ints, scales = [], []
+    for row in rows:
+        den = math.lcm(*(x.denominator for x in row))
+        ints.append([x.numerator * (den // x.denominator) for x in row])
+        scales.append(den)
+    return ints, scales
+
+
+def test_integer_rows_matches_the_property_reading():
+    rng = random.Random(47)
+    entry = {
+        "int": lambda: rng.randint(-40, 40),
+        "fraction": lambda: Fraction(rng.randint(-40, 40), rng.randint(1, 36)),
+        "zero": lambda: rng.choice([0, Fraction(0)]),
+        "bool": lambda: rng.choice([True, False]),
+    }
+    seen = set()
+    for _ in range(500):
+        kinds = rng.choice([["int"], ["fraction"], ["int", "fraction", "zero"], list(entry)])
+        rows = [[entry[rng.choice(kinds)]() for _ in range(rng.randint(0, 7))]
+                for _ in range(rng.randint(0, 4))]
+        ints, scales = _integer_rows(rows)
+        assert (ints, scales) == _property_integer_rows(rows)
+        assert all(type(x) is int for row in ints for x in row)
+        for row, irow, den in zip(rows, ints, scales):
+            assert den > 0 and [Fraction(x, den) for x in irow] == row
+            seen.update(type(x).__name__ for x in row)
+            seen.add("empty" if not row else "negative" if any(x < 0 for x in row) else "other")
+    assert _integer_rows([[]]) == ([[]], [1]) and _integer_rows([]) == ([], [])
+    assert seen >= {"int", "Fraction", "bool", "empty", "negative", "other"}
+
+
+def test_entry_points_keep_their_values_without_rewrapping():
+    # val_k and LogValue.finite take a Fraction as it is and convert anything else
+    half = Fraction(-3, 4)
+    assert LogValue.finite(half).log is half
+    for x in (-3, "-3/4", Fraction(6, -8), 12, "1/12"):
+        assert LogValue.finite(x) == LogValue(Fraction(x))
+        assert val_k(x, CTX2) == val_k(Fraction(x), CTX2)
+        assert type(LogValue.finite(x).log) is Fraction
+    assert val_k(0, CTX2) == val_k(Fraction(0), CTX2) == INF
 
 
 def test_identity_equals_the_fresh_fraction_matrix():
