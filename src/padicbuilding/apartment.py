@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import INF, PrimeContext, _integer_rows, val_k
+from .arith import INF, PrimeContext, _integer_rows, _rational, val_k
 from .errors import (
     DomainError,
     IndexOutsidePieceError,
@@ -55,7 +55,7 @@ def apartment_point(piece, exponents) -> ApartmentPoint:
         raise DomainError("empty piece")
     if len(set(idxs)) != len(idxs) or idxs[0] < 1:
         raise DomainError(f"invalid piece {idxs}")
-    exps = tuple(x if type(x) is Fraction else Fraction(x) for _, x in pairs)
+    exps = tuple(x if type(x) is Fraction else _rational(x) for _, x in pairs)
     base = exps[0]
     return ApartmentPoint(idxs, tuple(x - base for x in exps) if base else exps)
 
@@ -117,12 +117,12 @@ class MonomialElement:
 
 def monomial_element(perm, trans) -> MonomialElement:
     perm = tuple(perm)
-    ws = [w if type(w) is int else Fraction(w) for w in perm]
+    ws = [w if type(w) is int else _rational(w) for w in perm]
     n = len(ws)
     if sorted(ws) != list(range(1, n + 1)):     # a non-integral entry fails here too
         raise DomainError(f"not a permutation of 1..{n}: {perm}")
     perm = tuple(int(w) for w in ws)
-    ts = [t if type(t) is Fraction else Fraction(t) for t in trans]
+    ts = [t if type(t) is Fraction else _rational(t) for t in trans]
     if len(ts) != n:
         raise DomainError("translation length mismatch")
     base = ts[0]
@@ -152,7 +152,7 @@ def monomial_inverse(m: MonomialElement) -> MonomialElement:
 
 def nu_translation(diag, ctx: PrimeContext) -> MonomialElement:
     """Translation nu(t) = -sum v(d_i) eta_i of a diagonal element t."""
-    ds = [d if type(d) is Fraction else Fraction(d) for d in diag]
+    ds = [d if type(d) is Fraction else _rational(d) for d in diag]
     if any(d == 0 for d in ds):
         raise ZeroDiagonalError("diagonal entry is zero")
     if len(ds) != ctx.n:
@@ -213,7 +213,7 @@ def ray_limit(x0: ApartmentPoint, direction) -> ApartmentPoint:
     to the minimum while all others drift to +infinity, sending the
     corresponding seminorm values to zero.  Constant d gives back x0.
     """
-    d = [t if type(t) is Fraction else Fraction(t) for t in direction]
+    d = [t if type(t) is Fraction else _rational(t) for t in direction]
     n = len(d)
     if x0.piece[-1] > n:
         raise DomainError(f"direction has {n} entries, base point piece {x0.piece} needs {x0.piece[-1]}")
@@ -273,7 +273,9 @@ class OpenBox:
 
 
 def open_box(intervals) -> OpenBox:
-    ivs = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in iv) for iv in intervals)
+    ivs = tuple(tuple(x if type(x) is Fraction else _rational(x) for x in iv) for iv in intervals)
+    if any(len(iv) != 2 for iv in ivs):
+        raise DomainError("every interval must be a pair (lo, hi)")
     for lo, hi in ivs:
         if not lo < hi:
             raise DomainError(f"empty interval ({lo}, {hi})")

@@ -103,9 +103,16 @@ def _int_val(m: int, p: int) -> int:
     return v
 
 
+def _rational(x) -> Fraction:
+    # a float reads as the decimal its repr shows, not as its binary expansion
+    if isinstance(x, float) and not math.isfinite(x):
+        raise DomainError(f"not a finite number: {x}")
+    return Fraction(repr(x) if isinstance(x, float) else x)
+
+
 def val_k(c, ctx: PrimeContext):
     """Valuation v_p on K = Q, normalized with v(p) = 1.  v(0) = +inf."""
-    c = c if type(c) is Fraction else Fraction(c)
+    c = c if type(c) is Fraction else _rational(c)
     if c == 0:
         return INF
     return _int_val(c.numerator, ctx.p) - _int_val(c.denominator, ctx.p)
@@ -124,7 +131,7 @@ class LogValue:
 
     @staticmethod
     def finite(log) -> "LogValue":
-        return LogValue(log if type(log) is Fraction else Fraction(log))
+        return LogValue(log if type(log) is Fraction else _rational(log))
 
     @staticmethod
     def zero() -> "LogValue":
@@ -152,7 +159,7 @@ class LogValue:
         """Multiply by q^delta (zero stays zero)."""
         if self.is_zero:
             return self
-        return LogValue(self.log + Fraction(delta))
+        return LogValue(self.log + (delta if type(delta) is Fraction else _rational(delta)))
 
     def __lt__(self, other: "LogValue") -> bool:
         if self.is_zero:
@@ -189,9 +196,9 @@ class LScalar:
 
 
 def l_scalar(coeffs, ctx: PrimeContext) -> LScalar:
-    cs = [Fraction(c) for c in coeffs]
+    cs = [_rational(c) for c in coeffs]
     if len(cs) > ctx.e:
-        raise ValueError(f"expected at most {ctx.e} coefficients, got {len(cs)}")
+        raise DomainError(f"expected at most {ctx.e} coefficients, got {len(cs)}")
     cs.extend([Fraction(0)] * (ctx.e - len(cs)))
     return LScalar(tuple(cs))
 
@@ -203,7 +210,7 @@ def _check_l_coeffs(zs, ctx: PrimeContext):
 
 
 def l_from_k(c, ctx: PrimeContext) -> LScalar:
-    return l_scalar([Fraction(c)], ctx)
+    return l_scalar([c], ctx)
 
 
 def l_pi(ctx: PrimeContext) -> LScalar:
@@ -266,7 +273,7 @@ def l_mul(z: LScalar, w: LScalar, ctx: PrimeContext) -> LScalar:
 
 
 def l_scale(c, z: LScalar) -> LScalar:
-    c = Fraction(c)
+    c = _rational(c)
     return LScalar(tuple(c * a for a in z.coeffs))
 
 
@@ -283,11 +290,11 @@ def k_rank(zs, ctx: PrimeContext) -> int:
 # ---------------------------------------------------------------------------
 
 def vec(xs) -> tuple:
-    return tuple(Fraction(x) for x in xs)
+    return tuple(_rational(x) for x in xs)
 
 
 def mat(rows) -> tuple:
-    rows = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in r) for r in rows)
+    rows = tuple(tuple(x if type(x) is Fraction else _rational(x) for x in r) for r in rows)
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise DomainError("ragged matrix")
     return rows
@@ -338,7 +345,7 @@ def vec_sub(u, v) -> tuple:
 
 
 def vec_scale(c, v) -> tuple:
-    c = Fraction(c)
+    c = _rational(c)
     return tuple(c * a for a in v)
 
 
@@ -397,16 +404,11 @@ def _reduced(rows, ncols: int):
 
 
 def solve_linear(m, b) -> tuple:
-    """Solve m x = b exactly for square invertible m."""
-    n = len(m)
-    if any(len(r) != n for r in m):
-        raise DomainError("matrix is not square")
-    if len(b) != n:
-        raise DomainError(f"right-hand side has {len(b)} entries, expected {n}")
-    pivots, a, d = _reduced([list(row) + [bi] for row, bi in zip(m, b)], n)
-    if len(pivots) < n:
-        raise SingularMatrixError("matrix is singular")
-    return tuple(Fraction(row[n], d) for row in a)
+    """Solve m x = b exactly for square invertible m, as mat_inverse(m) b."""
+    inv = mat_inverse(mat(m))
+    if len(b) != len(m):
+        raise DomainError(f"right-hand side has {len(b)} entries, expected {len(m)}")
+    return mat_vec(inv, vec(b))
 
 
 def _inverse_parts(m):

@@ -28,7 +28,7 @@ alpha(f g) comes from the packed product of the two rewrites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import (
@@ -38,6 +38,7 @@ from .arith import (
     _check_l_coeffs,
     _int_val,
     _integer_rows,
+    _rational,
     identity,
     k_rank,
     l_from_k,
@@ -58,6 +59,7 @@ class MonomialPoint:
     """j(gamma), the multiplicative extension of a seminorm gamma on V; radii = its values."""
 
     seminorm: DiagonalSeminorm
+    _section: BuildingPoint | None = field(default=None, compare=False, repr=False)  # b of j(b)
 
     basis = property(lambda self: self.seminorm.basis)
     radii = property(lambda self: self.seminorm.values)
@@ -88,7 +90,7 @@ class PolynomialSymV:
 
 
 def _exponent(k) -> int:
-    x = Fraction(k)
+    x = _rational(k)
     if x.denominator != 1:
         raise DomainError(f"multi-index entry {k!r} is not an integer")
     return x.numerator
@@ -101,7 +103,7 @@ def polynomial(terms, nvars: int) -> PolynomialSymV:
         nu = tuple(k if type(k) is int else _exponent(k) for k in nu)
         if len(nu) != nvars or any(k < 0 for k in nu):
             raise DomainError(f"bad multi-index {nu}")
-        c = Fraction(c)
+        c = _rational(c)
         acc[nu] = acc.get(nu, Fraction(0)) + c
     cleaned = sorted((nu, c) for nu, c in acc.items() if c != 0)
     return PolynomialSymV(tuple(cleaned), nvars)
@@ -265,15 +267,15 @@ def monomial_class_equals(p1: MonomialPoint, p2: MonomialPoint) -> bool:
 # ---------------------------------------------------------------------------
 
 def j_section(b: BuildingPoint) -> MonomialPoint:
-    """Extend a seminorm class multiplicatively to the polynomial ring."""
-    return MonomialPoint(b.seminorm)
+    """Extend b multiplicatively to the polynomial ring; the point remembers b for r."""
+    return MonomialPoint(b.seminorm, b)
 
 
 def r_reduce_monomial(p: MonomialPoint) -> BuildingPoint:
     """Restrict a monomial seminorm to degree one; satisfies r o j = id.
 
-    j(b) carries b's marked canonical seminorm, which building_point keeps."""
-    return building_point(p.seminorm)
+    A point built by j_section(b) remembers b, and r returns that b as is."""
+    return p._section or building_point(p.seminorm)
 
 
 def r_reduce_rational(z, ctx: PrimeContext) -> BuildingPoint:

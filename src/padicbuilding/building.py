@@ -17,7 +17,6 @@ a seminorm or inverting g.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,6 +35,7 @@ from .arith import (
     PrimeContext,
     _eliminate,
     _int_val,
+    _integer_rows,
     _reduced,
     identity,
     mat,
@@ -45,6 +45,7 @@ from .arith import (
 from .errors import DomainError, SingularMatrixError, SubspaceNotPreservedError
 from .seminorm import (
     DiagonalSeminorm,
+    _group_matrix,
     canonical_class,
     class_equals,
     compose_with,
@@ -93,8 +94,8 @@ class ElementaryUnipotent:
 
 def unipotent_matrix(u: ElementaryUnipotent, n: int) -> tuple:
     u.root.checked(n)
-    rows = [[Fraction(1 if a == b else 0) for b in range(n)] for a in range(n)]
-    rows[u.root.i - 1][u.root.j - 1] = Fraction(u.entry)
+    rows = [list(row) for row in identity(n)]
+    rows[u.root.i - 1][u.root.j - 1] = u.entry
     return mat(rows)
 
 
@@ -110,10 +111,9 @@ def act_group(g, b: BuildingPoint) -> BuildingPoint:
 
 def _checked(g, x: ApartmentPoint, n: int) -> tuple:
     """g as a Fraction matrix, once the chart (g, x) is checked against n."""
-    if len(g) != n or any(len(row) != n for row in g):
-        raise DomainError(f"group element must be {n}x{n}")
+    g = _group_matrix(g, n)
     x.checked(n)
-    return mat(g)
+    return g
 
 
 def _bound(rows, x: ApartmentPoint, xs, ys: dict, scale: int, p: int):
@@ -160,12 +160,10 @@ def _same_class(rows, x: ApartmentPoint, y: ApartmentPoint, p: int) -> bool:
     singularity, the complementary one by mat_det unless it is empty.
     Without s, mat_det of m decides it.
     """
-    scale = math.lcm(*(a.denominator for a in x.exponents),
-                     *(a.denominator for a in y.exponents))
-    xs = [a.numerator * (scale // a.denominator) for a in x.exponents]
-    ys = {j: a.numerator * (scale // a.denominator) for j, a in zip(y.piece, y.exponents)}
-    s = _bound(rows, x, xs, ys, scale, p)
     k = len(x.piece)
+    (row,), (scale,) = _integer_rows([[*x.exponents, *y.exponents]])
+    xs, ys = row[:k], dict(zip(y.piece, row[k:]))
+    s = _bound(rows, x, xs, ys, scale, p)
     if s is None or k != len(y.piece):
         if mat_det(rows) == 0:
             raise SingularMatrixError("group element must be invertible")
@@ -204,10 +202,9 @@ def in_stabilizer_P_x(g, x: ApartmentPoint, ctx: PrimeContext) -> bool:
     scaling, decided on g = G / e with one tight bound and the determinants
     of two diagonal blocks of G (see _same_class).  No inverse is formed.
     """
-    g = _checked(g, x, ctx.n)
-    e = math.lcm(*(a.denominator for row in g for a in row))
-    return _same_class([[a.numerator * (e // a.denominator) for a in row] for row in g],
-                       x, x, ctx.p)
+    n = ctx.n
+    (flat,), _ = _integer_rows([[a for row in _checked(g, x, n) for a in row]])
+    return _same_class([flat[i:i + n] for i in range(0, n * n, n)], x, x, ctx.p)
 
 
 def in_U_a_sigma(u: ElementaryUnipotent, points, ctx: PrimeContext) -> bool:

@@ -25,9 +25,7 @@ share one reduction kernel that also runs on ints: each vector is one
 integer row over one positive denominator, kept gcd-reduced, and the
 exponents c_j of the target norm are put over one common denominator S,
 so every weight S log(|x_j| q^{c_j}) is an integer; evaluate compares its
-live logs over one common denominator the same way.  canonical_class marks
-its output and returns a marked seminorm unchanged, so r o j canonicalizes
-nothing; every other constructor, scaling included, leaves the mark off.
+live logs over one common denominator the same way.
 """
 
 from __future__ import annotations
@@ -48,6 +46,7 @@ from .arith import (
     _integer_rows,
     _inverse_parts,
     _kernel_and_pivots,
+    _rational,
     identity,
     l_add,
     l_is_zero,
@@ -83,7 +82,6 @@ class DiagonalSeminorm:
     # else None; d and the live entries of N are coprime
     _inv: tuple = field(compare=False, repr=False)
     _vdet: int = field(compare=False, repr=False)  # v_p(det basis)
-    _canonical: bool = field(default=False, compare=False, repr=False)  # canonical_class output
 
     def column(self, i: int) -> tuple:
         return mat_col(self.basis, i)
@@ -123,7 +121,7 @@ def evaluate(g: DiagonalSeminorm, v) -> LogValue:
     only the integer dot products N_i . w need a valuation.  With the live logs
     over one denominator S, the max is taken on the integers S log(|lambda_i| gamma(w_i)).
     """
-    (w,), (den,) = _integer_rows([[x if type(x) is Fraction else Fraction(x) for x in v]])
+    (w,), (den,) = _integer_rows([[x if type(x) is Fraction else _rational(x) for x in v]])
     num, d = g._inv
     if len(w) != len(num):
         raise DomainError(f"vector has {len(w)} entries, expected {len(num)}")
@@ -160,20 +158,23 @@ def _kernel(g: DiagonalSeminorm) -> tuple:
     return ker, val_k(mat_det([[c[j] for c in cols] for j in piv]), g.ctx)
 
 
-def compose_with(g: DiagonalSeminorm, m) -> DiagonalSeminorm:
-    """The translate gamma o m^{-1}: diagonal_seminorm inverts the moved basis m basis afresh."""
-    n = g.ctx.n
+def _group_matrix(m, n: int) -> tuple:
     if len(m) != n or any(len(row) != n for row in m):
         raise DomainError(f"group element must be {n}x{n}")
+    return mat(m)
+
+
+def compose_with(g: DiagonalSeminorm, m) -> DiagonalSeminorm:
+    """The translate gamma o m^{-1}: diagonal_seminorm inverts the moved basis m basis afresh."""
     try:
-        return diagonal_seminorm(mat_mul(mat(m), g.basis), g.values, g.ctx)
+        return diagonal_seminorm(mat_mul(_group_matrix(m, g.ctx.n), g.basis), g.values, g.ctx)
     except SingularMatrixError:
         raise SingularMatrixError("group element must be invertible") from None
 
 
 def scale_seminorm(g: DiagonalSeminorm, delta) -> DiagonalSeminorm:
     """Multiply the seminorm by q^delta."""
-    return replace(g, values=tuple(v.shift(delta) for v in g.values), _canonical=False)
+    return replace(g, values=tuple(v.shift(delta) for v in g.values))
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +251,8 @@ def canonical_class(g: DiagonalSeminorm) -> DiagonalSeminorm:
     A nonzero column's row of the inverse is the functional that reads its
     coordinate on V / ker, which a new kernel basis leaves alone, so the
     carried live rows of N / d are only reordered; v_p(det basis) drops by
-    the kernel change's v_p(det C) (see _kernel).  The result is marked
-    canonical, and a marked input is returned as is.
+    the kernel change's v_p(det C) (see _kernel).
     """
-    if g._canonical:
-        return g
     nonker = [i for i in range(g.n) if not g.values[i].is_zero]
     cols = {i: g.column(i) for i in nonker}
     nonker.sort(key=lambda i: (-g.values[i].log, cols[i]))
@@ -264,7 +262,7 @@ def canonical_class(g: DiagonalSeminorm) -> DiagonalSeminorm:
     inv = tuple(num[i] for i in nonker) + (None,) * len(ker), d
     values = [g.values[i].shift(shift) for i in nonker] + [ZERO_VALUE] * len(ker)
     return DiagonalSeminorm(mat_from_cols([cols[i] for i in nonker] + ker), tuple(values),
-                            g.ctx, inv, g._vdet - kval, True)
+                            g.ctx, inv, g._vdet - kval)
 
 
 def class_equals(g1: DiagonalSeminorm, g2: DiagonalSeminorm) -> bool:
@@ -310,8 +308,7 @@ def _reduce_family(rows, dens, cs, p):
     tuples and each vector's norm exponent as a Fraction.
     """
     dim = len(cs)
-    s = math.lcm(*(c.denominator for c in cs))
-    scaled = [c.numerator * (s // c.denominator) for c in cs]
+    (scaled,), (s,) = _integer_rows([cs])
     claimed = {}
     tops = []
     for k in range(len(rows)):
@@ -351,7 +348,7 @@ def orthogonalize(us, ambient: DiagonalSeminorm) -> list:
     """
     if not ambient.is_norm():
         raise DomainError("ambient seminorm must be a norm")
-    us = [tuple(x if type(x) is Fraction else Fraction(x) for x in u) for u in us]
+    us = [tuple(x if type(x) is Fraction else _rational(x) for x in u) for u in us]
     if not us:
         return []
     if len(us) > ambient.n or any(len(u) != ambient.n for u in us):

@@ -130,6 +130,12 @@ def test_monomial_element_refuses_a_non_integral_permutation():
     assert m.perm == (2, 1, 3, 4) and all(type(w) is int for w in m.perm)
 
 
+def test_open_box_refuses_an_interval_that_is_not_a_pair():
+    for ivs in ([(0, 1, 2)], [(0, 1), (0,)], [()]):
+        with pytest.raises(DomainError, match=r"^every interval must be a pair \(lo, hi\)$"):
+            open_box(ivs)
+
+
 def test_entry_points_take_fractions_as_they_are_and_convert_the_rest():
     ctx = PrimeContext(3, 2)
     third = Fraction(1, 3)

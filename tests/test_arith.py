@@ -572,6 +572,73 @@ def test_entry_points_keep_their_values_without_rewrapping():
     assert val_k(0, CTX2) == val_k(Fraction(0), CTX2) == INF
 
 
+def _float_entry_points():
+    # (name, call): each call puts x at one float-taking entry point of the library
+    from padicbuilding import (
+        ElementaryUnipotent,
+        Root,
+        apartment_point,
+        evaluate,
+        interior_point,
+        monomial_element,
+        nu_translation,
+        open_box,
+        orthogonalize,
+        phi_from_apartment,
+        polynomial,
+        ray_limit,
+        unipotent_matrix,
+    )
+    from padicbuilding.arith import vec, vec_scale
+
+    phi = phi_from_apartment(interior_point([0, 0]), CTX2)
+    tenth = Fraction(1, 10)
+    return [
+        ("val_k", lambda x: val_k(x, CTX2)),
+        ("LogValue.finite", LogValue.finite),
+        ("LogValue.shift", lambda x: LogValue.finite(0).shift(x)),
+        ("l_scalar", lambda x: l_scalar([x], CTX2)),
+        ("l_from_k", lambda x: l_from_k(x, CTX2)),
+        ("l_scale", lambda x: l_scale(x, l_scalar([1], CTX2))),
+        ("vec", lambda x: vec([x])),
+        ("vec_scale", lambda x: vec_scale(x, (1,))),
+        ("mat", lambda x: mat([[x]])),
+        ("solve_linear", lambda x: solve_linear(identity(2), [x, 0])),
+        ("solve_linear.matrix", lambda x: solve_linear([[x, 0], [0, 1]], [1, 0])),
+        ("apartment_point", lambda x: apartment_point([1, 2], [0, x])),
+        ("monomial_element.perm", lambda x: monomial_element([1, 20 * x], [0, 0])),
+        ("monomial_element.trans", lambda x: monomial_element([1, 2], [0, x])),
+        ("nu_translation", lambda x: nu_translation([1, x], CTX2)),
+        ("ray_limit", lambda x: ray_limit(interior_point([0, 0]), [x, tenth])),
+        ("open_box", lambda x: open_box([(0, x)])),
+        ("evaluate", lambda x: evaluate(phi, [x, 0])),
+        ("orthogonalize", lambda x: orthogonalize([[x, 0]], phi)),
+        ("polynomial", lambda x: polynomial({(1, 0): x}, 2)),
+        ("polynomial.exponent", lambda x: polynomial({(10 * x, 0): 1}, 2)),
+        ("unipotent_matrix", lambda x: unipotent_matrix(ElementaryUnipotent(Root(1, 2), x), 2)),
+    ]
+
+
+def test_a_float_reads_as_the_decimal_it_shows():
+    # 0.1 is 1/10 at every entry point, not 3602879701896397/2^55; a
+    # non-finite float is refused as a DomainError wherever it enters
+    for name, call in _float_entry_points():
+        assert call(0.1) == call(Fraction(1, 10)), name
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match=r"^not a finite number: -?(nan|inf)$"):
+                call(bad)
+    assert val_k(0.1, CTX2) == -1 and val_k(1e-05, CTX2) == val_k("1/100000", CTX2)
+    assert LogValue.finite(0.1) == LogValue(Fraction(1, 10))
+    assert LogValue.finite(2.5).shift(0.1).log == Fraction(13, 5)
+
+
+def test_l_scalar_refuses_too_many_coefficients_as_a_domain_error():
+    with pytest.raises(DomainError, match=r"^expected at most 2 coefficients, got 3$"):
+        l_scalar([1, 2, 3], CTX22)
+    with pytest.raises(DomainError, match=r"^expected at most 1 coefficients, got 2$"):
+        l_scalar([1, 2], CTX2)
+
+
 def test_identity_equals_the_fresh_fraction_matrix():
     # identity shares two Fraction constants; the matrix is the same as built afresh
     for n in range(7):

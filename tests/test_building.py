@@ -410,11 +410,11 @@ WRONG_SHAPES = [
 @pytest.mark.parametrize("g", WRONG_SHAPES)
 def test_relations_refuse_a_matrix_of_the_wrong_shape(g):
     x = interior_point([0, 1, 2])
-    with pytest.raises(DomainError, match="3x3"):
+    with pytest.raises(DomainError, match="^group element must be 3x3$"):
         in_stabilizer_P_x(g, x, CTX3)
-    with pytest.raises(DomainError, match="3x3"):
+    with pytest.raises(DomainError, match="^group element must be 3x3$"):
         chart_equivalent(ChartPoint(identity(3), x), ChartPoint(g, x), CTX3)
-    with pytest.raises(DomainError, match="3x3"):
+    with pytest.raises(DomainError, match="^group element must be 3x3$"):
         chart_equivalent(ChartPoint(g, x), ChartPoint(identity(3), x), CTX3)
 
 
@@ -423,11 +423,11 @@ def test_group_action_refuses_a_matrix_of_the_wrong_shape(g):
     # the last shape is 4x4 against n = 3
     x = interior_point([0, 1, 2])
     phi = phi_from_apartment(x, CTX3)
-    with pytest.raises(DomainError, match="3x3"):
+    with pytest.raises(DomainError, match="^group element must be 3x3$"):
         compose_with(phi, g)
-    with pytest.raises(DomainError, match="3x3"):
+    with pytest.raises(DomainError, match="^group element must be 3x3$"):
         act_group(g, building_point(phi))
-    with pytest.raises(DomainError, match="3x3"):
+    with pytest.raises(DomainError, match="^group element must be 3x3$"):
         from_chart(ChartPoint(g, x), CTX3)
 
 

@@ -130,6 +130,58 @@ def test_a_dead_private_helper_is_caught(tmp_path):
                                              ("a.py", 23, "_STORED")]
 
 
+def _seminorm_builds(paths):
+    """(module, top-level def, callee) of each call to DiagonalSeminorm or dataclasses.replace."""
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {}      # local name -> dotted name it was imported as
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names.update({a.asname or a.name: f"{node.module or ''}.{a.name}"
+                              for a in node.names})
+            elif isinstance(node, ast.Import):
+                names.update({a.asname or a.name: a.name for a in node.names})
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                func = getattr(node, "func", None)
+                if isinstance(func, ast.Name):
+                    callee = names.get(func.id, func.id)
+                elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+                    callee = f"{names.get(func.value.id, func.value.id)}.{func.attr}"
+                else:
+                    continue
+                kind = callee if callee == "dataclasses.replace" else callee.split(".")[-1]
+                if kind in ("dataclasses.replace", "DiagonalSeminorm"):
+                    found.append((path.stem, getattr(stmt, "name", "<module>"), kind))
+    return sorted(found)
+
+
+def test_only_the_seminorm_builders_construct_a_seminorm():
+    assert _seminorm_builds(MODULES) == [
+        ("seminorm", "canonical_class", "DiagonalSeminorm"),
+        ("seminorm", "diagonal_seminorm", "DiagonalSeminorm"),
+        ("seminorm", "phi_from_apartment", "DiagonalSeminorm"),
+        ("seminorm", "scale_seminorm", "dataclasses.replace"),
+    ]
+
+
+def test_a_stray_seminorm_build_is_caught(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("import dataclasses\nfrom dataclasses import replace as swap\n"
+                    "from . import seminorm\nfrom .seminorm import DiagonalSeminorm\n\n"
+                    "def moved(g):\n    return DiagonalSeminorm(g.basis, g.values, g.ctx, g._inv, 0)\n\n"
+                    "def scaled(g):\n    return swap(g, values=()), dataclasses.replace(g)\n\n"
+                    "class Point:\n    def copy(self, g):\n"
+                    "        return seminorm.DiagonalSeminorm(*g), 'ab'.replace('a', 'b')\n\n"
+                    "BASE = DiagonalSeminorm((), (), None, ((), 1), 0)\n", encoding="utf-8")
+    assert _seminorm_builds([path]) == [("mod", "<module>", "DiagonalSeminorm"),
+                                        ("mod", "Point", "DiagonalSeminorm"),
+                                        ("mod", "moved", "DiagonalSeminorm"),
+                                        ("mod", "scaled", "dataclasses.replace"),
+                                        ("mod", "scaled", "dataclasses.replace")]
+
+
 def test_the_cli_does_not_import_argparse():
     path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
     env = {**os.environ, "PYTHONPATH": path}

@@ -1066,18 +1066,18 @@ def test_every_constructor_carries_only_the_live_rows_of_the_inverse():
 
 
 # ---------------------------------------------------------------------------
-# The canonical mark: canonical_class returns its own output as it is
+# canonical_class on canonical input, and r o j
 # ---------------------------------------------------------------------------
 
 def _parts(g):
     return g.basis, g.values, g._inv, g._vdet
 
 
-def test_canonical_class_returns_a_marked_seminorm_as_is():
-    # the shortcut returns what the full path returns: an unmarked copy of a
-    # canonical seminorm canonicalizes to the same basis, values and carried
-    # inverse; kernels arrive scattered over a random basis, so outside
-    # echelon form, and r(j(b)) keeps b's seminorm itself
+def test_canonical_class_of_a_canonical_seminorm_is_itself():
+    # canonical_class gives back the basis, values and carried inverse of a
+    # canonical seminorm, also of a copy rebuilt by diagonal_seminorm; kernels
+    # arrive scattered over a random basis, so outside echelon form; r(j(b))
+    # is b itself, and what j remembers stays out of equality and hash
     from padicbuilding import building_point, j_section, r_reduce_monomial
 
     rng = random.Random(91)
@@ -1091,31 +1091,32 @@ def test_canonical_class_returns_a_marked_seminorm_as_is():
             scattered += _kernel_columns(g) != kernel_of(g)
             zero_counts.add(zeros)
             c = canonical_class(g)
-            assert c._canonical and not g._canonical
-            assert canonical_class(c) is c
-            unmarked = diagonal_seminorm(c.basis, c.values, ctx)
-            assert not unmarked._canonical
-            assert _parts(canonical_class(unmarked)) == _parts(c), (g.basis, g.values)
+            assert _parts(canonical_class(c)) == _parts(c)
+            rebuilt = diagonal_seminorm(c.basis, c.values, ctx)
+            assert _parts(canonical_class(rebuilt)) == _parts(c), (g.basis, g.values)
             b = building_point(g)
-            assert r_reduce_monomial(j_section(b)).seminorm is b.seminorm
+            j = j_section(b)
+            assert r_reduce_monomial(j) is b
+            plain = monomial_point(b.seminorm.basis, b.seminorm.values, ctx)
+            assert j == plain and hash(j) == hash(plain)
             cases += 1
         assert zero_counts == set(range(n))
     assert cases >= 3000 and scattered > 1000
 
 
-def test_scaling_and_translating_drop_the_canonical_mark():
-    # a scaled canonical seminorm is no longer gauged, so canonical_class
-    # must take the full path on it and give back the canonical one
+def test_canonical_class_regauges_a_scaled_or_translated_canonical_seminorm():
+    # a scaled or translated canonical seminorm is no longer gauged, and
+    # canonical_class gives back a gauged representative of its class
     rng = random.Random(92)
     for n in range(2, 6):
         for _ in range(40):
             ctx = PrimeContext(rng.choice([2, 3, 5]), n)
             c = canonical_class(rand_seminorm(rng, ctx, steps=rng.randint(1, 3)))
             for delta in (1, Fraction(-1, 2), Fraction(1, 3)):
-                scaled = scale_seminorm(c, delta)
-                assert not scaled._canonical
-                assert _parts(canonical_class(scaled)) == _parts(c)
-            assert not compose_with(c, rand_invertible(rng, n, ctx.p, steps=2))._canonical
+                assert _parts(canonical_class(scale_seminorm(c, delta))) == _parts(c)
+            moved = compose_with(c, rand_invertible(rng, n, ctx.p, steps=2))
+            regauged = canonical_class(moved)
+            assert regauged.values[0] == ONE and class_equals(regauged, moved)
     c = canonical_class(diagonal_seminorm(identity(2), (ONE, LogValue.finite(-1)), CTX2))
     assert canonical_class(scale_seminorm(c, 1)).values == (ONE, LogValue.finite(-1))
 
