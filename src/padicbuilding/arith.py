@@ -26,6 +26,7 @@ from .errors import DomainError, SingularMatrixError
 
 INF = math.inf
 _ZERO, _ONE = Fraction(0), Fraction(1)      # shared by identity(); Fractions are immutable
+_EXACT_TYPES = frozenset((int, Fraction))   # entry types the matrix helpers take as they are
 
 
 # Miller-Rabin with the first 13 primes as bases decides primality exactly
@@ -71,6 +72,8 @@ class PrimeContext:
     e: int = 1
 
     def __post_init__(self):
+        if any(type(x) is not int for x in (self.p, self.n, self.e)):
+            raise ValueError(f"p, n and e must be integers, got {self.p!r}, {self.n!r}, {self.e!r}")
         if not _is_prime(self.p):
             raise ValueError(f"p = {self.p} is not prime")
         if self.n < 2:
@@ -107,7 +110,10 @@ def _rational(x) -> Fraction:
     # a float reads as the decimal its repr shows, not as its binary expansion
     if isinstance(x, float) and not math.isfinite(x):
         raise DomainError(f"not a finite number: {x}")
-    return Fraction(repr(x) if isinstance(x, float) else x)
+    try:
+        return Fraction(repr(x) if isinstance(x, float) else x)
+    except (ValueError, ZeroDivisionError, TypeError):
+        raise DomainError(f"not a rational number: {x!r}") from None
 
 
 def val_k(c, ctx: PrimeContext):
@@ -304,8 +310,15 @@ def identity(n: int) -> tuple:
     return tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n))
 
 
+def _exact(rows) -> list:
+    # a row holding anything but ints and Fractions (a float, say) is read through _rational
+    return [row if _EXACT_TYPES.issuperset(map(type, row)) else [_rational(x) for x in row]
+            for row in map(tuple, rows)]
+
+
 def mat_vec(m, v) -> tuple:
-    return tuple(sum(a * x for a, x in zip(row, v, strict=True)) for row in m)
+    (v,) = _exact([v])
+    return tuple(sum(a * x for a, x in zip(row, v, strict=True)) for row in _exact(m))
 
 
 def _integer_rows(rows) -> tuple:
@@ -321,8 +334,8 @@ def _integer_rows(rows) -> tuple:
 
 def mat_mul(a, b) -> tuple:
     """Exact product: (R^-1 A)(B C^-1) with A, B integer, one Fraction per entry."""
-    arows, rs = _integer_rows(a)
-    bcols, cs = _integer_rows(list(zip(*b, strict=True)))
+    arows, rs = _integer_rows(_exact(a))
+    bcols, cs = _integer_rows(_exact(zip(*b, strict=True)))
     return tuple(tuple(Fraction(sum(x * y for x, y in zip(row, col, strict=True)), r * c)
                        for col, c in zip(bcols, cs))
                  for row, r in zip(arows, rs))
@@ -337,16 +350,16 @@ def mat_from_cols(cols) -> tuple:
 
 
 def vec_add(u, v) -> tuple:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
+    return tuple(a + b for a, b in zip(*_exact([u, v]), strict=True))
 
 
 def vec_sub(u, v) -> tuple:
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(a - b for a, b in zip(*_exact([u, v])))
 
 
 def vec_scale(c, v) -> tuple:
     c = _rational(c)
-    return tuple(c * a for a in v)
+    return tuple(c * a for a in _exact([v])[0])
 
 
 def _eliminate(rows, ncols: int, reduce: bool = True):
@@ -435,7 +448,7 @@ def _inverse_parts(m):
 def mat_inverse(m) -> tuple:
     if any(len(row) != len(m) for row in m):
         raise DomainError("matrix is not square")
-    parts = _inverse_parts(m)
+    parts = _inverse_parts(_exact(m))
     if parts is None:
         raise SingularMatrixError("matrix is singular")
     num, d, _ = parts
@@ -447,7 +460,7 @@ def mat_det(m) -> Fraction:
     n = len(m)
     if any(len(row) != n for row in m):
         raise DomainError("matrix is not square")
-    ints, scales = _integer_rows(m)
+    ints, scales = _integer_rows(_exact(m))
     pivots, d, sign = _eliminate(ints, n, reduce=False)
     return Fraction(sign * d, math.prod(scales)) if len(pivots) == n else Fraction(0)
 

@@ -11,10 +11,13 @@ norm to a subspace.
 Values are kept in log scale (see arith.LogValue); no real number is ever
 formed, so equality questions are decided exactly.
 
-Each seminorm carries v_p(det basis) and, in integer form N / d, the live
-rows of its basis inverse: those at nonzero values, the coordinate
-functionals of V / ker (a kernel column's row is None).  Both come from one
-elimination in diagonal_seminorm (compose_with builds the moved basis
+Each seminorm stores its kernel columns (those at zero values) in place as
+the reduced echelon basis of ker: diagonal_seminorm reduces them, so a
+seminorm's basis does not depend on how its kernel was presented, and
+kernel_of only reads them.  It also carries v_p(det basis) and, in integer
+form N / d, the live rows of its basis inverse: those at nonzero values,
+the coordinate functionals of V / ker (a kernel column's row is None).
+diagonal_seminorm derives both (compose_with builds the moved basis
 through it); canonical_class only reorders the live rows.  So evaluation
 runs on Python ints: a vector's denominators are cleared once, and only
 integer dot products and their p-adic valuations follow; and (class)
@@ -95,6 +98,7 @@ class DiagonalSeminorm:
 
 
 def diagonal_seminorm(basis, values, ctx: PrimeContext) -> DiagonalSeminorm:
+    """The seminorm with value values[i] on column i; kernel columns go to reduced echelon form."""
     basis = mat(basis)
     values = tuple(values)
     n = ctx.n
@@ -108,6 +112,16 @@ def diagonal_seminorm(basis, values, ctx: PrimeContext) -> DiagonalSeminorm:
     if parts is None:
         raise SingularMatrixError("basis is singular")
     num, d, det = parts
+    cols = list(zip(*basis))
+    ker = [c for c, v in zip(cols, values) if v.is_zero]
+    piv = [next(j for j, a in enumerate(c) if a) for c in ker]
+    if piv != sorted(set(piv)) or any(c[j] != int(s == t) for s, c in enumerate(ker)
+                                      for t, j in enumerate(piv)):
+        echelon = reduced_echelon(ker)
+        piv = [next(j for j, a in enumerate(r) if a) for r in echelon]
+        det /= mat_det([[c[j] for c in ker] for j in piv])    # K = R C: C is K on R's pivots
+        rest = iter(echelon)
+        basis = mat_from_cols([next(rest) if v.is_zero else c for c, v in zip(cols, values)])
     rows = [None if v.is_zero else row for row, v in zip(num, values)]
     div = math.gcd(d, *(x for row in rows if row is not None for x in row))
     inv = tuple(None if row is None else tuple(x // div for x in row) for row in rows), d // div
@@ -142,20 +156,8 @@ def evaluate(g: DiagonalSeminorm, v) -> LogValue:
 
 
 def kernel_of(g: DiagonalSeminorm) -> list:
-    """Canonical (reduced echelon) basis of ker gamma = span of zero columns."""
-    return _kernel(g)[0]
-
-
-def _kernel(g: DiagonalSeminorm) -> tuple:
-    """(R, v_p(det C)) for the kernel columns K = R C, R reduced echelon, C = K on R's pivots."""
-    cols = [g.column(i) for i, v in enumerate(g.values) if v.is_zero]
-    piv = [next(j for j, a in enumerate(c) if a) for c in cols]
-    if piv == sorted(set(piv)) and all(c[j] == int(s == t) for s, c in enumerate(cols)
-                                            for t, j in enumerate(piv)):
-        return cols, 0
-    ker = reduced_echelon(cols)
-    piv = [next(j for j, a in enumerate(r) if a) for r in ker]
-    return ker, val_k(mat_det([[c[j] for c in cols] for j in piv]), g.ctx)
+    """Canonical (reduced echelon) basis of ker gamma: the zero columns, stored that way."""
+    return [g.column(i) for i, v in enumerate(g.values) if v.is_zero]
 
 
 def _group_matrix(m, n: int) -> tuple:
@@ -192,7 +194,7 @@ def phi_from_apartment(x: ApartmentPoint, ctx: PrimeContext) -> DiagonalSeminorm
 
 
 def phi_inverse(g: DiagonalSeminorm) -> ApartmentPoint:
-    """Apartment coordinates of a standard-basis seminorm."""
+    """Apartment coordinates of a standard-basis seminorm, whatever basis its kernel came in."""
     if g.basis != identity(g.n):
         raise NotCanonicalBasisError("seminorm is not in the standard basis")
     piece = [i + 1 for i, v in enumerate(g.values) if not v.is_zero]
@@ -227,12 +229,13 @@ def _log_bound(g1: DiagonalSeminorm, g2: DiagonalSeminorm):
 def _volume(g: DiagonalSeminorm, s=0) -> tuple:
     """(k, vol) for q^s g: k nonzero values c_i, vol = sum log c_i + v_p(det basis).
 
-    The kernel columns are taken as kernel_of(g).  A tight g1 <= q^s g2 is an
-    equality iff the pairs agree: equal k make the kernels equal, and on V / ker
-    the two have a common orthogonal basis (Goldman-Iwahori 1963).
+    The kernel columns are stored in reduced echelon form, so v_p(det basis)
+    does not depend on how the kernel was presented.  A tight g1 <= q^s g2 is
+    an equality iff the pairs agree: equal k make the kernels equal, and on
+    V / ker the two have a common orthogonal basis (Goldman-Iwahori 1963).
     """
     (logs,), (den,) = _integer_rows([[v.log for v in g.values if not v.is_zero]])
-    return len(logs), Fraction(sum(logs) + (g._vdet - _kernel(g)[1]) * den, den) + len(logs) * s
+    return len(logs), Fraction(sum(logs) + g._vdet * den, den) + len(logs) * s
 
 
 def equals(g1: DiagonalSeminorm, g2: DiagonalSeminorm) -> bool:
@@ -243,26 +246,22 @@ def equals(g1: DiagonalSeminorm, g2: DiagonalSeminorm) -> bool:
 def canonical_class(g: DiagonalSeminorm) -> DiagonalSeminorm:
     """Deterministic representative of the homothety class.
 
-    Kernel columns are replaced by the reduced-echelon basis of the kernel;
-    the remaining columns are sorted by value (largest first, ties broken
-    by the column entries) and all values are shifted so the leading one
-    becomes q^0.
-
-    A nonzero column's row of the inverse is the functional that reads its
-    coordinate on V / ker, which a new kernel basis leaves alone, so the
-    carried live rows of N / d are only reordered; v_p(det basis) drops by
-    the kernel change's v_p(det C) (see _kernel).
+    The nonzero columns are sorted by value (largest first, ties broken by
+    the column entries) and all values are shifted so the leading one
+    becomes q^0; the kernel columns, already in reduced echelon form, follow.
+    Reordering columns reorders the carried live rows of N / d and leaves
+    v_p(det basis) alone.
     """
     nonker = [i for i in range(g.n) if not g.values[i].is_zero]
     cols = {i: g.column(i) for i in nonker}
     nonker.sort(key=lambda i: (-g.values[i].log, cols[i]))
     shift = -g.values[nonker[0]].log
-    ker, kval = _kernel(g)
+    ker = kernel_of(g)
     num, d = g._inv
     inv = tuple(num[i] for i in nonker) + (None,) * len(ker), d
     values = [g.values[i].shift(shift) for i in nonker] + [ZERO_VALUE] * len(ker)
     return DiagonalSeminorm(mat_from_cols([cols[i] for i in nonker] + ker), tuple(values),
-                            g.ctx, inv, g._vdet - kval)
+                            g.ctx, inv, g._vdet)
 
 
 def class_equals(g1: DiagonalSeminorm, g2: DiagonalSeminorm) -> bool:

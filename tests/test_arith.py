@@ -60,6 +60,14 @@ def test_prime_context_validation():
     assert CTX2.q == 2
 
 
+@pytest.mark.parametrize("args", [(2, 2.5), (2, 2, 1.5), (2.5, 2), (2, Fraction(2)), (True, 2),
+                                  (2, True), (2, 2, True), ("2", 2), (Fraction(2), 2), (2, 2, None)])
+def test_prime_context_refuses_a_parameter_that_is_not_an_int(args):
+    # refused before the primality test runs, which would take pow of a non-int
+    with pytest.raises(ValueError, match=r"^p, n and e must be integers, got "):
+        PrimeContext(*args)
+
+
 def test_val_k_examples():
     assert val_k(12, CTX2) == 2
     assert val_k(0, CTX2) == INF
@@ -589,7 +597,7 @@ def _float_entry_points():
         ray_limit,
         unipotent_matrix,
     )
-    from padicbuilding.arith import vec, vec_scale
+    from padicbuilding.arith import vec, vec_scale, vec_sub
 
     phi = phi_from_apartment(interior_point([0, 0]), CTX2)
     tenth = Fraction(1, 10)
@@ -603,6 +611,15 @@ def _float_entry_points():
         ("vec", lambda x: vec([x])),
         ("vec_scale", lambda x: vec_scale(x, (1,))),
         ("mat", lambda x: mat([[x]])),
+        ("mat_det", lambda x: mat_det([[x, 0], [0, 1]])),
+        ("mat_inverse", lambda x: mat_inverse([[x, 0], [0, 1]])),
+        ("mat_mul.left", lambda x: mat_mul([[x, 1]], [[1], [1]])),
+        ("mat_mul.right", lambda x: mat_mul([[1, 1]], [[x], [1]])),
+        ("mat_vec.matrix", lambda x: mat_vec([[x, 0], [0, 1]], (1, 1))),
+        ("mat_vec.vector", lambda x: mat_vec([[1, 0], [0, 1]], (x, 1))),
+        ("vec_add", lambda x: vec_add((x, 1), (0, 0))),
+        ("vec_sub", lambda x: vec_sub((0, 0), (x, 1))),
+        ("vec_scale.vector", lambda x: vec_scale(1, (x,))),
         ("solve_linear", lambda x: solve_linear(identity(2), [x, 0])),
         ("solve_linear.matrix", lambda x: solve_linear([[x, 0], [0, 1]], [1, 0])),
         ("apartment_point", lambda x: apartment_point([1, 2], [0, x])),
@@ -630,6 +647,25 @@ def test_a_float_reads_as_the_decimal_it_shows():
     assert val_k(0.1, CTX2) == -1 and val_k(1e-05, CTX2) == val_k("1/100000", CTX2)
     assert LogValue.finite(0.1) == LogValue(Fraction(1, 10))
     assert LogValue.finite(2.5).shift(0.1).log == Fraction(13, 5)
+
+
+def test_a_non_rational_input_is_a_domain_error():
+    # a string that is no rational, a zero denominator and a value of another
+    # type are refused as a DomainError at every entry point, not as the
+    # ValueError, ZeroDivisionError or TypeError that Fraction raises
+    for name, call in _float_entry_points():
+        for bad in ("x", "1/0", (1,)):
+            with pytest.raises(DomainError, match=r"^not a rational number: "):
+                call(bad)
+    with pytest.raises(DomainError, match=r"^not a rational number: '1/0'$"):
+        val_k("1/0", CTX2)
+    with pytest.raises(DomainError, match=r"^not a rational number: None$"):
+        val_k(None, CTX2)
+    from padicbuilding import open_box
+
+    for intervals in ([5], [(0, 1), None]):
+        with pytest.raises(DomainError, match=r"^every interval must be a pair \(lo, hi\)$"):
+            open_box(intervals)
 
 
 def test_l_scalar_refuses_too_many_coefficients_as_a_domain_error():

@@ -16,6 +16,7 @@ from padicbuilding import (
     in_omega,
     interior_point,
     j_section,
+    kernel_of,
     l_from_k,
     l_functional,
     l_pi,
@@ -28,7 +29,7 @@ from padicbuilding import (
     r_reduce_monomial,
     r_reduce_rational,
 )
-from padicbuilding.arith import ZERO_VALUE, identity, mat, mat_from_cols, mat_mul, nullspace, val_k
+from padicbuilding.arith import ZERO_VALUE, identity, mat, mat_from_cols, mat_mul, nullspace, val_k, vec
 from padicbuilding.errors import DomainError, SingularMatrixError, ZeroFunctionalError
 from padicbuilding.seminorm import diagonal_seminorm, scale_seminorm
 from padicbuilding.serialize import building_point_to_doc
@@ -240,8 +241,9 @@ def test_r_reduce_rational_examples():
 def _r_reduce_rational_oracle(z, ctx):
     # the direct construction r_reduce_rational used before it went through the
     # L-point pullback: a unit column at the first nonzero entry, valued |z_lead|,
-    # followed by a basis of the hyperplane z = 0, valued zero
-    z = [Fraction(t) for t in z]
+    # followed by a basis of the hyperplane z = 0, valued zero; entries are read
+    # as every library entry point reads a rational
+    z = list(vec(z))
     if len(z) != ctx.n:
         raise DomainError(f"expected {ctx.n} entries")
     if all(t == 0 for t in z):
@@ -462,7 +464,9 @@ def test_check_multiplicative_at_the_packing_edges():
 
 
 def test_evaluating_a_built_point_eliminates_nothing_and_rewrites_each_factor_once(monkeypatch):
-    # the point carries its seminorm's inverse: no elimination runs after it is built
+    # the point carries its seminorm's inverse: no elimination runs after it is
+    # built; building it inverts the basis, and when the kernel columns are not
+    # in echelon form, reduces them and takes the determinant of the change
     import padicbuilding.arith as arith
     import padicbuilding.berkovich as berkovich
 
@@ -473,9 +477,14 @@ def test_evaluating_a_built_point_eliminates_nothing_and_rewrites_each_factor_on
             return _inner(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
     rng = random.Random(73)
+    reduced = set()
     for _ in range(20):
-        p = monomial_point(rand_invertible(rng, 3, 2), rand_values(rng, 3), PrimeContext(2, 3))
-        assert calls == ["_eliminate"]
+        basis, radii = rand_invertible(rng, 3, 2), rand_values(rng, 3)
+        p = monomial_point(basis, radii, PrimeContext(2, 3))
+        kernel = [tuple(row[i] for row in basis) for i, r in enumerate(radii) if r.is_zero]
+        needs_reducing = kernel != kernel_of(p.seminorm)
+        assert calls == ["_eliminate"] * (3 if needs_reducing else 1)
+        reduced.add(needs_reducing)
         calls.clear()
         f, g = rand_poly(rng, 3), rand_poly(rng, 3)
         check_multiplicative(p, f, g)
@@ -484,6 +493,7 @@ def test_evaluating_a_built_point_eliminates_nothing_and_rewrites_each_factor_on
         alpha_evaluate(p, f)
         assert calls == ["_rewrite_in_basis"]
         calls.clear()
+    assert reduced == {True, False}
 
 
 def test_check_multiplicative_compares_the_fraction_rewrite_alphas(monkeypatch):

@@ -131,7 +131,8 @@ def test_a_dead_private_helper_is_caught(tmp_path):
 
 
 def _seminorm_builds(paths):
-    """(module, top-level def, callee) of each call to DiagonalSeminorm or dataclasses.replace."""
+    """(module, top-level def, callee) of each call to DiagonalSeminorm or dataclasses.replace,
+    and of each call in seminorm to reduced_echelon or mat_det, which decide a kernel basis."""
     found = []
     for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -152,7 +153,8 @@ def _seminorm_builds(paths):
                 else:
                     continue
                 kind = callee if callee == "dataclasses.replace" else callee.split(".")[-1]
-                if kind in ("dataclasses.replace", "DiagonalSeminorm"):
+                if kind in ("dataclasses.replace", "DiagonalSeminorm") or \
+                        path.stem == "seminorm" and kind in ("reduced_echelon", "mat_det"):
                     found.append((path.stem, getattr(stmt, "name", "<module>"), kind))
     return sorted(found)
 
@@ -161,6 +163,8 @@ def test_only_the_seminorm_builders_construct_a_seminorm():
     assert _seminorm_builds(MODULES) == [
         ("seminorm", "canonical_class", "DiagonalSeminorm"),
         ("seminorm", "diagonal_seminorm", "DiagonalSeminorm"),
+        ("seminorm", "diagonal_seminorm", "mat_det"),
+        ("seminorm", "diagonal_seminorm", "reduced_echelon"),
         ("seminorm", "phi_from_apartment", "DiagonalSeminorm"),
         ("seminorm", "scale_seminorm", "dataclasses.replace"),
     ]
@@ -180,6 +184,21 @@ def test_a_stray_seminorm_build_is_caught(tmp_path):
                                         ("mod", "moved", "DiagonalSeminorm"),
                                         ("mod", "scaled", "dataclasses.replace"),
                                         ("mod", "scaled", "dataclasses.replace")]
+
+
+def test_a_stray_kernel_decision_is_caught(tmp_path):
+    # inside seminorm only diagonal_seminorm reduces a kernel or takes a determinant
+    seminorm, other = tmp_path / "seminorm.py", tmp_path / "building.py"
+    seminorm.write_text("from . import arith\nfrom .arith import mat_det, reduced_echelon as rref\n\n"
+                        "def diagonal_seminorm(b):\n    return rref(b), mat_det(b)\n\n"
+                        "def kernel_of(g):\n    return rref(g.basis)\n\n"
+                        "def _volume(g):\n    return arith.mat_det(g.basis)\n", encoding="utf-8")
+    other.write_text("from .arith import mat_det\n\n"
+                     "def same_class(m):\n    return mat_det(m) == 0\n", encoding="utf-8")
+    assert _seminorm_builds([seminorm, other]) == [("seminorm", "_volume", "mat_det"),
+                                                   ("seminorm", "diagonal_seminorm", "mat_det"),
+                                                   ("seminorm", "diagonal_seminorm", "reduced_echelon"),
+                                                   ("seminorm", "kernel_of", "reduced_echelon")]
 
 
 def test_the_cli_does_not_import_argparse():

@@ -34,12 +34,15 @@ from padicbuilding import (
 from padicbuilding.arith import (
     identity,
     mat,
+    mat_col,
     mat_det,
     mat_from_cols,
     mat_inverse,
     mat_mul,
     mat_vec,
+    nullspace,
     rank,
+    reduced_echelon,
     val_k,
     vec_add,
     vec_scale,
@@ -249,11 +252,15 @@ def test_canonical_class_gauge():
         assert canonical_class(c) == c
 
 
-def _with_zeros(rng, basis, zeros, ctx):
-    vals = [LogValue.finite(rand_fraction(rng)) for _ in range(ctx.n - zeros)]
-    vals += [LogValue.zero()] * zeros
+def _scattered_values(rng, n, zeros):
+    # n values, `zeros` of them zero, at random positions
+    vals = [LogValue.finite(rand_fraction(rng)) for _ in range(n - zeros)] + [ZERO] * zeros
     rng.shuffle(vals)
-    return diagonal_seminorm(basis, vals, ctx)
+    return vals
+
+
+def _with_zeros(rng, basis, zeros, ctx):
+    return diagonal_seminorm(basis, _scattered_values(rng, ctx.n, zeros), ctx)
 
 
 def _live_inverse(g, inverse=None):
@@ -440,12 +447,12 @@ def test_distance_constants_are_tight_bounds():
 # The carried integer inverse against the Fraction path
 # ---------------------------------------------------------------------------
 
-def _reference_evaluate(g, v):
-    # expand v in the basis with the Fraction inverse, then take the max
+def _reference_evaluate(g, v, basis=None):
+    # expand v in the basis (g's by default) with the Fraction inverse, then take the max
     from padicbuilding.arith import mat_inverse, val_k
 
     best = ZERO
-    for lam, val in zip(mat_vec(mat_inverse(g.basis), v), g.values):
+    for lam, val in zip(mat_vec(mat_inverse(basis or g.basis), v), g.values):
         if lam != 0 and not val.is_zero:
             best = max(best, val.shift(-val_k(lam, g.ctx)))
     return best
@@ -537,8 +544,7 @@ def _oracle_distance(g1, g2):
 
 
 def _with_kernel(rng, ctx, dim):
-    vals = [LogValue.finite(rand_fraction(rng)) for _ in range(ctx.n - dim)] + [ZERO] * dim
-    rng.shuffle(vals)
+    vals = _scattered_values(rng, ctx.n, dim)
     return diagonal_seminorm(rand_invertible(rng, ctx.n, ctx.p, steps=3), vals, ctx)
 
 
@@ -642,15 +648,18 @@ def _vdet_checked(g):
     return g
 
 
-def _kernel_columns(g):
-    return [g.column(i) for i, v in enumerate(g.values) if v.is_zero]
+def _record_calls(monkeypatch, name):
+    """Make seminorm.<name> record each call's (args, result) in the returned list."""
+    from padicbuilding import seminorm
 
+    calls = []
 
-def _kernel_change_val(g):
-    # v_p(det C) for the kernel columns K = R C, R = kernel_of(g): C is K on R's pivot rows
-    cols = _kernel_columns(g)
-    pivots = [next(j for j, a in enumerate(r) if a) for r in kernel_of(g)]
-    return val_k(mat_det([[c[j] for c in cols] for j in pivots]), g.ctx) if cols else 0
+    def recorded(*args, _inner=getattr(seminorm, name)):
+        calls.append((args, _inner(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(seminorm, name, recorded)
+    return calls
 
 
 def _kernel_mixed(rng, g):
@@ -698,16 +707,20 @@ def _dropped(rng, ctx, dim):
     return _rebased(rng, g2, scaled=rng.random() < 0.5), _rebased(rng, g1, scaled=rng.random() < 0.5)
 
 
-def test_one_bound_comparisons_agree_with_the_two_bound_oracle():
+def test_one_bound_comparisons_agree_with_the_two_bound_oracle(monkeypatch):
+    # construction takes mat_det only of the change C from a kernel presented
+    # outside echelon form, K = R C; some of those changes have v_p(det C) != 0
     from padicbuilding.building import BuildingPoint, building_point, sample_P_x_generators
 
     rng = random.Random(71)
     pairs = 0
     kinds = set()
+    changes = _record_calls(monkeypatch, "mat_det")
     for n in range(2, 7):
         for p in (2, 3, 5):
             ctx = PrimeContext(p, n, 1 + rng.randrange(3))
             seen = set()
+            changes.clear()
             for trial in range(72):
                 dim = trial % n
                 kind = trial // n % 7
@@ -740,8 +753,6 @@ def test_one_bound_comparisons_agree_with_the_two_bound_oracle():
                 for g in (g1, g2):
                     _vdet_checked(g)
                     seen.add(("kernel dim", sum(v.is_zero for v in g.values)))
-                    if _kernel_change_val(g):
-                        seen.add("v_p(det C) != 0")
                 for a, b in ((g1, g2), (g2, g1)):
                     same_class, same = _two_bound_class_equals(a, b), _two_bound_equals(a, b)
                     assert class_equals(a, b) == same_class, (a, b)
@@ -751,6 +762,8 @@ def test_one_bound_comparisons_agree_with_the_two_bound_oracle():
                     seen.add(("class", same_class))
                     seen.add(("equal", same))
                     pairs += 1
+            if any(val_k(det, ctx) for _, det in changes):
+                seen.add("v_p(det C) != 0")
             assert {("class", True), ("class", False), ("equal", True), ("equal", False),
                     "v_p(det C) != 0"} | {("kernel dim", k) for k in range(n)} <= seen, (n, p, seen)
     assert kinds == set(range(7))
@@ -788,39 +801,40 @@ def test_comparisons_take_one_bound():
         seminorm._log_bound = original
 
 
-def test_kernel_of_skips_kernels_already_in_echelon_form():
-    from padicbuilding import seminorm
-
+def test_diagonal_seminorm_reduces_exactly_the_kernels_not_in_echelon_form(monkeypatch):
+    # construction reduces the kernel columns when they are not in echelon form
+    # already, and kernel_of only reads the stored columns; kernels arrive
+    # scattered over a random basis, as a canonical basis with its columns
+    # permuted, or from the pullback of an L-valued functional (echelon)
     rng = random.Random(73)
-    calls = []
-    original = seminorm.reduced_echelon
-
-    def counted(vectors):
-        calls.append(vectors)
-        return original(vectors)
-
-    seminorm.reduced_echelon = counted
-    try:
-        seen = set()
-        for n in range(2, 7):
-            for trial in range(60):
-                ctx = PrimeContext(rng.choice([2, 3, 5]), n)
-                g = _with_kernel(rng, ctx, trial % n)
-                if trial % 3 == 1:
-                    g = canonical_class(g)
-                elif trial % 3 == 2:
-                    g = pullback_from_functional([rand_lscalar(rng, ctx, zero_ok=False)]
-                                                 + [rand_lscalar(rng, ctx) for _ in range(n - 1)], ctx)
-                cols = _kernel_columns(g)
-                want = original(cols)
-                echelon = want == cols
+    calls = _record_calls(monkeypatch, "reduced_echelon")
+    seen = set()
+    for n in range(2, 7):
+        for trial in range(60):
+            ctx = PrimeContext(rng.choice([2, 3, 5]), n)
+            if trial % 3 == 2:
+                zs = [rand_lscalar(rng, ctx, zero_ok=False)] + [rand_lscalar(rng, ctx) for _ in range(n - 1)]
                 calls.clear()
-                assert kernel_of(g) == want
-                assert len(calls) == (0 if echelon else 1)
-                seen.add(echelon)
-        assert seen == {True, False}
-    finally:
-        seminorm.reduced_echelon = original
+                g = pullback_from_functional(zs, ctx)
+                assert calls == []
+                assert kernel_of(g) == nullspace([[z.coeffs[j] for z in zs] for j in range(ctx.e)])
+            else:
+                if trial % 3 == 0:
+                    values = _scattered_values(rng, n, trial % n)
+                    basis = rand_invertible(rng, n, ctx.p, steps=3)
+                else:
+                    c, order = canonical_class(_with_kernel(rng, ctx, trial % n)), rng.sample(range(n), n)
+                    basis = mat_from_cols([c.column(i) for i in order])
+                    values = [c.values[i] for i in order]
+                given = [mat_col(basis, i) for i, v in enumerate(values) if v.is_zero]
+                want = reduced_echelon(given)
+                calls.clear()
+                g = diagonal_seminorm(basis, values, ctx)
+                assert len(calls) == (0 if want == given else 1)
+                seen.add(want == given)
+                calls.clear()
+                assert kernel_of(g) == want and calls == []
+    assert seen == {True, False}
 
 
 # ---------------------------------------------------------------------------
@@ -1045,24 +1059,65 @@ def _constructed(rng, kind, ctx, zeros):
     return g
 
 
-def test_every_constructor_carries_only_the_live_rows_of_the_inverse():
+def test_every_constructor_carries_only_the_live_rows_of_the_inverse(monkeypatch):
     # row i of the carried N / d is None exactly where value i is zero, and
-    # the other rows are those of basis^-1 over one denominator in lowest terms
+    # the other rows are those of basis^-1 over one denominator in lowest terms;
+    # the kernel columns are stored in echelon form, and many constructions
+    # were given them outside it (construction reduced them)
     rng = random.Random(93)
     made = dict.fromkeys(_CONSTRUCTORS, 0)
     scattered = 0
+    reductions = _record_calls(monkeypatch, "reduced_echelon")
     for n in range(2, 9):
         zero_counts = set()
         for k in range(308):
             kind = _CONSTRUCTORS[k % len(_CONSTRUCTORS)]
+            reductions.clear()
             g = _constructed(rng, kind, PrimeContext(rng.choice([2, 3, 5, 7]), n), k // 7 % n)
+            scattered += bool(reductions)
             assert g._inv == _live_inverse(g), (kind, g.basis, g.values)
             assert all(type(x) is int for row in g._inv[0] if row is not None for x in row)
+            assert reduced_echelon(kernel_of(g)) == kernel_of(g), (kind, g.basis, g.values)
             zero_counts.add(sum(v.is_zero for v in g.values))
-            scattered += _kernel_columns(g) != kernel_of(g)
             made[kind] += 1
         assert zero_counts == set(range(n)), (n, zero_counts)
     assert min(made.values()) >= 300 and sum(made.values()) >= 2000 and scattered > 500
+
+
+def test_construction_puts_the_kernel_columns_in_echelon_form_in_place():
+    # the zero-value columns become the reduced echelon basis of their span, at
+    # the same positions, and nothing else moves: the live columns, the live
+    # rows of the inverse and the function on V are those of the input
+    rng = random.Random(94)
+    cases = reduced = 0
+    for n in range(2, 7):
+        for p in (2, 3, 5):
+            ctx = PrimeContext(p, n)
+            zero_counts = set()
+            for k in range(140):
+                basis = rand_invertible(rng, n, p, rng.randint(1, 4))
+                values = _scattered_values(rng, n, k % n)
+                g = diagonal_seminorm(basis, values, ctx)
+                zeros = [i for i, v in enumerate(values) if v.is_zero]
+                given = [mat_col(basis, i) for i in zeros]
+                echelon = reduced_echelon(given)
+                reduced += echelon != given
+                assert [g.column(i) for i in zeros] == echelon == kernel_of(g)
+                assert all(g.column(i) == mat_col(basis, i) for i in range(n) if i not in zeros)
+                assert g._inv == _live_inverse(g, mat_inverse(basis))
+                assert g._vdet == val_k(mat_det(g.basis), ctx)
+                for v in [_p_vector(rng, n, p) for _ in range(3)] + [mat_col(basis, rng.randrange(n))]:
+                    assert evaluate(g, v) == _reference_evaluate(g, v, basis)
+                zero_counts.add(len(zeros))
+                cases += 1
+            assert zero_counts == set(range(n))
+    assert cases >= 2000 and reduced > 1000
+    # a seminorm no longer depends on how its kernel was presented
+    half = diagonal_seminorm([[1, 3], [0, 2]], (ONE, ZERO), CTX2)
+    assert half == diagonal_seminorm([[1, 6], [0, 4]], (ONE, ZERO), CTX2)
+    assert hash(half) == hash(diagonal_seminorm([[1, 6], [0, 4]], (ONE, ZERO), CTX2))
+    assert half.basis == mat([[1, 1], [0, Fraction(2, 3)]])
+    assert phi_inverse(diagonal_seminorm([[1, 0], [0, 2]], (ONE, ZERO), CTX2)) == apartment_point([1], [0])
 
 
 # ---------------------------------------------------------------------------
@@ -1073,22 +1128,25 @@ def _parts(g):
     return g.basis, g.values, g._inv, g._vdet
 
 
-def test_canonical_class_of_a_canonical_seminorm_is_itself():
+def test_canonical_class_of_a_canonical_seminorm_is_itself(monkeypatch):
     # canonical_class gives back the basis, values and carried inverse of a
     # canonical seminorm, also of a copy rebuilt by diagonal_seminorm; kernels
-    # arrive scattered over a random basis, so outside echelon form; r(j(b))
-    # is b itself, and what j remembers stays out of equality and hash
+    # arrive scattered over a random basis, so outside echelon form, and
+    # construction reduces them; r(j(b)) is b itself, and what j remembers
+    # stays out of equality and hash
     from padicbuilding import building_point, j_section, r_reduce_monomial
 
     rng = random.Random(91)
     cases = scattered = 0
+    reductions = _record_calls(monkeypatch, "reduced_echelon")
     for n in range(2, 7):
         zero_counts = set()
         for k in range(600):
             ctx = PrimeContext(rng.choice([2, 3, 5]), n, 1 + k % 2)
             zeros = k % n
+            reductions.clear()
             g = _with_zeros(rng, rand_invertible(rng, n, ctx.p, rng.randint(1, 4)), zeros, ctx)
-            scattered += _kernel_columns(g) != kernel_of(g)
+            scattered += bool(reductions)
             zero_counts.add(zeros)
             c = canonical_class(g)
             assert _parts(canonical_class(c)) == _parts(c)
