@@ -274,7 +274,8 @@ class OpenBox:
 
 def open_box(intervals) -> OpenBox:
     ivs = tuple(tuple(x if type(x) is Fraction else _rational(x) for x in iv)
-                if hasattr(iv, "__iter__") else () for iv in intervals)
+                if hasattr(iv, "__iter__") and not isinstance(iv, (str, bytes)) else ()
+                for iv in intervals)
     if any(len(iv) != 2 for iv in ivs):
         raise DomainError("every interval must be a pair (lo, hi)")
     for lo, hi in ivs:

@@ -326,7 +326,7 @@ def _integer_rows(rows) -> tuple:
     ints, scales = [], []
     for row in rows:
         pairs = [x.as_integer_ratio() for x in row]
-        den = math.lcm(*(d for _, d in pairs))
+        den = math.lcm(*[d for _, d in pairs])
         ints.append([a * (den // d) for a, d in pairs])
         scales.append(den)
     return ints, scales
@@ -354,7 +354,7 @@ def vec_add(u, v) -> tuple:
 
 
 def vec_sub(u, v) -> tuple:
-    return tuple(a - b for a, b in zip(*_exact([u, v])))
+    return tuple(a - b for a, b in zip(*_exact([u, v]), strict=True))
 
 
 def vec_scale(c, v) -> tuple:
@@ -370,14 +370,20 @@ def _eliminate(rows, ncols: int, reduce: bool = True):
     other row x by (lead * x - f * pivot_row) // prev, where lead is the new
     pivot, f the row's entry in the pivot column and prev the previous
     pivot; by Sylvester's identity every entry stays a minor of the input,
-    so the division is exact.  The entries below each pivot are cleared;
-    with `reduce` the entries above are cleared too (Gauss-Jordan), and
-    then every pivot equals the returned d, so the reduced echelon form is
-    the pivot rows divided by d.  Returns (pivot columns, d, sign), where
-    sign is that of the row permutation; for a square full-rank input,
-    sign * d is its determinant.
+    so the division is exact.  A row with f = 0 would only be rescaled by
+    lead / prev, so rescaling is lazy: each row records the pivot (its level)
+    its entries belong to, an update of it divides by that level, not by
+    prev, and it is rescaled by prev / level only when it becomes the pivot
+    row or at the end, where a forward pass leaves each pivot row as it was
+    used.  Rows, pivots, d and sign are those of eager rescaling.  The
+    entries below each pivot are cleared; with `reduce` the entries above
+    are cleared too (Gauss-Jordan), and then every pivot equals the returned
+    d, so the reduced echelon form is the pivot rows divided by d.  Returns
+    (pivot columns, d, sign), where sign is that of the row permutation; for
+    a square full-rank input, sign * d is its determinant.
     """
     nrows = len(rows)
+    level = [1] * nrows
     pivots = []
     prev, sign = 1, 1
     r = 0
@@ -389,20 +395,23 @@ def _eliminate(rows, ncols: int, reduce: bool = True):
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
+            level[r], level[piv] = level[piv], level[r]
             sign = -sign
+        if level[r] != prev:
+            rows[r] = [x * prev // level[r] for x in rows[r]]
         top = rows[r]
         lead = top[col]
         for i in range(0 if reduce else r + 1, nrows):
-            if i == r:
-                continue
             f = rows[i][col]
-            if f:
-                rows[i] = [(lead * x - f * y) // prev for x, y in zip(rows[i], top)]
-            elif lead != prev:
-                rows[i] = [lead * x // prev for x in rows[i]]
-        prev = lead
+            if f and i != r:
+                rows[i] = [(lead * x - f * y) // level[i] for x, y in zip(rows[i], top)]
+                level[i] = lead
+        level[r] = prev = lead
         pivots.append(col)
         r += 1
+    for i in range(0 if reduce else r, nrows):
+        if level[i] != prev:
+            rows[i] = [x * prev // level[i] for x in rows[i]]
     return pivots, prev, sign
 
 

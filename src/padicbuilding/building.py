@@ -109,8 +109,8 @@ def act_group(g, b: BuildingPoint) -> BuildingPoint:
     return building_point(compose_with(b.seminorm, g))
 
 
-def _checked(g, x: ApartmentPoint, n: int) -> tuple:
-    """g as a Fraction matrix, once the chart (g, x) is checked against n."""
+def _checked(g, x: ApartmentPoint, n: int) -> list:
+    """The rows of g as _group_matrix reads them, once the chart (g, x) is checked against n."""
     g = _group_matrix(g, n)
     x.checked(n)
     return g
@@ -189,7 +189,7 @@ def chart_equivalent(c1: ChartPoint, c2: ChartPoint, ctx: PrimeContext) -> bool:
     """
     n = ctx.n
     g1, g2 = _checked(c1.g, c1.x, n), _checked(c2.g, c2.x, n)
-    pivots, rows, _ = _reduced([r1 + r2 for r1, r2 in zip(g1, g2)], n)
+    pivots, rows, _ = _reduced([[*r1, *r2] for r1, r2 in zip(g1, g2)], n)
     if len(pivots) < n:
         raise SingularMatrixError("group element must be invertible")
     return _same_class([row[n:] for row in rows], c1.x, c2.x, ctx.p)

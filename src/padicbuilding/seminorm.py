@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from operator import mul
 
 from .apartment import ApartmentPoint, apartment_point
 from .arith import (
@@ -45,6 +46,7 @@ from .arith import (
     PrimeContext,
     _check_l_coeffs,
     _eliminate,
+    _exact,
     _int_val,
     _integer_rows,
     _inverse_parts,
@@ -145,7 +147,7 @@ def evaluate(g: DiagonalSeminorm, v) -> LogValue:
     for row, val in zip(num, g.values, strict=True):
         if val.log is None:
             continue
-        t = sum(a * x for a, x in zip(row, w, strict=True))
+        t = sum(map(mul, row, w))
         if t:
             cand = val.log.numerator * (s // val.log.denominator) - s * _int_val(t, p)
             if best is None or cand > best:
@@ -160,10 +162,11 @@ def kernel_of(g: DiagonalSeminorm) -> list:
     return [g.column(i) for i, v in enumerate(g.values) if v.is_zero]
 
 
-def _group_matrix(m, n: int) -> tuple:
+def _group_matrix(m, n: int) -> list:
+    """The rows of the n x n group element m, each entry read once, as arith._exact reads them."""
     if len(m) != n or any(len(row) != n for row in m):
         raise DomainError(f"group element must be {n}x{n}")
-    return mat(m)
+    return _exact(m)
 
 
 def compose_with(g: DiagonalSeminorm, m) -> DiagonalSeminorm:
@@ -222,7 +225,8 @@ def _log_bound(g1: DiagonalSeminorm, g2: DiagonalSeminorm):
         if not v.is_zero:
             if c.is_zero:
                 return None
-            best = v.log - c.log if best is None else max(best, v.log - c.log)
+            s = v.log - c.log
+            best = s if best is None else max(best, s)
     return best
 
 
@@ -358,7 +362,7 @@ def orthogonalize(us, ambient: DiagonalSeminorm) -> list:
         raise DependentInputError("input vectors are linearly dependent")
     rows, dens = [], []
     for u, du in zip(ints, scales):
-        row, den = _reduced_row([sum(a * x for a, x in zip(nr, u)) for nr in num]
+        row, den = _reduced_row([sum(map(mul, nr, u)) for nr in num]
                                 + [d * x for x in u], d * du)
         rows.append(row)
         dens.append(den)

@@ -131,7 +131,8 @@ def test_monomial_element_refuses_a_non_integral_permutation():
 
 
 def test_open_box_refuses_an_interval_that_is_not_a_pair():
-    for ivs in ([(0, 1, 2)], [(0, 1), (0,)], [()]):
+    # a string is refused, not read as its characters
+    for ivs in ([(0, 1, 2)], [(0, 1), (0,)], [()], ["12", (0, 5)], [(0, 5), b"12"]):
         with pytest.raises(DomainError, match=r"^every interval must be a pair \(lo, hi\)$"):
             open_box(ivs)
 

@@ -4,6 +4,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicbuilding import (
     INF,
@@ -23,6 +25,7 @@ from padicbuilding import (
 )
 from padicbuilding.arith import (
     _PRIME_LIMIT,
+    _eliminate,
     _int_val,
     _is_prime,
     _integer_rows,
@@ -40,6 +43,7 @@ from padicbuilding.arith import (
     rank,
     reduced_echelon,
     vec_add,
+    vec_sub,
 )
 from padicbuilding.errors import DomainError, SingularMatrixError
 
@@ -323,6 +327,9 @@ def test_matrix_helpers_reject_length_mismatch():
         mat_mul(identity(2), identity(3))
     with pytest.raises(ValueError):
         vec_add((1, 2), (1, 2, 3))
+    with pytest.raises(ValueError):
+        vec_sub((1, 2, 3), (1,))
+    assert vec_sub((1, 2, 3), (1, 1, 1)) == (0, 1, 2)
 
 
 def test_a_ragged_matrix_is_a_domain_error():
@@ -521,6 +528,131 @@ def test_integer_kernel_agrees_with_fraction_oracle():
     assert seen == {"invertible", "singular", "rectangular"}
 
 
+# ---------------------------------------------------------------------------
+# The eagerly rescaling Bareiss kernel as an oracle for the lazy one
+# ---------------------------------------------------------------------------
+
+def _eager_eliminate(rows, ncols, reduce=True):
+    # the kernel arith._eliminate replaced: every row not updated by a pivot
+    # is still rescaled by lead / prev at that step
+    nrows = len(rows)
+    pivots = []
+    prev, sign = 1, 1
+    r = 0
+    for col in range(ncols):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if rows[i][col]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        top = rows[r]
+        lead = top[col]
+        for i in range(0 if reduce else r + 1, nrows):
+            if i == r:
+                continue
+            f = rows[i][col]
+            if f:
+                rows[i] = [(lead * x - f * y) // prev for x, y in zip(rows[i], top)]
+            elif lead != prev:
+                rows[i] = [lead * x // prev for x in rows[i]]
+        prev = lead
+        pivots.append(col)
+        r += 1
+    return pivots, prev, sign
+
+
+def _assert_matches_eager(rows, ncols):
+    for reduce in (True, False):
+        eager, lazy = [list(r) for r in rows], [list(r) for r in rows]
+        expected = _eager_eliminate(eager, ncols, reduce)
+        assert _eliminate(lazy, ncols, reduce) == expected, (rows, ncols, reduce)
+        assert lazy == eager, (rows, ncols, reduce)
+
+
+def _p_int(rng, p):
+    # a signed unit, a small integer or a power of p
+    return rng.choice([1, -1]) * rng.choice([1, rng.randint(2, 9), p, p ** rng.randint(2, 4)])
+
+
+def _int_matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _monomial_times_elementary(rng, n, p):
+    # a monomial matrix (permutation times p-powers and units) times a few factors 1 + c e_ij
+    perm = rng.sample(range(n), n)
+    m = [[_p_int(rng, p) if perm[i] == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(rng.randint(0, 3)):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        e = [[int(a == b) for b in range(n)] for a in range(n)]
+        e[i][j] += _p_int(rng, p)
+        m = _int_matmul(m, e)
+    return m
+
+
+def _dense(rng, nrows, ncols, p):
+    return [[_p_int(rng, p) if rng.random() < 0.8 else 0 for _ in range(ncols)]
+            for _ in range(nrows)]
+
+
+def _rank_deficient(rng, nrows, ncols, p):
+    r = rng.randint(0, min(nrows, ncols) - 1)
+    return _int_matmul(_dense(rng, nrows, r, p), _dense(rng, r, ncols, p)) if r else \
+        [[0] * ncols for _ in range(nrows)]
+
+
+def _elimination_case(rng, kind):
+    """(integer rows, ncols) of one kind, shaped as the package's callers shape them."""
+    p = rng.choice([2, 3, 5])
+    n = rng.randint(1, 6)
+    if kind == "sparse":
+        return _monomial_times_elementary(rng, n, p), n
+    if kind == "dense":
+        width = rng.randint(1, 12)
+        return _dense(rng, n, width, p), rng.randint(0, width)
+    if kind == "deficient":
+        width = rng.randint(1, 12)
+        return _rank_deficient(rng, n, width, p), rng.randint(1, width)
+    if kind == "inverse":           # [S m | S], as _inverse_parts reduces it
+        m = rng.choice([_monomial_times_elementary, lambda r, k, q: _dense(r, k, k, q)])(rng, n, p)
+        s = [_p_int(rng, p) for _ in range(n)]
+        return [[x * s[i] for x in row] + [s[i] * int(i == j) for j in range(n)]
+                for i, row in enumerate(m)], n
+    # [g1 | g2], as chart_equivalent reduces it, g2 = g1 times a monomial matrix
+    g1 = _monomial_times_elementary(rng, n, p)
+    g2 = _int_matmul(g1, _monomial_times_elementary(rng, n, p))
+    if rng.random() < 0.2:          # a singular g1
+        g1[rng.randrange(n)] = [0] * n
+    return [r1 + r2 for r1, r2 in zip(g1, g2)], n
+
+
+ELIMINATION_KINDS = ("sparse", "dense", "deficient", "inverse", "charts")
+
+
+def test_lazy_elimination_matches_the_eager_kernel():
+    rng = random.Random(48)
+    ranks = set()
+    for trial in range(5000):
+        rows, ncols = _elimination_case(rng, ELIMINATION_KINDS[trial % len(ELIMINATION_KINDS)])
+        _assert_matches_eager(rows, ncols)
+        ranks.add(len(_eliminate([list(r) for r in rows], ncols)[0]) < min(len(rows), ncols))
+    assert ranks == {True, False}
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.data())
+def test_lazy_elimination_matches_the_eager_kernel_property(data):
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    entry = st.sampled_from([0, 0, 0, 1, -1, p, -p, p * p]) | st.integers(-60, 60)
+    nrows, width = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 12))
+    rows = data.draw(st.lists(st.lists(entry, min_size=width, max_size=width),
+                              min_size=nrows, max_size=nrows))
+    _assert_matches_eager(rows, data.draw(st.integers(0, width)))
+
+
 def test_mat_mul_agrees_with_fraction_products():
     rng = random.Random(43)
     for _ in range(300):
@@ -597,7 +729,7 @@ def _float_entry_points():
         ray_limit,
         unipotent_matrix,
     )
-    from padicbuilding.arith import vec, vec_scale, vec_sub
+    from padicbuilding.arith import vec, vec_scale
 
     phi = phi_from_apartment(interior_point([0, 0]), CTX2)
     tenth = Fraction(1, 10)

@@ -32,6 +32,9 @@ from padicbuilding import (
     sigma_project,
     unipotent_matrix,
 )
+from padicbuilding import arith as arith_module
+from padicbuilding import building as building_module
+from padicbuilding import seminorm as seminorm_module
 from padicbuilding.arith import identity, mat, mat_mul
 from padicbuilding.building import _random_unit
 from padicbuilding.errors import DomainError, SingularMatrixError, SubspaceNotPreservedError
@@ -449,6 +452,57 @@ def test_relations_refuse_a_singular_matrix():
         chart_equivalent(ChartPoint(singular, x), ChartPoint(identity(2), x), CTX2)
     with pytest.raises(SingularMatrixError, match="group element must be invertible"):
         compose_with(phi_from_apartment(x, CTX2), singular)
+
+
+def _mixed(rng, g, seen):
+    # the entries of g, each as an int, a Fraction, a float or an "a/b" string that reads as it
+    def one(x):
+        kinds = ["fraction", "string"] + ["int"] * (x.denominator == 1)
+        kinds += ["float"] * (Fraction(repr(float(x))) == x)
+        kind = rng.choice(kinds)
+        seen.add(kind)
+        return {"int": int, "float": float, "fraction": Fraction,
+                "string": lambda y: f"{y.numerator}/{y.denominator}"}[kind](x)
+    return [[one(Fraction(x)) for x in row] for row in g]
+
+
+def test_relations_read_a_group_element_once_and_never_through_mat(monkeypatch):
+    # the answers on Fraction matrices, then again with mat unusable and the
+    # entries of the two charts read from mixed types
+    rng = random.Random(66)
+    cases = []
+    for n, ctx, size in settings():
+        x = point_of_size(rng, n, size)
+        g = mat_mul(rand_invertible(rng, n, ctx.p), monomial_matrix(rand_monomial(rng, n), ctx))
+        h = sample_P_x_generators(x, 1, 3, ctx, seed=rng.randrange(1 << 30))[0]
+        for k in (h, violating_unipotent(rng, x, ctx)):
+            gk = mat_mul(g, k)
+            cases.append((ctx, x, g, k, gk, in_stabilizer_P_x(k, x, ctx),
+                          chart_equivalent(ChartPoint(g, x), ChartPoint(gk, x), ctx)))
+
+    def refuse(*args):
+        raise AssertionError("a group element went through mat")
+    for module in (building_module, seminorm_module, arith_module):
+        monkeypatch.setattr(module, "mat", refuse)
+    seen, answers = set(), set()
+    for ctx, x, g, k, gk, in_stab, equiv in cases:
+        assert in_stabilizer_P_x(_mixed(rng, k, seen), x, ctx) == in_stab
+        c1, c2 = ChartPoint(_mixed(rng, g, seen), x), ChartPoint(_mixed(rng, gk, seen), x)
+        assert chart_equivalent(c1, c2, ctx) == chart_equivalent(c2, c1, ctx) == equiv
+        answers.update((in_stab, equiv))
+    assert answers == {True, False} and seen == {"int", "fraction", "float", "string"}
+    x = interior_point([0, 1, 2])
+    for g in WRONG_SHAPES:
+        with pytest.raises(DomainError, match="^group element must be 3x3$"):
+            in_stabilizer_P_x(g, x, CTX3)
+        with pytest.raises(DomainError, match="^group element must be 3x3$"):
+            chart_equivalent(ChartPoint(identity(3), x), ChartPoint(g, x), CTX3)
+    singular = [[1, "2"], [2.0, Fraction(4)]]
+    x = interior_point([0, 1])
+    with pytest.raises(SingularMatrixError, match="^group element must be invertible$"):
+        in_stabilizer_P_x(singular, x, CTX2)
+    with pytest.raises(SingularMatrixError, match="^group element must be invertible$"):
+        chart_equivalent(ChartPoint(singular, x), ChartPoint(identity(2), x), CTX2)
 
 
 def _zero_column(g, j):

@@ -9,7 +9,9 @@ by name or as an attribute, somewhere in the package besides its own
 definition, so that a deletion cannot leave a helper behind.  Every
 import is relative or names a standard-library module, so the runtime
 stays pure stdlib.  And the command line reads its flags without
-importing argparse.
+importing argparse.  Only diagonal_seminorm and the seminorm builders
+construct a seminorm, and only seminorm._group_matrix reads a group
+element: building hands no chart's or action's matrix to `mat`.
 """
 
 import ast
@@ -130,32 +132,35 @@ def test_a_dead_private_helper_is_caught(tmp_path):
                                              ("a.py", 23, "_STORED")]
 
 
+def _top_level_calls(path):
+    """(top-level statement, callee) of each call by name or by module attribute in the file;
+    the callee is dotted as it was imported."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = {}      # local name -> dotted name it was imported as
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update({a.asname or a.name: f"{node.module or ''}.{a.name}" for a in node.names})
+        elif isinstance(node, ast.Import):
+            names.update({a.asname or a.name: a.name for a in node.names})
+    for stmt in tree.body:
+        for node in ast.walk(stmt):
+            func = getattr(node, "func", None)
+            if isinstance(func, ast.Name):
+                yield stmt, names.get(func.id, func.id)
+            elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+                yield stmt, f"{names.get(func.value.id, func.value.id)}.{func.attr}"
+
+
 def _seminorm_builds(paths):
     """(module, top-level def, callee) of each call to DiagonalSeminorm or dataclasses.replace,
     and of each call in seminorm to reduced_echelon or mat_det, which decide a kernel basis."""
     found = []
     for path in paths:
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        names = {}      # local name -> dotted name it was imported as
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                names.update({a.asname or a.name: f"{node.module or ''}.{a.name}"
-                              for a in node.names})
-            elif isinstance(node, ast.Import):
-                names.update({a.asname or a.name: a.name for a in node.names})
-        for stmt in tree.body:
-            for node in ast.walk(stmt):
-                func = getattr(node, "func", None)
-                if isinstance(func, ast.Name):
-                    callee = names.get(func.id, func.id)
-                elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-                    callee = f"{names.get(func.value.id, func.value.id)}.{func.attr}"
-                else:
-                    continue
-                kind = callee if callee == "dataclasses.replace" else callee.split(".")[-1]
-                if kind in ("dataclasses.replace", "DiagonalSeminorm") or \
-                        path.stem == "seminorm" and kind in ("reduced_echelon", "mat_det"):
-                    found.append((path.stem, getattr(stmt, "name", "<module>"), kind))
+        for stmt, callee in _top_level_calls(path):
+            kind = callee if callee == "dataclasses.replace" else callee.split(".")[-1]
+            if kind in ("dataclasses.replace", "DiagonalSeminorm") or \
+                    path.stem == "seminorm" and kind in ("reduced_echelon", "mat_det"):
+                found.append((path.stem, getattr(stmt, "name", "<module>"), kind))
     return sorted(found)
 
 
@@ -199,6 +204,68 @@ def test_a_stray_kernel_decision_is_caught(tmp_path):
                                                    ("seminorm", "diagonal_seminorm", "mat_det"),
                                                    ("seminorm", "diagonal_seminorm", "reduced_echelon"),
                                                    ("seminorm", "kernel_of", "reduced_echelon")]
+
+
+GROUP_SHAPE = "group element must be"
+
+
+def _is_shape_message(node):
+    # a string starting GROUP_SHAPE that is not the singular refusal
+    return isinstance(node, ast.Constant) and isinstance(node.value, str) and \
+        node.value.startswith(GROUP_SHAPE) and node.value != f"{GROUP_SHAPE} invertible"
+
+
+def _group_element_reads(paths):
+    """(module, top-level def, what) of each raise of the group-element shape message, and
+    of each call to mat in building or in a def raising that message, so that a group
+    element is read once."""
+    found = []
+    for path in paths:
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Raise) and any(map(_is_shape_message, ast.walk(node))):
+                    found.append((path.stem, getattr(stmt, "name", "<module>"), GROUP_SHAPE))
+        readers = {name for module, name, _ in found if module == path.stem}
+        for stmt, callee in _top_level_calls(path):
+            name = getattr(stmt, "name", "<module>")
+            if callee.split(".")[-1] == "mat" and (path.stem == "building" or name in readers):
+                found.append((path.stem, name, "mat"))
+    return sorted(found)
+
+
+def test_only_the_group_matrix_reads_a_group_element():
+    # building's two mat calls build a unipotent and project a plain matrix, not a group element
+    assert _group_element_reads(MODULES) == [
+        ("building", "sigma_project", "mat"),
+        ("building", "sigma_project", "mat"),
+        ("building", "unipotent_matrix", "mat"),
+        ("seminorm", "_group_matrix", GROUP_SHAPE),
+    ]
+
+
+def test_a_second_group_element_reader_is_caught(tmp_path):
+    seminorm, building = tmp_path / "seminorm.py", tmp_path / "building.py"
+    seminorm.write_text("from .arith import _exact, mat\n\n"
+                        "def _group_matrix(m, n):\n"
+                        "    if len(m) != n:\n        raise DomainError(f'group element must be {n}x{n}')\n"
+                        "    return mat(_exact(m))\n\n"
+                        "def compose_with(g, m):\n"
+                        "    raise SingularMatrixError('group element must be invertible')\n\n"
+                        "def diagonal_seminorm(basis):\n    return mat(basis)\n",
+                        encoding="utf-8")
+    building.write_text("from . import arith\nfrom .arith import mat as read\n"
+                        "from .seminorm import _group_matrix\n\n"
+                        "def _checked(g, n):\n    return read(_group_matrix(g, n))\n\n"
+                        "def in_stabilizer_P_x(g, n):\n"
+                        "    if len(g) != n:\n        raise DomainError('group element must be square')\n"
+                        "    return arith.mat(g)\n", encoding="utf-8")
+    assert _group_element_reads([seminorm, building]) == [
+        ("building", "_checked", "mat"),
+        ("building", "in_stabilizer_P_x", GROUP_SHAPE),
+        ("building", "in_stabilizer_P_x", "mat"),
+        ("seminorm", "_group_matrix", GROUP_SHAPE),
+        ("seminorm", "_group_matrix", "mat"),
+    ]
 
 
 def test_the_cli_does_not_import_argparse():
