@@ -16,13 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import INF, PrimeContext, _integer_rows, _rational, val_k
+from .arith import _ZERO, INF, PrimeContext, _integer_rows, _rational, _sequence, val_k, vec
 from .errors import (
     DomainError,
     IndexOutsidePieceError,
     NotSubPieceError,
     ZeroDiagonalError,
 )
+
+_INDEX_TYPES = frozenset((int,))     # a piece index is an int, not a bool, float or string
 
 
 @dataclass(frozen=True)
@@ -49,15 +51,15 @@ def apartment_point(piece, exponents) -> ApartmentPoint:
     """Build a point, sorting the piece and enforcing the gauge at min(I)."""
     if len(piece) != len(exponents):
         raise DomainError(f"piece has {len(piece)} indices but {len(exponents)} exponents")
-    pairs = sorted(zip(piece, exponents))
-    idxs = tuple(i for i, _ in pairs)
-    if not idxs:
+    if not _INDEX_TYPES.issuperset(map(type, piece)):
+        raise DomainError(f"invalid piece {tuple(piece)}")
+    if not piece:
         raise DomainError("empty piece")
+    idxs, exps = zip(*sorted(zip(piece, vec(exponents))))
     if len(set(idxs)) != len(idxs) or idxs[0] < 1:
         raise DomainError(f"invalid piece {idxs}")
-    exps = tuple(x if type(x) is Fraction else _rational(x) for _, x in pairs)
     base = exps[0]
-    return ApartmentPoint(idxs, tuple(x - base for x in exps) if base else exps)
+    return ApartmentPoint(idxs, (_ZERO, *(x - base for x in exps[1:])) if base else exps)
 
 
 def interior_point(exponents) -> ApartmentPoint:
@@ -116,13 +118,13 @@ class MonomialElement:
 
 
 def monomial_element(perm, trans) -> MonomialElement:
-    perm = tuple(perm)
+    perm = tuple(_sequence(perm))
     ws = [w if type(w) is int else _rational(w) for w in perm]
     n = len(ws)
     if sorted(ws) != list(range(1, n + 1)):     # a non-integral entry fails here too
         raise DomainError(f"not a permutation of 1..{n}: {perm}")
     perm = tuple(int(w) for w in ws)
-    ts = [t if type(t) is Fraction else _rational(t) for t in trans]
+    ts = vec(trans)
     if len(ts) != n:
         raise DomainError("translation length mismatch")
     base = ts[0]
@@ -152,7 +154,7 @@ def monomial_inverse(m: MonomialElement) -> MonomialElement:
 
 def nu_translation(diag, ctx: PrimeContext) -> MonomialElement:
     """Translation nu(t) = -sum v(d_i) eta_i of a diagonal element t."""
-    ds = [d if type(d) is Fraction else _rational(d) for d in diag]
+    ds = vec(diag)
     if any(d == 0 for d in ds):
         raise ZeroDiagonalError("diagonal entry is zero")
     if len(ds) != ctx.n:
@@ -213,7 +215,7 @@ def ray_limit(x0: ApartmentPoint, direction) -> ApartmentPoint:
     to the minimum while all others drift to +infinity, sending the
     corresponding seminorm values to zero.  Constant d gives back x0.
     """
-    d = [t if type(t) is Fraction else _rational(t) for t in direction]
+    d = vec(direction)
     n = len(d)
     if x0.piece[-1] > n:
         raise DomainError(f"direction has {n} entries, base point piece {x0.piece} needs {x0.piece[-1]}")
@@ -273,8 +275,7 @@ class OpenBox:
 
 
 def open_box(intervals) -> OpenBox:
-    ivs = tuple(tuple(x if type(x) is Fraction else _rational(x) for x in iv)
-                if hasattr(iv, "__iter__") and not isinstance(iv, (str, bytes)) else ()
+    ivs = tuple(vec(iv) if hasattr(iv, "__iter__") and not isinstance(iv, (str, bytes)) else ()
                 for iv in intervals)
     if any(len(iv) != 2 for iv in ivs):
         raise DomainError("every interval must be a pair (lo, hi)")

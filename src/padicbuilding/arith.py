@@ -107,18 +107,18 @@ def _int_val(m: int, p: int) -> int:
 
 
 def _rational(x) -> Fraction:
-    # a float reads as the decimal its repr shows, not as its binary expansion
-    if isinstance(x, float) and not math.isfinite(x):
-        raise DomainError(f"not a finite number: {x}")
+    """x as a Fraction: a Fraction as it is, a float as the decimal its repr shows."""
     try:
-        return Fraction(repr(x) if isinstance(x, float) else x)
+        return x if type(x) is Fraction else Fraction(repr(x) if isinstance(x, float) else x)
     except (ValueError, ZeroDivisionError, TypeError):
+        if isinstance(x, float) and not math.isfinite(x):
+            raise DomainError(f"not a finite number: {x}") from None
         raise DomainError(f"not a rational number: {x!r}") from None
 
 
 def val_k(c, ctx: PrimeContext):
     """Valuation v_p on K = Q, normalized with v(p) = 1.  v(0) = +inf."""
-    c = c if type(c) is Fraction else _rational(c)
+    c = _rational(c)
     if c == 0:
         return INF
     return _int_val(c.numerator, ctx.p) - _int_val(c.denominator, ctx.p)
@@ -137,7 +137,7 @@ class LogValue:
 
     @staticmethod
     def finite(log) -> "LogValue":
-        return LogValue(log if type(log) is Fraction else _rational(log))
+        return LogValue(_rational(log))
 
     @staticmethod
     def zero() -> "LogValue":
@@ -165,7 +165,7 @@ class LogValue:
         """Multiply by q^delta (zero stays zero)."""
         if self.is_zero:
             return self
-        return LogValue(self.log + (delta if type(delta) is Fraction else _rational(delta)))
+        return LogValue(self.log + _rational(delta))
 
     def __lt__(self, other: "LogValue") -> bool:
         if self.is_zero:
@@ -202,11 +202,10 @@ class LScalar:
 
 
 def l_scalar(coeffs, ctx: PrimeContext) -> LScalar:
-    cs = [_rational(c) for c in coeffs]
+    cs = vec(coeffs)
     if len(cs) > ctx.e:
         raise DomainError(f"expected at most {ctx.e} coefficients, got {len(cs)}")
-    cs.extend([Fraction(0)] * (ctx.e - len(cs)))
-    return LScalar(tuple(cs))
+    return LScalar(cs + (_ZERO,) * (ctx.e - len(cs)))
 
 
 def _check_l_coeffs(zs, ctx: PrimeContext):
@@ -295,12 +294,20 @@ def k_rank(zs, ctx: PrimeContext) -> int:
 # Exact linear algebra over K (matrices are tuples of row tuples)
 # ---------------------------------------------------------------------------
 
+def _sequence(xs):
+    # xs as given; a string is not a sequence of its characters, and a non-iterable no sequence
+    if isinstance(xs, (str, bytes)) or not hasattr(xs, "__iter__"):
+        raise DomainError(f"not a sequence of entries: {xs!r}")
+    return xs
+
+
 def vec(xs) -> tuple:
-    return tuple(_rational(x) for x in xs)
+    """The one reader of a sequence of scalars: a Fraction as it is, other entries by _rational."""
+    return tuple([x if type(x) is Fraction else _rational(x) for x in _sequence(xs)])
 
 
 def mat(rows) -> tuple:
-    rows = tuple(tuple(x if type(x) is Fraction else _rational(x) for x in r) for r in rows)
+    rows = tuple(map(vec, _sequence(rows)))
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise DomainError("ragged matrix")
     return rows
@@ -311,9 +318,15 @@ def identity(n: int) -> tuple:
 
 
 def _exact(rows) -> list:
-    # a row holding anything but ints and Fractions (a float, say) is read through _rational
-    return [row if _EXACT_TYPES.issuperset(map(type, row)) else [_rational(x) for x in row]
-            for row in map(tuple, rows)]
+    """The rows, ints and Fractions as they are; a row that is not a tuple of them is checked
+    to be a sequence, and read by vec if it holds anything else (a float, say)."""
+    return [row if type(row) is tuple and _EXACT_TYPES.issuperset(map(type, row)) else
+            _exact_row(row) for row in _sequence(rows)]
+
+
+def _exact_row(row) -> tuple:
+    row = tuple(_sequence(row))
+    return row if _EXACT_TYPES.issuperset(map(type, row)) else vec(row)
 
 
 def mat_vec(m, v) -> tuple:
@@ -434,11 +447,11 @@ def solve_linear(m, b) -> tuple:
 
 
 def _inverse_parts(m):
-    """(N, d, det m) with N an integer matrix, d > 0 and m^-1 = N / d; None if singular.
+    """(N, d, det m) with N an integer matrix, d != 0 and m^-1 = N / d; None if singular.
 
     Row i of m joined to the unit row e_i is scaled by one integer s_i, so
     the reduction of [S m | S] ends in [d I | d m^-1] with d = sign det(S m),
-    and no column needs rescaling afterwards.  N and d lose their common gcd.
+    and no column needs rescaling afterwards.  N / d is not in lowest terms.
     """
     n = len(m)
     a, scales = _integer_rows([list(row) + [int(i == j) for j in range(n)]
@@ -446,12 +459,7 @@ def _inverse_parts(m):
     pivots, d, sign = _eliminate(a, n)
     if len(pivots) < n:
         return None
-    inv = [row[n:] for row in a]
-    g = math.gcd(d, *(x for row in inv for x in row))
-    if d < 0:
-        g = -g
-    num = tuple(tuple(x // g for x in row) for row in inv)
-    return num, d // g, Fraction(sign * d, math.prod(scales))
+    return [row[n:] for row in a], d, Fraction(sign * d, math.prod(scales))
 
 
 def mat_inverse(m) -> tuple:
@@ -466,10 +474,10 @@ def mat_inverse(m) -> tuple:
 
 def mat_det(m) -> Fraction:
     """Determinant by fraction-free forward elimination."""
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise DomainError("matrix is not square")
     ints, scales = _integer_rows(_exact(m))
+    n = len(ints)
+    if any(len(row) != n for row in ints):
+        raise DomainError("matrix is not square")
     pivots, d, sign = _eliminate(ints, n, reduce=False)
     return Fraction(sign * d, math.prod(scales)) if len(pivots) == n else Fraction(0)
 
@@ -496,20 +504,18 @@ def reduced_echelon(vectors) -> list:
 
 
 def _kernel_and_pivots(m):
-    """`nullspace(m)` together with the pivot columns of m's row reduction."""
+    """`nullspace(m)` and the pivot columns of m's row reduction.  With R / d the reduced
+    echelon form of m, free column f gives the integer kernel row with d at f and -R_i[f]
+    at pivot i; one elimination takes those rows to the unique basis nullspace returns."""
     if not m:
         raise DomainError("nullspace of empty matrix")
     ncols = len(m[0])
     pivots, rows, d = _reduced(mat(m), ncols)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        x = [Fraction(0)] * ncols
-        x[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            x[pc] = Fraction(-rows[i][fc], d)
-        basis.append(tuple(x))
-    return (reduced_echelon(basis) if basis else []), pivots
+    row_at = dict(zip(pivots, rows))
+    basis = [[d if c == f else -row_at[c][f] if c in row_at else 0 for c in range(ncols)]
+             for f in range(ncols) if f not in row_at]
+    d = _eliminate(basis, ncols)[1]
+    return [tuple(Fraction(x, d) for x in row) for row in basis], pivots
 
 
 def nullspace(m) -> list:

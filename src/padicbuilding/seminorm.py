@@ -51,7 +51,6 @@ from .arith import (
     _integer_rows,
     _inverse_parts,
     _kernel_and_pivots,
-    _rational,
     identity,
     l_add,
     l_is_zero,
@@ -65,6 +64,7 @@ from .arith import (
     reduced_echelon,
     val_k,
     val_l,
+    vec,
 )
 from .errors import (
     DependentInputError,
@@ -125,7 +125,7 @@ def diagonal_seminorm(basis, values, ctx: PrimeContext) -> DiagonalSeminorm:
         rest = iter(echelon)
         basis = mat_from_cols([next(rest) if v.is_zero else c for c, v in zip(cols, values)])
     rows = [None if v.is_zero else row for row, v in zip(num, values)]
-    div = math.gcd(d, *(x for row in rows if row is not None for x in row))
+    div = math.gcd(d, *(x for row in rows if row is not None for x in row)) * (-1 if d < 0 else 1)
     inv = tuple(None if row is None else tuple(x // div for x in row) for row in rows), d // div
     return DiagonalSeminorm(basis, values, ctx, inv, val_k(det, ctx))
 
@@ -137,7 +137,7 @@ def evaluate(g: DiagonalSeminorm, v) -> LogValue:
     only the integer dot products N_i . w need a valuation.  With the live logs
     over one denominator S, the max is taken on the integers S log(|lambda_i| gamma(w_i)).
     """
-    (w,), (den,) = _integer_rows([[x if type(x) is Fraction else _rational(x) for x in v]])
+    (w,), (den,) = _integer_rows([vec(v)])
     num, d = g._inv
     if len(w) != len(num):
         raise DomainError(f"vector has {len(w)} entries, expected {len(num)}")
@@ -164,9 +164,10 @@ def kernel_of(g: DiagonalSeminorm) -> list:
 
 def _group_matrix(m, n: int) -> list:
     """The rows of the n x n group element m, each entry read once, as arith._exact reads them."""
-    if len(m) != n or any(len(row) != n for row in m):
+    rows = _exact(m)
+    if len(rows) != n or any(len(row) != n for row in rows):
         raise DomainError(f"group element must be {n}x{n}")
-    return _exact(m)
+    return rows
 
 
 def compose_with(g: DiagonalSeminorm, m) -> DiagonalSeminorm:
@@ -351,7 +352,7 @@ def orthogonalize(us, ambient: DiagonalSeminorm) -> list:
     """
     if not ambient.is_norm():
         raise DomainError("ambient seminorm must be a norm")
-    us = [tuple(x if type(x) is Fraction else _rational(x) for x in u) for u in us]
+    us = list(map(vec, us))
     if not us:
         return []
     if len(us) > ambient.n or any(len(u) != ambient.n for u in us):
@@ -390,10 +391,9 @@ def pullback_from_functional(zs, ctx: PrimeContext) -> DiagonalSeminorm:
     _check_l_coeffs(zs, ctx)
     if all(l_is_zero(z) for z in zs):
         raise ZeroFunctionalError("functional is zero")
-    zmat = mat([[zs[i].coeffs[j] for i in range(ctx.n)] for j in range(ctx.e)])
-    ker, pivot_cols = _kernel_and_pivots(zmat)
+    ker, pivot_cols = _kernel_and_pivots([[z.coeffs[j] for z in zs] for j in range(ctx.e)])
     cs = [Fraction(-j, ctx.e) for j in range(ctx.e)]
-    rows, dens = _integer_rows([list(mat_col(zmat, i)) + [int(t == i) for t in range(ctx.n)]
+    rows, dens = _integer_rows([list(zs[i].coeffs) + [int(t == i) for t in range(ctx.n)]
                                 for i in pivot_cols])
     companions, tops = _reduce_family(rows, dens, cs, ctx.p)
     cols = companions + list(ker)

@@ -130,6 +130,17 @@ def test_monomial_element_refuses_a_non_integral_permutation():
     assert m.perm == (2, 1, 3, 4) and all(type(w) is int for w in m.perm)
 
 
+def test_a_piece_or_a_permutation_takes_only_integer_indices():
+    for piece, shown in (([1, 2.5], r"\(1, 2\.5\)"), ([True, 2], r"\(True, 2\)"),
+                         ("12", r"\('1', '2'\)"), ([2, "1"], r"\(2, '1'\)")):
+        with pytest.raises(DomainError, match=rf"^invalid piece {shown}$"):
+            apartment_point(piece, [0, 1])
+    for perm in ("21", b"21", 21):
+        with pytest.raises(DomainError, match="^not a sequence of entries: "):
+            monomial_element(perm, [0, 0])
+    assert apartment_point([2, 1], [1, 0]) == apartment_point((1, 2), [0, 1])
+
+
 def test_open_box_refuses_an_interval_that_is_not_a_pair():
     # a string is refused, not read as its characters
     for ivs in ([(0, 1, 2)], [(0, 1), (0,)], [()], ["12", (0, 5)], [(0, 5), b"12"]):

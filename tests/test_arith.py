@@ -12,6 +12,10 @@ from padicbuilding import (
     LogValue,
     PrimeContext,
     abs_k,
+    apartment_point,
+    diagonal_seminorm,
+    evaluate,
+    interior_point,
     k_rank,
     l_add,
     l_from_k,
@@ -19,12 +23,19 @@ from padicbuilding import (
     l_pi,
     l_scalar,
     l_scale,
+    monomial_element,
+    nu_translation,
+    orthogonalize,
+    phi_from_apartment,
+    ray_limit,
+    sigma_project,
     solve_linear,
     val_k,
     val_l,
 )
 from padicbuilding.arith import (
     _PRIME_LIMIT,
+    ZERO_VALUE,
     _eliminate,
     _int_val,
     _is_prime,
@@ -42,6 +53,7 @@ from padicbuilding.arith import (
     nullspace,
     rank,
     reduced_echelon,
+    vec,
     vec_add,
     vec_sub,
 )
@@ -520,9 +532,16 @@ def test_integer_kernel_agrees_with_fraction_oracle():
         seen.add("invertible")
         num, d, det = parts
         assert det == _oracle_det(m)
-        assert d > 0 and all(isinstance(x, int) for row in num for x in row)
-        assert math.gcd(d, *(x for row in num for x in row)) == 1
+        # N / d is as the elimination leaves it; the seminorm that keeps it reduces it
+        assert d != 0 and all(isinstance(x, int) for row in num for x in row)
         assert tuple(tuple(Fraction(x, d) for x in row) for row in num) == oracle
+        if n >= 2:
+            values = [ZERO_VALUE if (trial + i) % 3 == 0 else LogValue.finite(Fraction(i, 2))
+                      for i in range(n)]
+            live, d = diagonal_seminorm(m, values, PrimeContext(p, n))._inv
+            assert d > 0 and math.gcd(d, *(x for row in live if row for x in row)) == 1
+            assert [row and tuple(Fraction(x, d) for x in row) for row in live] == \
+                [None if v.is_zero else row for row, v in zip(oracle, values)]
         assert mat_inverse(m) == oracle
         assert solve_linear(m, b) == tuple(sum(a * x for a, x in zip(row, b)) for row in oracle)
     assert seen == {"invertible", "singular", "rectangular"}
@@ -714,22 +733,8 @@ def test_entry_points_keep_their_values_without_rewrapping():
 
 def _float_entry_points():
     # (name, call): each call puts x at one float-taking entry point of the library
-    from padicbuilding import (
-        ElementaryUnipotent,
-        Root,
-        apartment_point,
-        evaluate,
-        interior_point,
-        monomial_element,
-        nu_translation,
-        open_box,
-        orthogonalize,
-        phi_from_apartment,
-        polynomial,
-        ray_limit,
-        unipotent_matrix,
-    )
-    from padicbuilding.arith import vec, vec_scale
+    from padicbuilding import ElementaryUnipotent, Root, open_box, polynomial, unipotent_matrix
+    from padicbuilding.arith import vec_scale
 
     phi = phi_from_apartment(interior_point([0, 0]), CTX2)
     tenth = Fraction(1, 10)
@@ -798,6 +803,44 @@ def test_a_non_rational_input_is_a_domain_error():
     for intervals in ([5], [(0, 1), None]):
         with pytest.raises(DomainError, match=r"^every interval must be a pair \(lo, hi\)$"):
             open_box(intervals)
+
+
+def _phi2():
+    return phi_from_apartment(interior_point([0, 1]), CTX2)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: vec("12"), id="vec"),
+    pytest.param(lambda: vec(b"12"), id="vec.bytes"),
+    pytest.param(lambda: vec(5), id="vec.int"),
+    pytest.param(lambda: mat(["12", "34"]), id="mat"),
+    pytest.param(lambda: mat(5), id="mat.int"),
+    pytest.param(lambda: mat([[1, 2], 5]), id="mat.row"),
+    pytest.param(lambda: mat_det(["12", "34"]), id="mat_det"),
+    pytest.param(lambda: mat_det(5), id="mat_det.int"),
+    pytest.param(lambda: mat_det([[1, 0], 5]), id="mat_det.row"),
+    pytest.param(lambda: mat_inverse(["12", "34"]), id="mat_inverse"),
+    pytest.param(lambda: mat_mul(["12"], [[1], [2]]), id="mat_mul"),
+    pytest.param(lambda: mat_vec(identity(2), "11"), id="mat_vec"),
+    pytest.param(lambda: vec_add("12", (1, 2)), id="vec_add"),
+    pytest.param(lambda: rank(["12"]), id="rank"),
+    pytest.param(lambda: l_scalar("12", CTX22), id="l_scalar"),
+    pytest.param(lambda: evaluate(_phi2(), "11"), id="evaluate"),
+    pytest.param(lambda: diagonal_seminorm(["10", "01"], _phi2().values, CTX2),
+                 id="diagonal_seminorm"),
+    pytest.param(lambda: orthogonalize(["10"], _phi2()), id="orthogonalize"),
+    pytest.param(lambda: nu_translation("12", CTX2), id="nu_translation"),
+    pytest.param(lambda: ray_limit(interior_point([0, 1]), "01"), id="ray_limit"),
+    pytest.param(lambda: apartment_point([1, 2], "01"), id="apartment_point"),
+    pytest.param(lambda: monomial_element("21", [0, 0]), id="monomial_element.perm"),
+    pytest.param(lambda: monomial_element([2, 1], "00"), id="monomial_element.trans"),
+    pytest.param(lambda: sigma_project(["10", "01"], [1]), id="sigma_project"),
+])
+def test_a_string_or_a_non_iterable_is_not_a_sequence(call):
+    # a string is not read as its characters (so "12" is not (1, 2)), and an
+    # entry without a length is not a bare TypeError
+    with pytest.raises(DomainError, match=r"^not a sequence of entries: (b?'\d+'|5)$"):
+        call()
 
 
 def test_l_scalar_refuses_too_many_coefficients_as_a_domain_error():

@@ -434,6 +434,21 @@ def test_group_action_refuses_a_matrix_of_the_wrong_shape(g):
         from_chart(ChartPoint(g, x), CTX3)
 
 
+@pytest.mark.parametrize("g", [["10", "01"], ["12", "34"], 5, [[1, 0], 5], [b"10", b"01"]])
+def test_a_group_element_that_is_no_matrix_of_numbers_is_a_domain_error(g):
+    # a string row is not read as its digits, nor is an entry without a length a bare
+    # TypeError: seminorm._group_matrix refuses both, for every relation and action
+    x = interior_point([0, 1])
+    phi = phi_from_apartment(x, CTX2)
+    for call in (lambda: in_stabilizer_P_x(g, x, CTX2), lambda: compose_with(phi, g),
+                 lambda: act_group(g, building_point(phi)),
+                 lambda: chart_equivalent(ChartPoint(g, x), ChartPoint(identity(2), x), CTX2),
+                 lambda: from_chart(ChartPoint(g, x), CTX2)):
+        with pytest.raises(DomainError, match="^not a sequence of entries: ") as caught:
+            call()
+        assert any(entry.name == "_group_matrix" for entry in caught.traceback)
+
+
 def test_relations_refuse_a_piece_outside_the_dimension():
     x = apartment_point([1, 3], [0, 1])
     with pytest.raises(DomainError, match="does not fit dimension 2"):

@@ -11,7 +11,9 @@ import is relative or names a standard-library module, so the runtime
 stays pure stdlib.  And the command line reads its flags without
 importing argparse.  Only diagonal_seminorm and the seminorm builders
 construct a seminorm, and only seminorm._group_matrix reads a group
-element: building hands no chart's or action's matrix to `mat`.
+element: building hands no chart's or action's matrix to `mat`.  Only
+arith._rational and arith.vec test `type(x) is Fraction` to take an entry as
+it is, so that every other reader goes through them.
 """
 
 import ast
@@ -266,6 +268,44 @@ def test_a_second_group_element_reader_is_caught(tmp_path):
         ("seminorm", "_group_matrix", GROUP_SHAPE),
         ("seminorm", "_group_matrix", "mat"),
     ]
+
+
+def _is_fraction_test(node):
+    # type(...) is Fraction or type(...) is not Fraction, with Fraction by name or as an attribute
+    return isinstance(node, ast.Compare) and len(node.ops) == 1 and \
+        isinstance(node.ops[0], (ast.Is, ast.IsNot)) and isinstance(node.left, ast.Call) and \
+        getattr(node.left.func, "id", None) == "type" and \
+        "Fraction" in (getattr(node.comparators[0], "id", None),
+                       getattr(node.comparators[0], "attr", None))
+
+
+def _fraction_forks(paths):
+    """(module, top-level def) of each `if` or conditional expression testing type(...) is
+    Fraction: the fast path that reads a Fraction as it is, which only the readers take."""
+    found = []
+    for path in paths:
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            found += [(path.stem, getattr(stmt, "name", "<module>")) for node in ast.walk(stmt)
+                      if isinstance(node, (ast.If, ast.IfExp)) and _is_fraction_test(node.test)]
+    return sorted(found)
+
+
+def test_only_the_rational_readers_take_a_fraction_as_it_is():
+    assert _fraction_forks(MODULES) == [("arith", "_rational"), ("arith", "vec")]
+
+
+def test_a_stray_fraction_fork_is_caught(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("import fractions\nfrom fractions import Fraction\n\n"
+                    "def val(c):\n    c = c if type(c) is Fraction else read(c)\n    return c\n\n"
+                    "def shift(d):\n    if type(d) is not fractions.Fraction:\n        d = read(d)\n"
+                    "    return d\n\n"
+                    "class Value:\n    def finite(self, x):\n"
+                    "        return [y if type(y) is Fraction else read(y) for y in x]\n\n"
+                    "def fine(x):\n    return x if type(x) is int else isinstance(x, Fraction)\n\n"
+                    "ZERO = 0 if type(0) is Fraction else Fraction(0)\n", encoding="utf-8")
+    assert _fraction_forks([path]) == [("mod", "<module>"), ("mod", "Value"), ("mod", "shift"),
+                                       ("mod", "val")]
 
 
 def test_the_cli_does_not_import_argparse():
