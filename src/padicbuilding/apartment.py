@@ -24,8 +24,6 @@ from .errors import (
     ZeroDiagonalError,
 )
 
-_INDEX_TYPES = frozenset((int,))     # a piece index is an int, not a bool, float or string
-
 
 @dataclass(frozen=True)
 class ApartmentPoint:
@@ -51,7 +49,7 @@ def apartment_point(piece, exponents) -> ApartmentPoint:
     """Build a point, sorting the piece and enforcing the gauge at min(I)."""
     if len(piece) != len(exponents):
         raise DomainError(f"piece has {len(piece)} indices but {len(exponents)} exponents")
-    if not _INDEX_TYPES.issuperset(map(type, piece)):
+    if not all(type(i) is int for i in piece):        # not a bool, float or string
         raise DomainError(f"invalid piece {tuple(piece)}")
     if not piece:
         raise DomainError("empty piece")

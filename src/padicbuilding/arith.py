@@ -302,8 +302,8 @@ def _sequence(xs):
 
 
 def vec(xs) -> tuple:
-    """The one reader of a sequence of scalars: a Fraction as it is, other entries by _rational."""
-    return tuple([x if type(x) is Fraction else _rational(x) for x in _sequence(xs)])
+    """The one reader of a sequence of scalars, each entry read by _rational."""
+    return tuple(map(_rational, _sequence(xs)))
 
 
 def mat(rows) -> tuple:
@@ -318,8 +318,8 @@ def identity(n: int) -> tuple:
 
 
 def _exact(rows) -> list:
-    """The rows, ints and Fractions as they are; a row that is not a tuple of them is checked
-    to be a sequence, and read by vec if it holds anything else (a float, say)."""
+    """The rows as tuples, their ints and Fractions as they are; a row that is not a tuple
+    of them is checked to be a sequence, and read by vec if it holds anything else."""
     return [row if type(row) is tuple and _EXACT_TYPES.issuperset(map(type, row)) else
             _exact_row(row) for row in _sequence(rows)]
 
@@ -463,9 +463,10 @@ def _inverse_parts(m):
 
 
 def mat_inverse(m) -> tuple:
-    if any(len(row) != len(m) for row in m):
+    rows = _exact(m)
+    if any(len(row) != len(rows) for row in rows):
         raise DomainError("matrix is not square")
-    parts = _inverse_parts(_exact(m))
+    parts = _inverse_parts(rows)
     if parts is None:
         raise SingularMatrixError("matrix is singular")
     num, d, _ = parts

@@ -53,7 +53,6 @@ from .arith import (
     _kernel_and_pivots,
     identity,
     l_add,
-    l_is_zero,
     l_scalar,
     l_scale,
     mat,
@@ -389,11 +388,12 @@ def pullback_from_functional(zs, ctx: PrimeContext) -> DiagonalSeminorm:
     if len(zs) != ctx.n:
         raise DomainError(f"expected {ctx.n} functional entries")
     _check_l_coeffs(zs, ctx)
-    if all(l_is_zero(z) for z in zs):
+    zrows = mat([z.coeffs for z in zs])
+    if not any(map(any, zrows)):
         raise ZeroFunctionalError("functional is zero")
-    ker, pivot_cols = _kernel_and_pivots([[z.coeffs[j] for z in zs] for j in range(ctx.e)])
+    ker, pivot_cols = _kernel_and_pivots(list(zip(*zrows)))
     cs = [Fraction(-j, ctx.e) for j in range(ctx.e)]
-    rows, dens = _integer_rows([list(zs[i].coeffs) + [int(t == i) for t in range(ctx.n)]
+    rows, dens = _integer_rows([list(zrows[i]) + [int(t == i) for t in range(ctx.n)]
                                 for i in pivot_cols])
     companions, tops = _reduce_family(rows, dens, cs, ctx.p)
     cols = companions + list(ker)

@@ -820,6 +820,7 @@ def _phi2():
     pytest.param(lambda: mat_det(5), id="mat_det.int"),
     pytest.param(lambda: mat_det([[1, 0], 5]), id="mat_det.row"),
     pytest.param(lambda: mat_inverse(["12", "34"]), id="mat_inverse"),
+    pytest.param(lambda: mat_inverse(5), id="mat_inverse.int"),
     pytest.param(lambda: mat_mul(["12"], [[1], [2]]), id="mat_mul"),
     pytest.param(lambda: mat_vec(identity(2), "11"), id="mat_vec"),
     pytest.param(lambda: vec_add("12", (1, 2)), id="vec_add"),

@@ -12,8 +12,8 @@ stays pure stdlib.  And the command line reads its flags without
 importing argparse.  Only diagonal_seminorm and the seminorm builders
 construct a seminorm, and only seminorm._group_matrix reads a group
 element: building hands no chart's or action's matrix to `mat`.  Only
-arith._rational and arith.vec test `type(x) is Fraction` to take an entry as
-it is, so that every other reader goes through them.
+arith._rational tests `type(x) is Fraction` to take an entry as it is, so
+that every other reader goes through it.
 """
 
 import ast
@@ -281,7 +281,7 @@ def _is_fraction_test(node):
 
 def _fraction_forks(paths):
     """(module, top-level def) of each `if` or conditional expression testing type(...) is
-    Fraction: the fast path that reads a Fraction as it is, which only the readers take."""
+    Fraction: the fast path that reads a Fraction as it is, which only the reader takes."""
     found = []
     for path in paths:
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -290,8 +290,8 @@ def _fraction_forks(paths):
     return sorted(found)
 
 
-def test_only_the_rational_readers_take_a_fraction_as_it_is():
-    assert _fraction_forks(MODULES) == [("arith", "_rational"), ("arith", "vec")]
+def test_only_the_rational_reader_takes_a_fraction_as_it_is():
+    assert _fraction_forks(MODULES) == [("arith", "_rational")]
 
 
 def test_a_stray_fraction_fork_is_caught(tmp_path):

@@ -32,6 +32,7 @@ from padicbuilding import (
     pullback_from_functional,
 )
 from padicbuilding.arith import (
+    LScalar,
     identity,
     mat,
     mat_col,
@@ -380,6 +381,26 @@ def test_pullback_agrees_with_direct_evaluation():
                 for _ in range(60):
                     v = rand_vector(rng, n)
                     assert evaluate(g, v) == pullback_value(zs, v, ctx)
+
+
+def test_pullback_reads_a_hand_built_scalar_as_l_scalar_does():
+    # an LScalar built directly holds its coefficients unread; the pullback reads each once,
+    # a float as its repr and a string as a rational, so it agrees with the oracle on the
+    # scalars l_scalar reads from the same coefficients
+    for ctx, coeffs in ((PrimeContext(2, 2), [(0.1,), (1,)]),
+                        (PrimeContext(2, 2), [("1/10",), (1,)]),
+                        (PrimeContext(3, 2, 2), [(0.5, "2/9"), ("3", 0.25)])):
+        zs = [LScalar(c) for c in coeffs]
+        read = [l_scalar(c, ctx) for c in coeffs]
+        g = pullback_from_functional(zs, ctx)
+        for v in ((1, 0), (0, 1), (1, 1), (2, -5), (Fraction(1, 3), 4)):
+            assert evaluate(g, v) == pullback_value(read, v, ctx)
+    g = pullback_from_functional([LScalar((0.1,)), LScalar((1,))], PrimeContext(2, 2))
+    assert evaluate(g, (1, 0)) == LogValue.finite(1)
+    assert pullback_value([LScalar((0.1,)), LScalar((1,))], (1, 0), PrimeContext(2, 2)) == \
+        LogValue.finite(1)
+    with pytest.raises(ZeroFunctionalError):
+        pullback_from_functional([LScalar(("0",)), LScalar((0.0,))], PrimeContext(2, 2))
 
 
 @pytest.mark.parametrize("zs, v", [(2, 3), (3, 2), (1, 1)])
