@@ -47,13 +47,15 @@ class ApartmentPoint:
 
 def apartment_point(piece, exponents) -> ApartmentPoint:
     """Build a point, sorting the piece and enforcing the gauge at min(I)."""
+    # a string piece reaches the index check below, and is refused there
+    piece, exponents = tuple(piece if isinstance(piece, str) else _sequence(piece)), vec(exponents)
     if len(piece) != len(exponents):
         raise DomainError(f"piece has {len(piece)} indices but {len(exponents)} exponents")
     if not all(type(i) is int for i in piece):        # not a bool, float or string
-        raise DomainError(f"invalid piece {tuple(piece)}")
+        raise DomainError(f"invalid piece {piece}")
     if not piece:
         raise DomainError("empty piece")
-    idxs, exps = zip(*sorted(zip(piece, vec(exponents))))
+    idxs, exps = zip(*sorted(zip(piece, exponents)))
     if len(set(idxs)) != len(idxs) or idxs[0] < 1:
         raise DomainError(f"invalid piece {idxs}")
     base = exps[0]
@@ -62,8 +64,8 @@ def apartment_point(piece, exponents) -> ApartmentPoint:
 
 def interior_point(exponents) -> ApartmentPoint:
     """Interior point of the n-apartment from a full exponent vector."""
-    n = len(exponents)
-    return apartment_point(range(1, n + 1), exponents)
+    exponents = tuple(_sequence(exponents))
+    return apartment_point(range(1, len(exponents) + 1), exponents)
 
 
 @dataclass(frozen=True)
@@ -274,7 +276,7 @@ class OpenBox:
 
 def open_box(intervals) -> OpenBox:
     ivs = tuple(vec(iv) if hasattr(iv, "__iter__") and not isinstance(iv, (str, bytes)) else ()
-                for iv in intervals)
+                for iv in _sequence(intervals))
     if any(len(iv) != 2 for iv in ivs):
         raise DomainError("every interval must be a pair (lo, hi)")
     for lo, hi in ivs:

@@ -196,13 +196,16 @@ def abs_k(c, ctx: PrimeContext) -> LogValue:
 
 @dataclass(frozen=True)
 class LScalar:
-    """Element sum a_i pi^i of L in the power basis, pi^e = p."""
+    """Element sum a_i pi^i of L in the power basis, pi^e = p; the coefficients are read by vec."""
 
     coeffs: tuple
 
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", vec(self.coeffs))
+
 
 def l_scalar(coeffs, ctx: PrimeContext) -> LScalar:
-    cs = vec(coeffs)
+    cs = tuple(_sequence(coeffs))
     if len(cs) > ctx.e:
         raise DomainError(f"expected at most {ctx.e} coefficients, got {len(cs)}")
     return LScalar(cs + (_ZERO,) * (ctx.e - len(cs)))

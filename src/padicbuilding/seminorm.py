@@ -24,11 +24,13 @@ integer dot products and their p-adic valuations follow; and (class)
 equality takes one tight bound and a volume (_volume), not a bound each way.
 
 Orthogonalization and the pullback of a norm from an L-valued functional
-share one reduction kernel that also runs on ints: each vector is one
-integer row over one positive denominator, kept gcd-reduced, and the
-exponents c_j of the target norm are put over one common denominator S,
-so every weight S log(|x_j| q^{c_j}) is an integer; evaluate compares its
-live logs over one common denominator the same way.
+share one reduction kernel, a single forward pass that also runs on ints:
+each vector is cleared at the earlier vectors' pivots and then pivots on
+its heaviest coordinate, so every entry is a ratio of minors of the input.
+Each vector is one integer row over one positive denominator, kept
+gcd-reduced, and the exponents c_j of the target norm are put over one
+common denominator S, so every weight S log(|x_j| q^{c_j}) is an integer;
+evaluate compares its live logs over one common denominator the same way.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .arith import (
     LogValue,
     PrimeContext,
     _check_l_coeffs,
-    _eliminate,
     _exact,
     _int_val,
     _integer_rows,
@@ -294,48 +295,34 @@ def _cleared(a, da, b, j):
 
 
 def _reduce_family(rows, dens, cs, p):
-    """Column reduction making the family diagonal for max_j |x_j| q^{c_j}.
+    """One forward pass making the family diagonal for max_j |x_j| q^{c_j}, in place.
 
     Vector k is the integer row rows[k] = [coords | companion] over the
     positive integer dens[k]; the companion rides along every update.  With
     S the common denominator of the c_j, the weight of coordinate j is the
-    integer S c_j - S (v_p(R_j) - v_p(D)), the log of |x_j| q^{c_j} times S,
-    so pivots and ties are decided on integers.  Claims a private dominant
-    coordinate per vector and keeps every other vector strictly below its
-    own norm there.  Each reduction step either removes a claimed
-    coordinate from the dominant set at constant norm or drops the norm
-    within the discrete exponent grid.  For independent coordinate vectors
-    the norm stays above the distance to the span of the earlier ones, so
-    the loop terminates; for dependent ones it may descend forever, so the
-    caller must rule dependence out.  Returns the companions as Fraction
-    tuples and each vector's norm exponent as a Fraction.
+    integer S c_j - S v_p(R_j), so pivots are decided on integers.  Vector k
+    is cleared at the pivots of the earlier vectors, in order, and pivots
+    on its heaviest coordinate, the least j on a tie; a vector that clears
+    to zero is dependent on the earlier ones.  Each vector is then zero at
+    every earlier pivot and attains its norm at its own, so for the first t
+    with the largest |l_t| gamma(w_t) the sum of the l_t w_t has exactly that
+    size at t's pivot: the family is orthogonal.  By Cramer's rule every
+    entry is a ratio of minors of the input.  Returns the norm exponents.
     """
-    dim = len(cs)
     (scaled,), (s,) = _integer_rows([cs])
-    claimed = {}
-    tops = []
-    for k in range(len(rows)):
-        r, d = rows[k], dens[k]
-        while True:
-            weights = [w - s * _int_val(x, p) if x else None for w, x in zip(scaled, r)]
-            g = max(w for w in weights if w is not None)
-            dom = [j for j in range(dim) if weights[j] == g]
-            dom_claimed = [j for j in dom if j in claimed]
-            if not dom_claimed:
-                j_star = min(j for j in dom if j not in claimed)
-                claimed[j_star] = k
-                # keep earlier vectors strictly subdominant at the new pivot
-                for i in range(k):
-                    x, di = rows[i][j_star], dens[i]
-                    if x and scaled[j_star] - s * (_int_val(x, p) - _int_val(di, p)) == tops[i]:
-                        rows[i], dens[i] = _cleared(rows[i], di, r, j_star)
-                tops.append(g + s * _int_val(d, p))
-                break
-            j = dom_claimed[0]
-            r, d = _cleared(r, d, rows[claimed[j]], j)
+    pivots, tops = [], []
+    for k, (r, d) in enumerate(zip(rows, dens)):
+        for i, j in enumerate(pivots):
+            if r[j]:
+                r, d = _cleared(r, d, rows[i], j)
+        weights = [(w - s * _int_val(x, p), -j) for j, (w, x) in enumerate(zip(scaled, r)) if x]
+        if not weights:
+            raise DependentInputError("input vectors are linearly dependent")
+        top, j = max(weights)
+        pivots.append(-j)
+        tops.append(Fraction(top + s * _int_val(d, p), s))
         rows[k], dens[k] = r, d
-    return ([tuple(Fraction(x, d) for x in row[dim:]) for row, d in zip(rows, dens)],
-            [Fraction(t, s) for t in tops])
+    return tops
 
 
 def orthogonalize(us, ambient: DiagonalSeminorm) -> list:
@@ -343,8 +330,8 @@ def orthogonalize(us, ambient: DiagonalSeminorm) -> list:
 
     The output spans the same subspace and satisfies
     ambient(sum l_i u'_i) = max |l_i| ambient(u'_i) for all coefficients.
-    Requires `ambient` to be a norm and the input to be independent;
-    dependence is decided by rank before any reduction.  With u = U / D_u
+    Requires `ambient` to be a norm and the input to be independent; a
+    dependent vector clears to zero in the reduction.  With u = U / D_u
     and the carried inverse N / d of the ambient basis, each vector enters
     the reduction as the integer row [N U | d U] over d D_u: its
     coordinates in the ambient basis and, alongside, itself.
@@ -358,16 +345,14 @@ def orthogonalize(us, ambient: DiagonalSeminorm) -> list:
         raise DomainError("expected at most n vectors of length n")
     num, d = ambient._inv
     ints, scales = _integer_rows(us)
-    if len(_eliminate([list(u) for u in ints], ambient.n, reduce=False)[0]) < len(us):
-        raise DependentInputError("input vectors are linearly dependent")
     rows, dens = [], []
     for u, du in zip(ints, scales):
         row, den = _reduced_row([sum(map(mul, nr, u)) for nr in num]
                                 + [d * x for x in u], d * du)
         rows.append(row)
         dens.append(den)
-    companions, _ = _reduce_family(rows, dens, [v.log for v in ambient.values], ambient.ctx.p)
-    return companions
+    _reduce_family(rows, dens, [v.log for v in ambient.values], ambient.ctx.p)
+    return [tuple(Fraction(x, den) for x in row[ambient.n:]) for row, den in zip(rows, dens)]
 
 
 # ---------------------------------------------------------------------------
@@ -382,23 +367,30 @@ def pullback_from_functional(zs, ctx: PrimeContext) -> DiagonalSeminorm:
     fractional parts.  Orthogonalizing the images of a complement of the
     kernel and appending a kernel basis with zero values yields an exact
     diagonal presentation.  The images of the pivot columns are independent,
-    and each enters the reduction as one integer row [z_i | e_i].
+    and each enters the reduction as one integer row [z_i | e_i].  Each
+    reduced vector R / D goes to diagonal_seminorm as the primitive integer
+    column R_e / g (R_e its unit part, g their gcd), whose value is its
+    norm times |D / g|.
     """
     zs = list(zs)
     if len(zs) != ctx.n:
         raise DomainError(f"expected {ctx.n} functional entries")
     _check_l_coeffs(zs, ctx)
-    zrows = mat([z.coeffs for z in zs])
+    zrows = [z.coeffs for z in zs]     # read by LScalar
     if not any(map(any, zrows)):
         raise ZeroFunctionalError("functional is zero")
     ker, pivot_cols = _kernel_and_pivots(list(zip(*zrows)))
-    cs = [Fraction(-j, ctx.e) for j in range(ctx.e)]
+    e, p = ctx.e, ctx.p
     rows, dens = _integer_rows([list(zrows[i]) + [int(t == i) for t in range(ctx.n)]
                                 for i in pivot_cols])
-    companions, tops = _reduce_family(rows, dens, cs, ctx.p)
-    cols = companions + list(ker)
-    values = [LogValue.finite(t) for t in tops] + [ZERO_VALUE] * len(ker)
-    return diagonal_seminorm(mat_from_cols(cols), values, ctx)
+    tops = _reduce_family(rows, dens, [Fraction(-j, e) for j in range(e)], p)
+    cols, values = [], []
+    for row, den, top in zip(rows, dens, tops):
+        g = math.gcd(*row[e:])
+        cols.append([x // g for x in row[e:]])
+        values.append(LogValue(top + _int_val(g, p) - _int_val(den, p)))
+    return diagonal_seminorm(mat_from_cols(cols + list(ker)),
+                             values + [ZERO_VALUE] * len(ker), ctx)
 
 
 def pullback_value(zs, v, ctx: PrimeContext) -> LogValue:

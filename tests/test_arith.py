@@ -25,6 +25,7 @@ from padicbuilding import (
     l_scale,
     monomial_element,
     nu_translation,
+    open_box,
     orthogonalize,
     phi_from_apartment,
     ray_limit,
@@ -36,6 +37,7 @@ from padicbuilding import (
 from padicbuilding.arith import (
     _PRIME_LIMIT,
     ZERO_VALUE,
+    LScalar,
     _eliminate,
     _int_val,
     _is_prime,
@@ -733,7 +735,7 @@ def test_entry_points_keep_their_values_without_rewrapping():
 
 def _float_entry_points():
     # (name, call): each call puts x at one float-taking entry point of the library
-    from padicbuilding import ElementaryUnipotent, Root, open_box, polynomial, unipotent_matrix
+    from padicbuilding import ElementaryUnipotent, Root, polynomial, unipotent_matrix
     from padicbuilding.arith import vec_scale
 
     phi = phi_from_apartment(interior_point([0, 0]), CTX2)
@@ -798,8 +800,6 @@ def test_a_non_rational_input_is_a_domain_error():
         val_k("1/0", CTX2)
     with pytest.raises(DomainError, match=r"^not a rational number: None$"):
         val_k(None, CTX2)
-    from padicbuilding import open_box
-
     for intervals in ([5], [(0, 1), None]):
         with pytest.raises(DomainError, match=r"^every interval must be a pair \(lo, hi\)$"):
             open_box(intervals)
@@ -833,6 +833,10 @@ def _phi2():
     pytest.param(lambda: nu_translation("12", CTX2), id="nu_translation"),
     pytest.param(lambda: ray_limit(interior_point([0, 1]), "01"), id="ray_limit"),
     pytest.param(lambda: apartment_point([1, 2], "01"), id="apartment_point"),
+    pytest.param(lambda: apartment_point(5, [0]), id="apartment_point.piece"),
+    pytest.param(lambda: interior_point(5), id="interior_point"),
+    pytest.param(lambda: open_box(5), id="open_box"),
+    pytest.param(lambda: LScalar("12"), id="LScalar"),
     pytest.param(lambda: monomial_element("21", [0, 0]), id="monomial_element.perm"),
     pytest.param(lambda: monomial_element([2, 1], "00"), id="monomial_element.trans"),
     pytest.param(lambda: sigma_project(["10", "01"], [1]), id="sigma_project"),
@@ -842,6 +846,19 @@ def test_a_string_or_a_non_iterable_is_not_a_sequence(call):
     # entry without a length is not a bare TypeError
     with pytest.raises(DomainError, match=r"^not a sequence of entries: (b?'\d+'|5)$"):
         call()
+
+
+def test_a_hand_built_scalar_is_read_as_l_scalar_reads_it():
+    # LScalar reads its coefficients through vec, a float as its repr and a string as a
+    # rational, so the L arithmetic computes on exact values
+    assert l_add(LScalar((0.1,)), LScalar((0.2,))).coeffs == (Fraction(3, 10),)
+    assert LScalar((0.5, "2/9")) == l_scalar([Fraction(1, 2), Fraction(2, 9)], CTX22)
+    assert type(l_scalar([1], CTX22).coeffs[0]) is Fraction
+    from padicbuilding.seminorm import pullback_value
+
+    assert pullback_value([LScalar(("1/10",)), LScalar((1,))], [1, 0], CTX2) == LogValue.finite(1)
+    with pytest.raises(DomainError, match=r"^not a rational number: 'x'$"):
+        LScalar(("x",))
 
 
 def test_l_scalar_refuses_too_many_coefficients_as_a_domain_error():

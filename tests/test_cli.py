@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import random
 from fractions import Fraction
@@ -582,3 +583,24 @@ def test_cli_sample_px_accepts_coordinates_up_to_the_cap(capsys):
         code, out, _ = run(capsys, "sample-px", "--p", "3", "--n", "2", "--point", point,
                            "--seed", "1", "--bound", "64")
         assert code == 0 and len(out["result"]["generators"]) == 5
+
+
+def _cold_start_requests():
+    # the benchmark's pinned requests, read from its own file rather than copied here
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.COLD_START
+
+
+COLD_START = _cold_start_requests()
+
+
+@pytest.mark.parametrize("workload", sorted(COLD_START))
+def test_benchmark_cold_start_requests_answer_as_pinned(workload, capsys):
+    # the benchmark counts a run as correct only if each of these answers exactly so
+    argv, expected = COLD_START[workload]
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err is None and out["ok"] is True
+    assert out["result"] == expected

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from padicbuilding import serialize
+from padicbuilding import PrimeContext, equals, serialize
 from padicbuilding.cli import COMMANDS, main
 
 HERE = Path(__file__).resolve().parent
@@ -41,8 +41,21 @@ def _bound_refused(code, out, err):
         {"ok": False, "error": "Domain", "message": "bound must be >= 0"}
 
 
+def _same_reduction(code, out, err):
+    # the one-pass orthogonalization picks another orthogonal basis of the same
+    # seminorm: the envelope, the values and the kernel are as stored
+    stored = json.loads(next(c["stdout"] for c in GOLDEN if c["name"] == "valid-n3-8-reduce"))
+    got = json.loads(out)
+    if code != 0 or err or {**got, "result": None} != {**stored, "result": None}:
+        return False
+    ctx = PrimeContext(**stored["config"])
+    new, old = (serialize.seminorm_from_doc(doc["result"], ctx) for doc in (got, stored))
+    return all(got["result"][k] == stored["result"][k] for k in ("values", "kernel")) \
+        and equals(new, old)
+
+
 CHANGED = {"help": _usage, "no-arguments": _usage, "trans-not-array": _labelled_by_flag,
-           "bound-negative": _bound_refused}
+           "bound-negative": _bound_refused, "valid-n3-8-reduce": _same_reduction}
 
 
 def _run(case, tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -31,6 +32,7 @@ from padicbuilding import (
     phi_inverse,
     pullback_from_functional,
 )
+from padicbuilding import serialize
 from padicbuilding.arith import (
     LScalar,
     identity,
@@ -48,6 +50,7 @@ from padicbuilding.arith import (
     vec_add,
     vec_scale,
 )
+from padicbuilding.cli import main as cli_main
 from padicbuilding.errors import (
     DependentInputError,
     DomainError,
@@ -859,7 +862,7 @@ def test_diagonal_seminorm_reduces_exactly_the_kernels_not_in_echelon_form(monke
 
 
 # ---------------------------------------------------------------------------
-# The integer reduction kernel against the Fraction reduction it replaces
+# The one-pass reduction against the claim-and-descend Fraction reduction
 # ---------------------------------------------------------------------------
 
 def _oracle_val(x, p):
@@ -880,8 +883,9 @@ def _oracle_weight(p, cs, x, j):
 
 
 def _oracle_reduce_family(coords, companions, cs, p, hits):
-    # the Fraction column reduction, step for step; hits counts the updates
-    # that keep an earlier vector strictly subdominant at a new pivot
+    # the Fraction column reduction that claims a dominant coordinate per vector and
+    # descends until it finds one; hits counts the updates that keep an earlier vector
+    # strictly subdominant at a new pivot
     dim = len(cs)
     claimed = {}
     tops = []
@@ -981,6 +985,7 @@ def _finitely_dependent(rng, vs, p):
 
 def test_reduction_kernel_matches_the_fraction_reduction():
     rng = random.Random(71)
+    combos = random.Random(73)      # the combinations draw apart, so rng makes the same cases
     hits = [0]
     seen = {"ortho": 0, "dependent": 0, "pullback": 0, "pullback kernel": 0}
     for n in range(2, 7):
@@ -1006,7 +1011,16 @@ def test_reduction_kernel_matches_the_fraction_reduction():
                             orthogonalize(us, ambient)
                         seen["dependent"] += 1
                     else:
-                        assert orthogonalize(us, ambient) == _oracle_orthogonalize(us, ambient, hits)
+                        # the basis itself may differ: the same span, orthogonal for the
+                        # ambient norm, and with m = n a presentation of the ambient norm
+                        out = orthogonalize(us, ambient)
+                        oracle = _oracle_orthogonalize(us, ambient, hits)
+                        assert len(out) == m and rank(out + oracle) == m
+                        _check_max_property(ambient, out, combos, trials=8)
+                        if m == n:
+                            values = [evaluate(ambient, u) for u in out]
+                            assert equals(diagonal_seminorm(mat_from_cols(out), values, ctx),
+                                          ambient)
                         seen["ortho"] += 1
                 for case in range(16):
                     # the functional's e x n coefficient matrix, of full or lower rank
@@ -1017,8 +1031,7 @@ def test_reduction_kernel_matches_the_fraction_reduction():
                     if all(c == 0 for z in zs for c in z.coeffs):
                         continue
                     g = pullback_from_functional(zs, ctx)
-                    oracle = _oracle_pullback(zs, ctx, hits)
-                    assert (g.basis, g.values) == (oracle.basis, oracle.values)
+                    assert equals(g, _oracle_pullback(zs, ctx, hits))
                     seen["pullback"] += 1
                     seen["pullback kernel"] += not g.is_norm()
     assert seen["ortho"] + seen["dependent"] + seen["pullback"] >= 2000
@@ -1027,9 +1040,9 @@ def test_reduction_kernel_matches_the_fraction_reduction():
 
 
 def test_orthogonalize_refuses_dependent_families_that_never_reduce_to_zero():
-    # the third vector is -64 u_1 - 128 u_2; the column reduction alone
+    # the third vector is -64 u_1 - 128 u_2; a claim-and-descend reduction
     # subtracts the first two from it in turn forever, each step only
-    # lowering its norm, so dependence has to be decided before reducing
+    # lowering its norm, while clearing it at the two earlier pivots leaves zero
     ctx = PrimeContext(2, 3, 4)
     us = [(1, 0, Fraction(-1, 128)), (Fraction(-129, 256), 0, Fraction(-1, 256)), (Fraction(1, 2), 0, 1)]
     ambient = diagonal_seminorm([[1, -2, 0], [0, 1, 0], [0, 1, 1]],
@@ -1044,6 +1057,45 @@ def test_orthogonalize_refuses_dependent_families_that_never_reduce_to_zero():
         us = _combined(rng, _p_power_family(rng, n, rng.randint(2, n), ctx.p), ctx.p)
         with pytest.raises(DependentInputError):
             orthogonalize(us, rand_norm(rng, ctx, steps=2))
+
+
+def _hadamard_square(rows):
+    # the square of the Hadamard bound: no minor of these integer rows exceeds its root
+    return math.prod(sum(x * x for x in row) for row in rows)
+
+
+def _within(entries, bound):
+    return all(x.numerator ** 2 <= bound and x.denominator ** 2 <= bound for x in entries)
+
+
+def test_reduction_entries_stay_within_the_hadamard_bound_at_n_24(capsys):
+    # every entry is a ratio of minors of the input, so sizes stay polynomial in n
+    rng = random.Random(74)
+    n, ctx = 24, PrimeContext(3, 24)
+    us = [[rng.randrange(-32, 32) for _ in range(n)] for _ in range(n)]
+    ambient = diagonal_seminorm(identity(n), [LogValue.finite(rng.randint(-4, 4)) for _ in range(n)],
+                                ctx)
+    out = orthogonalize(us, ambient)
+    assert len(out) == n and _within((x for u in out for x in u), _hadamard_square(us))
+    _check_max_property(ambient, out, rng, trials=10)
+
+    ctx = PrimeContext(3, n, n)
+    zs = [l_scalar([rng.randrange(-32, 32) for _ in range(n)], ctx) for _ in range(n)]
+    g = pullback_from_functional(zs, ctx)
+    rows = [[*z.coeffs, *(int(t == i) for t in range(n))] for i, z in enumerate(zs)]
+    assert _within((x for row in g.basis for x in row), _hadamard_square(rows))
+    cols = [g.column(i) for i in range(n)]
+    assert [pullback_value(zs, c, ctx) for c in cols] == list(g.values)
+    for _ in range(10):
+        lams = [rand_fraction(rng) for _ in cols]
+        v = [sum(lam * c[t] for lam, c in zip(lams, cols)) for t in range(n)]
+        assert pullback_value(zs, v, ctx) == max(abs_k(lam, ctx) * val
+                                                 for lam, val in zip(lams, g.values))
+
+    argv = ["ortho", "--p", "3", "--n", str(n), "--us", json.dumps(serialize.matrix_to_doc(us)),
+            "--ambient", json.dumps(serialize.seminorm_to_doc(ambient))]
+    assert cli_main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["vectors"] == serialize.matrix_to_doc(out)
 
 
 # ---------------------------------------------------------------------------
