@@ -27,7 +27,11 @@ from .errors import (
 
 @dataclass(frozen=True)
 class ApartmentPoint:
-    """Point of the compactified apartment: a piece I and gauged exponents on I."""
+    """Point of the compactified apartment: a piece I and gauged exponents on I.
+
+    apartment_point sets up, and the point operations rely on: sorted, distinct int indices >= 1
+    and Fraction exponents, 0 at min(I).  A point built by hand is the caller's responsibility.
+    """
 
     piece: tuple
     exponents: tuple
@@ -55,11 +59,15 @@ def apartment_point(piece, exponents) -> ApartmentPoint:
         raise DomainError(f"invalid piece {piece}")
     if not piece:
         raise DomainError("empty piece")
-    idxs, exps = zip(*sorted(zip(piece, exponents)))
-    if len(set(idxs)) != len(idxs) or idxs[0] < 1:
-        raise DomainError(f"invalid piece {idxs}")
-    base = exps[0]
-    return ApartmentPoint(idxs, (_ZERO, *(x - base for x in exps[1:])) if base else exps)
+    if len(set(piece)) != len(piece) or min(piece) < 1:
+        raise DomainError(f"invalid piece {tuple(sorted(piece))}")
+    return _point(zip(piece, exponents))
+
+
+def _point(pairs) -> ApartmentPoint:
+    """The point of (index, Fraction) pairs with distinct int indices >= 1, sorted and gauged."""
+    idxs, exps = zip(*sorted(pairs))
+    return ApartmentPoint(idxs, (_ZERO, *(x - exps[0] for x in exps[1:])) if exps[0] else exps)
 
 
 def interior_point(exponents) -> ApartmentPoint:
@@ -166,9 +174,7 @@ def act_monomial(m: MonomialElement, x: ApartmentPoint) -> ApartmentPoint:
     """Apply a monomial element; maps the piece I to w(I)."""
     if x.piece[-1] > m.n:                   # pieces are sorted
         raise DomainError(f"piece {x.piece} does not fit a monomial element of size {m.n}")
-    new_piece = [m.apply_index(i) for i in x.piece]
-    new_exps = [xi + m.trans[j - 1] for j, xi in zip(new_piece, x.exponents)]
-    return apartment_point(new_piece, new_exps)
+    return _point([(j, e + m.trans[j - 1]) for j, e in zip(map(m.apply_index, x.piece), x.exponents)])
 
 
 def monomial_matrix(m: MonomialElement, ctx: PrimeContext):
@@ -197,15 +203,17 @@ def monomial_matrix(m: MonomialElement, ctx: PrimeContext):
 
 def s_project(x: ApartmentPoint, piece) -> ApartmentPoint:
     """Project to a sub-piece, dropping the cocharacters outside it."""
-    target = tuple(sorted(set(piece)))
+    target = tuple(sorted(set(_sequence(piece))))
     if not target or not set(target) <= set(x.piece):
         raise NotSubPieceError(f"{target} is not a nonempty subset of {x.piece}")
-    return apartment_point(target, [x.exponent(i) for i in target])
+    if not all(type(i) is int for i in target):        # True and 1.0 pass the subset test
+        raise DomainError(f"invalid piece {target}")
+    return _point([(i, x.exponent(i)) for i in target])
 
 
 def dual_flip(x: ApartmentPoint) -> ApartmentPoint:
     """Sign flip induced by the dual-space identification; an involution."""
-    return apartment_point(x.piece, [-e for e in x.exponents])
+    return _point([(i, -e) for i, e in zip(x.piece, x.exponents)])
 
 
 def ray_limit(x0: ApartmentPoint, direction) -> ApartmentPoint:
@@ -222,8 +230,7 @@ def ray_limit(x0: ApartmentPoint, direction) -> ApartmentPoint:
     if x0.piece != tuple(range(1, n + 1)):
         raise DomainError("ray base point must be interior; project first")
     dmin = min(d)
-    limit_piece = [i for i in range(1, n + 1) if d[i - 1] == dmin]
-    return apartment_point(limit_piece, [x0.exponent(i) for i in limit_piece])
+    return _point([(i, e) for i, e, t in zip(x0.piece, x0.exponents, d) if t == dmin])
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +257,7 @@ def f_point(x: ApartmentPoint, a: Root):
 
 def f_sigma(points, a: Root):
     """f for a finite set: sup over the set of the pointwise thresholds."""
-    pts = list(points)
+    pts = list(_sequence(points))
     if not pts:
         raise DomainError("f_sigma of empty set")
     return max(f_point(x, a) for x in pts)
@@ -299,7 +306,7 @@ def gamma_membership(y: ApartmentPoint, box: OpenBox, piece) -> bool:
     the exponents of y and the box ends, over one common denominator.
     """
     n = box.n
-    i_set = set(piece)
+    i_set = set(_sequence(piece))
     if not i_set or not i_set < set(range(1, n + 1)):
         raise DomainError("need a nonempty proper subset I of {1..n}")
     y.checked(n)

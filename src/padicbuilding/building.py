@@ -37,6 +37,7 @@ from .arith import (
     _int_val,
     _integer_rows,
     _reduced,
+    _sequence,
     identity,
     mat,
     mat_det,
@@ -214,12 +215,12 @@ def in_U_a_sigma(u: ElementaryUnipotent, points, ctx: PrimeContext) -> bool:
     threshold +infinity admits only the identity, -infinity admits all.
     """
     a = u.root.checked(ctx.n)
-    return val_k(u.entry, ctx) >= f_sigma([x.checked(ctx.n) for x in points], a)
+    return val_k(u.entry, ctx) >= f_sigma([x.checked(ctx.n) for x in _sequence(points)], a)
 
 
 def fixes_pointwise(m: MonomialElement, points) -> bool:
     """Whether the monomial element fixes every point of the set."""
-    return all(act_monomial(m, x) == x for x in points)
+    return all(act_monomial(m, x) == x for x in _sequence(points))
 
 
 def sigma_project(g, piece) -> tuple:
@@ -232,7 +233,7 @@ def sigma_project(g, piece) -> tuple:
     n = len(g)
     if any(len(row) != n for row in g):
         raise DomainError("g must be square")
-    inside = sorted(set(piece))
+    inside = sorted(set(_sequence(piece)))
     if not inside:
         raise DomainError("empty piece")
     if not set(inside) <= set(range(1, n + 1)):

@@ -35,7 +35,7 @@ def rand_nonzero_vector(rng, n, num=6, den=4):
             return v
 
 
-def rand_point(rng, n, interior=None):
+def rand_point(rng, n, interior=None, den=4):
     """Random apartment point; boundary pieces included unless interior=True."""
     if interior is None:
         interior = rng.random() < 0.5
@@ -44,7 +44,7 @@ def rand_point(rng, n, interior=None):
     else:
         size = rng.randint(1, n - 1)
         piece = sorted(rng.sample(range(1, n + 1), size))
-    return apartment_point(piece, [rand_fraction(rng) for _ in piece])
+    return apartment_point(piece, [rand_fraction(rng, den=den) for _ in piece])
 
 
 def rand_integer_point(rng, n, interior=None):
@@ -58,13 +58,13 @@ def rand_integer_point(rng, n, interior=None):
     return apartment_point(piece, [rng.randint(-5, 5) for _ in piece])
 
 
-def rand_monomial(rng, n, integral=True) -> MonomialElement:
+def rand_monomial(rng, n, integral=True, den=4) -> MonomialElement:
     perm = list(range(1, n + 1))
     rng.shuffle(perm)
     if integral:
         trans = [rng.randint(-4, 4) for _ in range(n)]
     else:
-        trans = [rand_fraction(rng) for _ in range(n)]
+        trans = [rand_fraction(rng, den=den) for _ in range(n)]
     return monomial_element(perm, trans)
 
 

@@ -32,7 +32,7 @@ from padicbuilding.errors import (
     ZeroDiagonalError,
 )
 
-from randgen import rand_direction, rand_fraction, rand_monomial, rand_point
+from randgen import rand_direction, rand_fraction, rand_monomial, rand_point, rand_vector
 
 CTX = PrimeContext(2, 3)
 
@@ -237,6 +237,33 @@ def test_ray_limit_examples():
     assert ray_limit(x1, [1, 2, 3]) == apartment_point([1], [0])
     with pytest.raises(DomainError):
         ray_limit(apartment_point([1, 2], [0, 0]), [0, 0, 1])
+
+
+def test_point_operations_build_what_apartment_point_builds():
+    # each operation builds its result from (index, exponent) pairs it has already checked;
+    # the public reader, given the same pairs, must build the same point
+    rng = random.Random(28)
+    for _ in range(2000):
+        n = rng.randint(2, 6)
+        x = rand_point(rng, n, den=9)
+        m = rand_monomial(rng, n, integral=False, den=9)
+        sub = rng.sample(x.piece, rng.randint(1, len(x.piece)))
+        x0 = rand_point(rng, n, interior=True, den=9)
+        d = rand_vector(rng, n, 2, 9)
+        cases = [
+            (act_monomial(m, x), [(m.apply_index(i), x.exponent(i) + m.trans[m.apply_index(i) - 1])
+                                  for i in x.piece]),
+            (s_project(x, sub), [(i, x.exponent(i)) for i in sub]),
+            (dual_flip(x), [(i, -x.exponent(i)) for i in x.piece]),
+            (ray_limit(x0, d), [(i, x0.exponent(i)) for i in x0.piece if d[i - 1] == min(d)]),
+        ]
+        for got, pairs in cases:
+            rng.shuffle(pairs)
+            want = apartment_point([i for i, _ in pairs], [t for _, t in pairs])
+            assert got.piece == want.piece and got.exponents == want.exponents
+            assert all(type(i) is int for i in got.piece)
+            assert all(type(t) is Fraction for t in got.exponents)
+            assert got.exponents[0] == 0
 
 
 def test_ray_limit_refuses_a_base_point_larger_than_the_direction():

@@ -9,12 +9,18 @@ from hypothesis import strategies as st
 
 from padicbuilding import (
     INF,
+    ElementaryUnipotent,
     LogValue,
     PrimeContext,
+    Root,
     abs_k,
     apartment_point,
     diagonal_seminorm,
     evaluate,
+    f_sigma,
+    fixes_pointwise,
+    gamma_membership,
+    in_U_a_sigma,
     interior_point,
     k_rank,
     l_add,
@@ -24,11 +30,13 @@ from padicbuilding import (
     l_scalar,
     l_scale,
     monomial_element,
+    monomial_identity,
     nu_translation,
     open_box,
     orthogonalize,
     phi_from_apartment,
     ray_limit,
+    s_project,
     sigma_project,
     solve_linear,
     val_k,
@@ -840,6 +848,13 @@ def _phi2():
     pytest.param(lambda: monomial_element("21", [0, 0]), id="monomial_element.perm"),
     pytest.param(lambda: monomial_element([2, 1], "00"), id="monomial_element.trans"),
     pytest.param(lambda: sigma_project(["10", "01"], [1]), id="sigma_project"),
+    pytest.param(lambda: sigma_project(identity(2), 5), id="sigma_project.piece"),
+    pytest.param(lambda: s_project(interior_point([0, 1]), 5), id="s_project"),
+    pytest.param(lambda: gamma_membership(interior_point([0, 1]), open_box([(0, 1)]), 5),
+                 id="gamma_membership"),
+    pytest.param(lambda: f_sigma(5, Root(1, 2)), id="f_sigma"),
+    pytest.param(lambda: in_U_a_sigma(ElementaryUnipotent(Root(1, 2), 1), 5, CTX2), id="in_U_a_sigma"),
+    pytest.param(lambda: fixes_pointwise(monomial_identity(2), 5), id="fixes_pointwise"),
 ])
 def test_a_string_or_a_non_iterable_is_not_a_sequence(call):
     # a string is not read as its characters (so "12" is not (1, 2)), and an
