@@ -201,9 +201,16 @@ def monomial_matrix(m: MonomialElement, ctx: PrimeContext):
 # Boundary projections, duality flip, rays
 # ---------------------------------------------------------------------------
 
+def _sorted_piece(piece) -> tuple:
+    try:
+        return tuple(sorted(set(_sequence(piece))))
+    except TypeError:       # entries that do not sort together, or do not hash
+        raise DomainError(f"invalid piece {tuple(piece)}") from None
+
+
 def s_project(x: ApartmentPoint, piece) -> ApartmentPoint:
     """Project to a sub-piece, dropping the cocharacters outside it."""
-    target = tuple(sorted(set(_sequence(piece))))
+    target = _sorted_piece(piece)
     if not target or not set(target) <= set(x.piece):
         raise NotSubPieceError(f"{target} is not a nonempty subset of {x.piece}")
     if not all(type(i) is int for i in target):        # True and 1.0 pass the subset test
@@ -255,9 +262,16 @@ def f_point(x: ApartmentPoint, a: Root):
     return INF
 
 
+def _points(points) -> list:
+    pts = list(_sequence(points))
+    if not all(isinstance(x, ApartmentPoint) for x in pts):
+        raise DomainError("expected a set of apartment points")
+    return pts
+
+
 def f_sigma(points, a: Root):
     """f for a finite set: sup over the set of the pointwise thresholds."""
-    pts = list(_sequence(points))
+    pts = _points(points)
     if not pts:
         raise DomainError("f_sigma of empty set")
     return max(f_point(x, a) for x in pts)

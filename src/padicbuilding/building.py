@@ -26,6 +26,8 @@ from .apartment import (
     ApartmentPoint,
     MonomialElement,
     Root,
+    _points,
+    _sorted_piece,
     act_monomial,
     f_point,
     f_sigma,
@@ -37,7 +39,6 @@ from .arith import (
     _int_val,
     _integer_rows,
     _reduced,
-    _sequence,
     identity,
     mat,
     mat_det,
@@ -215,12 +216,12 @@ def in_U_a_sigma(u: ElementaryUnipotent, points, ctx: PrimeContext) -> bool:
     threshold +infinity admits only the identity, -infinity admits all.
     """
     a = u.root.checked(ctx.n)
-    return val_k(u.entry, ctx) >= f_sigma([x.checked(ctx.n) for x in _sequence(points)], a)
+    return val_k(u.entry, ctx) >= f_sigma([x.checked(ctx.n) for x in _points(points)], a)
 
 
 def fixes_pointwise(m: MonomialElement, points) -> bool:
     """Whether the monomial element fixes every point of the set."""
-    return all(act_monomial(m, x) == x for x in _sequence(points))
+    return all(act_monomial(m, x) == x for x in _points(points))
 
 
 def sigma_project(g, piece) -> tuple:
@@ -233,7 +234,7 @@ def sigma_project(g, piece) -> tuple:
     n = len(g)
     if any(len(row) != n for row in g):
         raise DomainError("g must be square")
-    inside = sorted(set(_sequence(piece)))
+    inside = _sorted_piece(piece)
     if not inside:
         raise DomainError("empty piece")
     if not set(inside) <= set(range(1, n + 1)):
@@ -310,6 +311,8 @@ def sample_P_x_generators(x: ApartmentPoint, count: int, bound: int,
     The product is invertible, as every factor is: 1 + omega e_ij with i != j,
     a permutation, or a diagonal of p-adic units times powers of p.
     """
+    if type(count) is not int or type(bound) is not int:
+        raise DomainError(f"count and bound must be integers, got {count!r} and {bound!r}")
     if count < 1:
         raise DomainError("count must be >= 1")
     if bound < 0:

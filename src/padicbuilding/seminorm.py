@@ -17,11 +17,13 @@ seminorm's basis does not depend on how its kernel was presented, and
 kernel_of only reads them.  It also carries v_p(det basis) and, in integer
 form N / d, the live rows of its basis inverse: those at nonzero values,
 the coordinate functionals of V / ker (a kernel column's row is None).
-diagonal_seminorm derives both (compose_with builds the moved basis
-through it); canonical_class only reorders the live rows.  So evaluation
-runs on Python ints: a vector's denominators are cleared once, and only
-integer dot products and their p-adic valuations follow; and (class)
-equality takes one tight bound and a volume (_volume), not a bound each way.
+diagonal_seminorm derives both by inverting its basis (compose_with builds
+the moved basis through it), pullback_from_functional in closed form from
+its own reduction; canonical_class only reorders the live rows.  So
+evaluation runs on Python ints: a vector's denominators are cleared once,
+and only integer dot products and their p-adic valuations follow; and
+(class) equality takes one tight bound and a volume (_volume), not a bound
+each way.
 
 Orthogonalization and the pullback of a norm from an L-valued functional
 share one reduction kernel, a single forward pass that also runs on ints:
@@ -51,7 +53,7 @@ from .arith import (
     _int_val,
     _integer_rows,
     _inverse_parts,
-    _kernel_and_pivots,
+    _reduced,
     identity,
     l_add,
     l_scalar,
@@ -257,15 +259,15 @@ def canonical_class(g: DiagonalSeminorm) -> DiagonalSeminorm:
     Reordering columns reorders the carried live rows of N / d and leaves
     v_p(det basis) alone.
     """
-    nonker = [i for i in range(g.n) if not g.values[i].is_zero]
-    cols = {i: g.column(i) for i in nonker}
+    cols = list(zip(*g.basis))
+    nonker = [i for i, v in enumerate(g.values) if not v.is_zero]
     nonker.sort(key=lambda i: (-g.values[i].log, cols[i]))
     shift = -g.values[nonker[0]].log
-    ker = kernel_of(g)
+    ker = [c for c, v in zip(cols, g.values) if v.is_zero]
     num, d = g._inv
     inv = tuple(num[i] for i in nonker) + (None,) * len(ker), d
     values = [g.values[i].shift(shift) for i in nonker] + [ZERO_VALUE] * len(ker)
-    return DiagonalSeminorm(mat_from_cols([cols[i] for i in nonker] + ker), tuple(values),
+    return DiagonalSeminorm(tuple(zip(*[cols[i] for i in nonker], *ker)), tuple(values),
                             g.ctx, inv, g._vdet)
 
 
@@ -303,26 +305,27 @@ def _reduce_family(rows, dens, cs, p):
     integer S c_j - S v_p(R_j), so pivots are decided on integers.  Vector k
     is cleared at the pivots of the earlier vectors, in order, and pivots
     on its heaviest coordinate, the least j on a tie; a vector that clears
-    to zero is dependent on the earlier ones.  Each vector is then zero at
-    every earlier pivot and attains its norm at its own, so for the first t
-    with the largest |l_t| gamma(w_t) the sum of the l_t w_t has exactly that
-    size at t's pivot: the family is orthogonal.  By Cramer's rule every
-    entry is a ratio of minors of the input.  Returns the norm exponents.
+    to zero is dependent on the earlier ones and gets no pivot.  Each vector
+    is then zero at every earlier pivot and attains its norm at its own, so
+    for the first t with the largest |l_t| gamma(w_t) the sum of the l_t w_t
+    has exactly that size at t's pivot: the family is orthogonal.  By
+    Cramer's rule every entry is a ratio of minors of the input.  A unit
+    companion e_k stays e_k minus earlier ones: over D it is D at k and 0
+    after k.  Returns each vector's (pivot, norm exponent), or None.
     """
     (scaled,), (s,) = _integer_rows([cs])
-    pivots, tops = [], []
+    live, out = [], []
     for k, (r, d) in enumerate(zip(rows, dens)):
-        for i, j in enumerate(pivots):
+        for b, j in live:
             if r[j]:
-                r, d = _cleared(r, d, rows[i], j)
-        weights = [(w - s * _int_val(x, p), -j) for j, (w, x) in enumerate(zip(scaled, r)) if x]
-        if not weights:
-            raise DependentInputError("input vectors are linearly dependent")
-        top, j = max(weights)
-        pivots.append(-j)
-        tops.append(Fraction(top + s * _int_val(d, p), s))
+                r, d = _cleared(r, d, b, j)
         rows[k], dens[k] = r, d
-    return tops
+        weights = [(w - s * _int_val(x, p), -j) for j, (w, x) in enumerate(zip(scaled, r)) if x]
+        if weights:
+            top, j = max(weights)
+            live.append((r, -j))
+        out.append((-j, Fraction(top + s * _int_val(d, p), s)) if weights else None)
+    return out
 
 
 def orthogonalize(us, ambient: DiagonalSeminorm) -> list:
@@ -351,7 +354,8 @@ def orthogonalize(us, ambient: DiagonalSeminorm) -> list:
                                 + [d * x for x in u], d * du)
         rows.append(row)
         dens.append(den)
-    _reduce_family(rows, dens, [v.log for v in ambient.values], ambient.ctx.p)
+    if None in _reduce_family(rows, dens, [v.log for v in ambient.values], ambient.ctx.p):
+        raise DependentInputError("input vectors are linearly dependent")
     return [tuple(Fraction(x, den) for x in row[ambient.n:]) for row, den in zip(rows, dens)]
 
 
@@ -362,15 +366,17 @@ def orthogonalize(us, ambient: DiagonalSeminorm) -> list:
 def pullback_from_functional(zs, ctx: PrimeContext) -> DiagonalSeminorm:
     """Diagonalize v |-> |z_1 v_1 + ... + z_n v_n|_L as a seminorm on K^n.
 
-    The functional is a K-linear map K^n -> L; on L the power basis is
-    already diagonal for | |_L because the exponents i/e have distinct
-    fractional parts.  Orthogonalizing the images of a complement of the
-    kernel and appending a kernel basis with zero values yields an exact
-    diagonal presentation.  The images of the pivot columns are independent,
-    and each enters the reduction as one integer row [z_i | e_i].  Each
-    reduced vector R / D goes to diagonal_seminorm as the primitive integer
-    column R_e / g (R_e its unit part, g their gcd), whose value is its
-    norm times |D / g|.
+    The power basis of L is diagonal for | |_L (the exponents i/e have
+    distinct fractional parts), so one reduction of the rows [z_i | e_i],
+    in index order, diagonalizes it.  A vector R / D with pivot q gives the
+    column R_e / g (g the gcd of its companion R_e), valued at its norm
+    times |D / g|; one Bareiss reduction (final pivot d) of those that
+    clear to zero gives ker's reduced echelon basis.  No inversion follows:
+    R_k is zero at earlier pivots, so z(v)_{q_t} = sum_{k<=t} a_k R_k[q_t] / g_k
+    yields the live inverse rows a_t by forward substitution.  The live
+    block is triangular with diagonal D_k / g_k, and the kernel block on
+    the free indices has determinant +-prod D_f / d (Sylvester's identity),
+    so v_p(det basis) = sum_live v_p(D_k / g_k) + sum_free v_p(D_f) - v_p(d).
     """
     zs = list(zs)
     if len(zs) != ctx.n:
@@ -379,18 +385,29 @@ def pullback_from_functional(zs, ctx: PrimeContext) -> DiagonalSeminorm:
     zrows = [z.coeffs for z in zs]     # read by LScalar
     if not any(map(any, zrows)):
         raise ZeroFunctionalError("functional is zero")
-    ker, pivot_cols = _kernel_and_pivots(list(zip(*zrows)))
-    e, p = ctx.e, ctx.p
-    rows, dens = _integer_rows([list(zrows[i]) + [int(t == i) for t in range(ctx.n)]
-                                for i in pivot_cols])
-    tops = _reduce_family(rows, dens, [Fraction(-j, e) for j in range(e)], p)
-    cols, values = [], []
-    for row, den, top in zip(rows, dens, tops):
-        g = math.gcd(*row[e:])
-        cols.append([x // g for x in row[e:]])
-        values.append(LogValue(top + _int_val(g, p) - _int_val(den, p)))
-    return diagonal_seminorm(mat_from_cols(cols + list(ker)),
-                             values + [ZERO_VALUE] * len(ker), ctx)
+    n, e, p = ctx.n, ctx.e, ctx.p
+    rows, dens = _integer_rows([[*z, *unit] for z, unit in zip(zrows, identity(n))])
+    found = _reduce_family(rows, dens, [Fraction(-j, e) for j in range(e)], p)
+    live = [(row, den, *hit, math.gcd(*row[e:])) for row, den, hit in zip(rows, dens, found) if hit]
+    _, ker, dk = _reduced([row[e:] for row, hit in zip(rows, found) if hit is None], n)
+    # row t of [U | Z]: sum_k (a_k / g_k) R_k[q_t] = z(v)_{q_t}, with U lower triangular
+    eqs, eds = _integer_rows([[row[q] for row, *_ in live] + [z[q] for z in zrows]
+                              for _, _, q, _, _ in live])
+    for t in range(len(live)):
+        for k in range(t):
+            if eqs[t][k]:
+                eqs[t], eds[t] = _cleared(eqs[t], eds[t], eqs[k], k)
+    inv = [_reduced_row([g * x for x in eq[len(live):]], eq[t])
+           for t, ((*_, g), eq) in enumerate(zip(live, eqs))]
+    d = math.lcm(*(da for _, da in inv))
+    vdet = sum(_int_val(den, p) for den in dens) - _int_val(dk, p) \
+        - sum(_int_val(g, p) for *_, g in live)
+    cols = [[Fraction(x // g) for x in row[e:]] for row, *_, g in live]
+    return DiagonalSeminorm(tuple(zip(*cols, *([Fraction(x, dk) for x in r] for r in ker))),
+                            tuple(LogValue(top + _int_val(g, p) - _int_val(den, p))
+                                  for _, den, _, top, g in live) + (ZERO_VALUE,) * len(ker), ctx,
+                            (tuple(tuple(x * (d // da) for x in a) for a, da in inv)
+                             + (None,) * len(ker), d), vdet)
 
 
 def pullback_value(zs, v, ctx: PrimeContext) -> LogValue:

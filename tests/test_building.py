@@ -16,6 +16,7 @@ from padicbuilding import (
     class_equals,
     compose_with,
     f_point,
+    f_sigma,
     fixes_pointwise,
     from_chart,
     in_stabilizer_P_x,
@@ -37,7 +38,12 @@ from padicbuilding import building as building_module
 from padicbuilding import seminorm as seminorm_module
 from padicbuilding.arith import identity, mat, mat_mul
 from padicbuilding.building import _random_unit
-from padicbuilding.errors import DomainError, SingularMatrixError, SubspaceNotPreservedError
+from padicbuilding.errors import (
+    DomainError,
+    NotSubPieceError,
+    SingularMatrixError,
+    SubspaceNotPreservedError,
+)
 
 from randgen import (
     rand_fraction,
@@ -320,6 +326,49 @@ def test_sampler_refuses_a_negative_bound_whatever_the_seed():
     for seed in range(40):
         with pytest.raises(DomainError, match="bound must be >= 0"):
             sample_P_x_generators(x, 1, -1, PrimeContext(3, 3), seed)
+
+
+@pytest.mark.parametrize("count, bound", [(1.5, 1), (1, 1.5), (True, 1), (1, False)],
+                         ids=["count.float", "bound.float", "count.bool", "bound.bool"])
+def test_sampler_refuses_a_count_or_bound_that_is_not_an_int(count, bound, monkeypatch):
+    # before any draw: 1.5 used to escape from range or randrange, and True to count as 1
+    monkeypatch.setattr(building_module.random, "Random", None)
+    with pytest.raises(DomainError, match="^count and bound must be integers, got "):
+        sample_P_x_generators(interior_point([0, 1, 2]), count, bound, PrimeContext(3, 3))
+
+
+X01 = interior_point([0, 1])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: s_project(X01, [1, "a"]), DomainError, r"invalid piece \(1, 'a'\)",
+                 id="s_project.mixed"),
+    pytest.param(lambda: s_project(X01, [[1]]), DomainError, r"invalid piece \(\[1\],\)",
+                 id="s_project.unhashable"),
+    pytest.param(lambda: sigma_project(identity(2), [1, "a"]), DomainError,
+                 r"invalid piece \(1, 'a'\)", id="sigma_project.mixed"),
+    pytest.param(lambda: sigma_project(identity(2), [[1]]), DomainError,
+                 r"invalid piece \(\[1\],\)", id="sigma_project.unhashable"),
+    pytest.param(lambda: f_sigma([X01, 5], Root(1, 2)), DomainError,
+                 "expected a set of apartment points", id="f_sigma"),
+    pytest.param(lambda: in_U_a_sigma(ElementaryUnipotent(Root(1, 2), 1), [X01, 5],
+                                      PrimeContext(2, 2)), DomainError,
+                 "expected a set of apartment points", id="in_U_a_sigma"),
+    pytest.param(lambda: fixes_pointwise(monomial_identity(2), [X01, 5]), DomainError,
+                 "expected a set of apartment points", id="fixes_pointwise"),
+    # shapes refused before keep their error and message
+    pytest.param(lambda: s_project(X01, [True]), DomainError, r"invalid piece \(True,\)",
+                 id="s_project.bool"),
+    pytest.param(lambda: s_project(X01, [1.0]), DomainError, r"invalid piece \(1\.0,\)",
+                 id="s_project.float"),
+    pytest.param(lambda: s_project(X01, [1, 5]), NotSubPieceError,
+                 r"\(1, 5\) is not a nonempty subset of \(1, 2\)", id="s_project.not_subset"),
+])
+def test_a_mixed_or_unhashable_piece_or_point_set_is_a_domain_error(call, error, message):
+    # these escaped as a bare TypeError from sorting or hashing, or an AttributeError
+    with pytest.raises(DomainError, match=f"^{message}$") as caught:
+        call()
+    assert type(caught.value) is error
 
 
 def test_sample_generators_at_a_large_prime():

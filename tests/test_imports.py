@@ -173,6 +173,7 @@ def test_only_the_seminorm_builders_construct_a_seminorm():
         ("seminorm", "diagonal_seminorm", "mat_det"),
         ("seminorm", "diagonal_seminorm", "reduced_echelon"),
         ("seminorm", "phi_from_apartment", "DiagonalSeminorm"),
+        ("seminorm", "pullback_from_functional", "DiagonalSeminorm"),
         ("seminorm", "scale_seminorm", "dataclasses.replace"),
     ]
 

@@ -1099,6 +1099,145 @@ def test_reduction_entries_stay_within_the_hadamard_bound_at_n_24(capsys):
 
 
 # ---------------------------------------------------------------------------
+# The pullback's closed forms against the inversion they replace
+# ---------------------------------------------------------------------------
+
+def _inverting_pullback(zs, ctx):
+    """The pullback built the way the closed forms replace: the kernel and pivot columns of
+    the coefficient matrix, the reduction of the pivot rows alone, and diagonal_seminorm,
+    which inverts the basis and takes v_p(det basis) from that elimination."""
+    from padicbuilding.arith import _int_val, _integer_rows, _kernel_and_pivots
+    from padicbuilding.seminorm import _reduce_family
+
+    zrows = [z.coeffs for z in zs]
+    ker, pivot_cols = _kernel_and_pivots(list(zip(*zrows)))
+    e, p = ctx.e, ctx.p
+    rows, dens = _integer_rows([list(zrows[i]) + [int(t == i) for t in range(ctx.n)]
+                                for i in pivot_cols])
+    hits = _reduce_family(rows, dens, [Fraction(-j, e) for j in range(e)], p)
+    cols, values = [], []
+    for row, den, (_, top) in zip(rows, dens, hits):
+        g = math.gcd(*row[e:])
+        cols.append([x // g for x in row[e:]])
+        values.append(LogValue(top + _int_val(g, p) - _int_val(den, p)))
+    return diagonal_seminorm(mat_from_cols(cols + list(ker)), values + [ZERO] * len(ker), ctx)
+
+
+def _assert_same_presentation(g, want):
+    # every field, the carried ones too, and each basis entry a Fraction as mat makes it
+    assert (g.basis, g.values, g._inv, g._vdet) == (want.basis, want.values, want._inv, want._vdet)
+    assert all(type(x) is Fraction for row in g.basis for x in row)
+
+
+def _functional_of_rank(rng, ctx, r):
+    # n scalars spanning at most r dimensions over K: r base scalars at random places, and
+    # zeros or combinations of them elsewhere; entries may be zero or carry p^k, |k| <= 20
+    while True:
+        base = [[_p_power_entry(rng, ctx.p) for _ in range(ctx.e)] for _ in range(r)]
+        rows = [[Fraction(0)] * ctx.e if rng.random() < 0.2 else
+                [sum(lam * b[j] for lam, b in zip(lams, base)) for j in range(ctx.e)]
+                for lams in ([rng.choice([0, 1, -1, 2, ctx.p]) for _ in base]
+                             for _ in range(ctx.n - r))] + base
+        rng.shuffle(rows)
+        if any(map(any, rows)):
+            return [l_scalar(row, ctx) for row in rows]
+
+
+def test_pullback_closed_forms_match_the_inverting_construction():
+    # basis, values, the live inverse rows and v_p(det basis) equal those of the
+    # construction that inverts the basis, on every rank of functional
+    rng = random.Random(75)
+    cases = 0
+    for n in range(2, 8):
+        for e in range(1, 5):
+            for p in (2, 3, 5, 7):
+                ctx = PrimeContext(p, n, e)
+                ranks = set()
+                for case in range(32):
+                    zs = _functional_of_rank(rng, ctx, 1 + case % min(n, e))
+                    g = pullback_from_functional(zs, ctx)
+                    _assert_same_presentation(g, _inverting_pullback(zs, ctx))
+                    ranks.add(n - len(kernel_of(g)))
+                    cases += 1
+                assert ranks == set(range(1, min(n, e) + 1)), (n, e, p, ranks)
+    assert cases >= 3000
+
+
+@pytest.mark.parametrize("n", [16, 24])
+def test_pullback_closed_forms_match_the_inverting_construction_when_dense(n):
+    rng = random.Random(76 + n)
+    for p in (2, 3):
+        ctx = PrimeContext(p, n, n)
+        zs = [l_scalar([Fraction(rng.randrange(-32, 32), rng.randrange(1, 64)) for _ in range(n)],
+                       ctx) for _ in range(n)]
+        g = pullback_from_functional(zs, ctx)
+        assert g.is_norm()
+        _assert_same_presentation(g, _inverting_pullback(zs, ctx))
+
+
+def _check_pullback(zs, ctx, rng):
+    g = pullback_from_functional(zs, ctx)
+    _assert_same_presentation(g, _inverting_pullback(zs, ctx))
+    assert g._inv == _live_inverse(g)
+    for _ in range(10):
+        v = [rand_fraction(rng) for _ in range(ctx.n)]
+        assert evaluate(g, v) == pullback_value(zs, v, ctx)
+    return g
+
+
+def test_pullback_turns_zero_entries_into_unit_kernel_columns():
+    # a zero entry's row clears to zero at once, so its unit vector is a kernel column
+    rng = random.Random(77)
+    ctx = PrimeContext(3, 5, 2)
+    zs = [l_scalar([0], ctx), l_scalar([1, 2], ctx), l_scalar([0, 0], ctx),
+          l_scalar([Fraction(1, 3), 9], ctx), l_scalar([], ctx)]
+    g = _check_pullback(zs, ctx, rng)
+    assert kernel_of(g) == [tuple(Fraction(int(i == j)) for j in range(5)) for i in (0, 2, 4)]
+    assert [v.is_zero for v in g.values] == [False, False, True, True, True]
+
+
+def test_pullback_of_a_rational_functional_has_a_hyperplane_kernel():
+    # e = 1: one live column, and the n - 1 kernel vectors span the hyperplane z = 0
+    rng = random.Random(78)
+    for n in range(2, 8):
+        for p in (2, 3, 5):
+            ctx = PrimeContext(p, n)
+            z = [_p_power_entry(rng, p) for _ in range(n)]
+            if not any(z):
+                z[rng.randrange(n)] = Fraction(p)
+            g = _check_pullback([l_from_k(t, ctx) for t in z], ctx, rng)
+            assert sum(v.is_zero for v in g.values) == n - 1
+            assert kernel_of(g) == nullspace([z])
+            assert g._inv[0][1:] == (None,) * (n - 1)
+
+
+def test_pullback_of_full_rank_has_no_kernel():
+    # r = n: every row keeps a pivot, so no kernel reduction and a full live inverse
+    rng = random.Random(79)
+    for n in range(2, 7):
+        for e in (n, n + 1):
+            ctx = PrimeContext(rng.choice([2, 3, 5, 7]), n, e)
+            while True:
+                zs = [l_scalar([_p_power_entry(rng, ctx.p) for _ in range(e)], ctx) for _ in range(n)]
+                if rank([z.coeffs for z in zs]) == n:
+                    break
+            g = _check_pullback(zs, ctx, rng)
+            assert g.is_norm() and kernel_of(g) == [] and None not in g._inv[0]
+
+
+@pytest.mark.parametrize("us", [
+    [(1, 2, 0), (2, 4, 0), (0, 1, 1)],
+    [(0, 0, 0), (1, 0, 0)],
+    [(1, 0, 0, 0), (0, 1, 0, 0), (Fraction(1, 3), 3, 0, 0), (0, 0, 1, 0)],
+], ids=["multiple", "zero-first", "combination"])
+def test_orthogonalize_refuses_a_dependent_vector_before_an_independent_one(us):
+    # the pass goes on past the dependent vector; the refusal comes after it, as before
+    ambient = gauge_norm(PrimeContext(3, len(us[0])))
+    with pytest.raises(DependentInputError, match="^input vectors are linearly dependent$"):
+        orthogonalize(us, ambient)
+
+
+# ---------------------------------------------------------------------------
 # Every constructor carries the live rows of the inverse basis, and only those
 # ---------------------------------------------------------------------------
 
