@@ -49,6 +49,9 @@ class ApartmentPoint:
         return self
 
 
+_INT_TYPE, _POINT_TYPE = frozenset({int}), frozenset({ApartmentPoint})   # exact types, no subclass
+
+
 def apartment_point(piece, exponents) -> ApartmentPoint:
     """Build a point, sorting the piece and enforcing the gauge at min(I)."""
     # a string piece reaches the index check below, and is refused there
@@ -201,20 +204,21 @@ def monomial_matrix(m: MonomialElement, ctx: PrimeContext):
 # Boundary projections, duality flip, rays
 # ---------------------------------------------------------------------------
 
-def _sorted_piece(piece) -> tuple:
+def _piece(piece) -> set:
     try:
-        return tuple(sorted(set(_sequence(piece))))
-    except TypeError:       # entries that do not sort together, or do not hash
+        indices = set(_sequence(piece))
+    except TypeError:       # entries that do not hash
         raise DomainError(f"invalid piece {tuple(piece)}") from None
+    if not _INT_TYPE.issuperset(map(type, indices)):      # True and 1.0 pass a subset test
+        raise DomainError(f"invalid piece {tuple(piece)}")
+    return indices
 
 
 def s_project(x: ApartmentPoint, piece) -> ApartmentPoint:
     """Project to a sub-piece, dropping the cocharacters outside it."""
-    target = _sorted_piece(piece)
+    target = tuple(sorted(_piece(piece)))
     if not target or not set(target) <= set(x.piece):
         raise NotSubPieceError(f"{target} is not a nonempty subset of {x.piece}")
-    if not all(type(i) is int for i in target):        # True and 1.0 pass the subset test
-        raise DomainError(f"invalid piece {target}")
     return _point([(i, x.exponent(i)) for i in target])
 
 
@@ -264,7 +268,7 @@ def f_point(x: ApartmentPoint, a: Root):
 
 def _points(points) -> list:
     pts = list(_sequence(points))
-    if not all(isinstance(x, ApartmentPoint) for x in pts):
+    if not _POINT_TYPE.issuperset(map(type, pts)):
         raise DomainError("expected a set of apartment points")
     return pts
 
@@ -320,7 +324,7 @@ def gamma_membership(y: ApartmentPoint, box: OpenBox, piece) -> bool:
     the exponents of y and the box ends, over one common denominator.
     """
     n = box.n
-    i_set = set(_sequence(piece))
+    i_set = _piece(piece)
     if not i_set or not i_set < set(range(1, n + 1)):
         raise DomainError("need a nonempty proper subset I of {1..n}")
     y.checked(n)

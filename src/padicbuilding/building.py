@@ -26,8 +26,8 @@ from .apartment import (
     ApartmentPoint,
     MonomialElement,
     Root,
+    _piece,
     _points,
-    _sorted_piece,
     act_monomial,
     f_point,
     f_sigma,
@@ -234,7 +234,7 @@ def sigma_project(g, piece) -> tuple:
     n = len(g)
     if any(len(row) != n for row in g):
         raise DomainError("g must be square")
-    inside = _sorted_piece(piece)
+    inside = tuple(sorted(_piece(piece)))
     if not inside:
         raise DomainError("empty piece")
     if not set(inside) <= set(range(1, n + 1)):

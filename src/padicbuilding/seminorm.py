@@ -22,8 +22,9 @@ the moved basis through it), pullback_from_functional in closed form from
 its own reduction; canonical_class only reorders the live rows.  So
 evaluation runs on Python ints: a vector's denominators are cleared once,
 and only integer dot products and their p-adic valuations follow; and
-(class) equality takes one tight bound and a volume (_volume), not a bound
-each way.
+(class) equality takes one tight bound and a volume test (_volume), not a
+bound each way.  The bound, the volume test and canonical_class's sort run
+on integer logs too, with one Fraction per result.
 
 Orthogonalization and the pullback of a norm from an L-valued functional
 share one reduction kernel, a single forward pass that also runs on ints:
@@ -139,19 +140,18 @@ def evaluate(g: DiagonalSeminorm, v) -> LogValue:
     only the integer dot products N_i . w need a valuation.  With the live logs
     over one denominator S, the max is taken on the integers S log(|lambda_i| gamma(w_i)).
     """
-    (w,), (den,) = _integer_rows([vec(v)])
+    (w,), (den,) = _integer_rows(_exact([v]))
     num, d = g._inv
     if len(w) != len(num):
         raise DomainError(f"vector has {len(w)} entries, expected {len(num)}")
     p = g.ctx.p
-    s = math.lcm(*(val.log.denominator for val in g.values if val.log is not None))
+    live = [(row, c.log.as_integer_ratio()) for row, c in zip(num, g.values) if c.log is not None]
+    s = math.lcm(*(b for _, (_, b) in live))
     best = None
-    for row, val in zip(num, g.values, strict=True):
-        if val.log is None:
-            continue
+    for row, (a, b) in live:
         t = sum(map(mul, row, w))
         if t:
-            cand = val.log.numerator * (s // val.log.denominator) - s * _int_val(t, p)
+            cand = a * (s // b) - s * _int_val(t, p)
             if best is None or cand > best:
                 best = cand
     if best is None:
@@ -218,36 +218,42 @@ def _log_bound(g1: DiagonalSeminorm, g2: DiagonalSeminorm):
     g2 is diagonal in its basis, so by the ultrametric inequality the bound
     holds on V once it holds on g2's columns, and it is attained on one of
     them (Goldman-Iwahori 1963).  A column in g2's kernel on which g1 is
-    nonzero admits no s.
+    nonzero admits no s.  The running maximum is kept as an integer pair.
     """
     if (g1.ctx.p, g1.ctx.n) != (g2.ctx.p, g2.ctx.n):
         raise DomainError("seminorms live over different contexts")
     best = None
-    for i, c in enumerate(g2.values):
-        v = evaluate(g1, g2.column(i))
-        if not v.is_zero:
-            if c.is_zero:
+    for col, c in zip(zip(*g2.basis), g2.values):
+        v = evaluate(g1, col).log
+        if v is not None:
+            if c.log is None:
                 return None
-            s = v.log - c.log
-            best = s if best is None else max(best, s)
-    return best
+            (x, y), (u, w) = v.as_integer_ratio(), c.log.as_integer_ratio()
+            if best is None or (x * w - u * y) * best[1] > best[0] * y * w:
+                best = x * w - u * y, y * w
+    return None if best is None else Fraction(*best)
 
 
-def _volume(g: DiagonalSeminorm, s=0) -> tuple:
-    """(k, vol) for q^s g: k nonzero values c_i, vol = sum log c_i + v_p(det basis).
+def _volume(g1: DiagonalSeminorm, g2: DiagonalSeminorm, s=0) -> bool:
+    """Whether g1 and q^s g2 agree in k, their count of nonzero values c_i, and in vol.
 
-    The kernel columns are stored in reduced echelon form, so v_p(det basis)
-    does not depend on how the kernel was presented.  A tight g1 <= q^s g2 is
-    an equality iff the pairs agree: equal k make the kernels equal, and on
-    V / ker the two have a common orthogonal basis (Goldman-Iwahori 1963).
+    vol = sum log c_i + v_p(det basis), with the kernel columns in the stored
+    reduced echelon form, so it does not depend on how the kernel was
+    presented.  A tight g1 <= q^s g2 is an equality iff both agree: equal k
+    make the kernels equal, and on V / ker the two have a common orthogonal
+    basis (Goldman-Iwahori 1963).  vol(g1) = vol(g2) + k s is tested on
+    integers, each seminorm's logs over their lcm.
     """
-    (logs,), (den,) = _integer_rows([[v.log for v in g.values if not v.is_zero]])
-    return len(logs), Fraction(sum(logs) + g._vdet * den, den) + len(logs) * s
+    (l1, l2), (d1, d2) = _integer_rows([[v.log for v in g.values if v.log is not None]
+                                        for g in (g1, g2)])
+    a, b = s.as_integer_ratio()
+    return len(l1) == len(l2) and (sum(l1) + g1._vdet * d1) * d2 * b \
+        == ((sum(l2) + g2._vdet * d2) * b + len(l2) * a * d2) * d1
 
 
 def equals(g1: DiagonalSeminorm, g2: DiagonalSeminorm) -> bool:
     """Exact equality of seminorms as functions on V: g1 <= g2 tightly, and equal volumes."""
-    return _log_bound(g1, g2) == 0 and _volume(g1) == _volume(g2)
+    return _log_bound(g1, g2) == 0 and _volume(g1, g2)
 
 
 def canonical_class(g: DiagonalSeminorm) -> DiagonalSeminorm:
@@ -256,25 +262,25 @@ def canonical_class(g: DiagonalSeminorm) -> DiagonalSeminorm:
     The nonzero columns are sorted by value (largest first, ties broken by
     the column entries) and all values are shifted so the leading one
     becomes q^0; the kernel columns, already in reduced echelon form, follow.
-    Reordering columns reorders the carried live rows of N / d and leaves
-    v_p(det basis) alone.
+    The sort and the shift run on the logs over their lcm S.  Reordering
+    columns reorders the carried live rows of N / d and leaves v_p(det basis) alone.
     """
     cols = list(zip(*g.basis))
-    nonker = [i for i, v in enumerate(g.values) if not v.is_zero]
-    nonker.sort(key=lambda i: (-g.values[i].log, cols[i]))
-    shift = -g.values[nonker[0]].log
-    ker = [c for c, v in zip(cols, g.values) if v.is_zero]
+    nonker = [i for i, v in enumerate(g.values) if v.log is not None]
+    (logs,), (s,) = _integer_rows([[g.values[i].log for i in nonker]])
+    live = sorted(zip(logs, nonker), key=lambda li: (-li[0], cols[li[1]]))
+    ker = [c for c, v in zip(cols, g.values) if v.log is None]
     num, d = g._inv
-    inv = tuple(num[i] for i in nonker) + (None,) * len(ker), d
-    values = [g.values[i].shift(shift) for i in nonker] + [ZERO_VALUE] * len(ker)
-    return DiagonalSeminorm(tuple(zip(*[cols[i] for i in nonker], *ker)), tuple(values),
+    inv = tuple(num[i] for _, i in live) + (None,) * len(ker), d
+    values = [LogValue(Fraction(log - live[0][0], s)) for log, _ in live] + [ZERO_VALUE] * len(ker)
+    return DiagonalSeminorm(tuple(zip(*[cols[i] for _, i in live], *ker)), tuple(values),
                             g.ctx, inv, g._vdet)
 
 
 def class_equals(g1: DiagonalSeminorm, g2: DiagonalSeminorm) -> bool:
     """Equality up to a positive constant: g1 <= q^s g2 tightly, and equal volumes."""
     s = _log_bound(g1, g2)
-    return s is not None and _volume(g1) == _volume(g2, s)
+    return s is not None and _volume(g1, g2, s)
 
 
 # ---------------------------------------------------------------------------

@@ -342,6 +342,28 @@ def test_gamma_membership_box_edges_are_strict():
     assert gamma_membership(edge, box, [1, 2]) is False
 
 
+GAMMA_Y, GAMMA_BOX = interior_point([0, 1, 2]), open_box([(0, 1), (0, 1)])
+
+
+def test_gamma_membership_refuses_an_unhashable_piece():
+    # it escaped as a bare TypeError from building the index set
+    with pytest.raises(DomainError, match=r"^invalid piece \(\[1\],\)$"):
+        gamma_membership(GAMMA_Y, GAMMA_BOX, [[1]])
+
+
+def test_gamma_membership_refuses_a_bool_index():
+    # True == 1 passed the subset test and answered True
+    with pytest.raises(DomainError, match=r"^invalid piece \(True,\)$"):
+        gamma_membership(GAMMA_Y, GAMMA_BOX, [True])
+    assert gamma_membership(GAMMA_Y, GAMMA_BOX, [1]) is True
+
+
+def test_gamma_membership_refuses_a_float_index():
+    # 1.0 == 1 passed the subset test and answered True
+    with pytest.raises(DomainError, match=r"^invalid piece \(1\.0,\)$"):
+        gamma_membership(GAMMA_Y, GAMMA_BOX, [1.0])
+
+
 def test_gamma_membership_accepts_constructed_witnesses():
     # any point assembled as s_J(u + delta) from a box element must be a member
     rng = random.Random(77)

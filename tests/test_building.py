@@ -361,6 +361,10 @@ X01 = interior_point([0, 1])
                  id="s_project.bool"),
     pytest.param(lambda: s_project(X01, [1.0]), DomainError, r"invalid piece \(1\.0,\)",
                  id="s_project.float"),
+    pytest.param(lambda: sigma_project(identity(2), [1.0]), DomainError, r"invalid piece \(1\.0,\)",
+                 id="sigma_project.float"),
+    pytest.param(lambda: sigma_project(identity(2), [True]), DomainError, r"invalid piece \(True,\)",
+                 id="sigma_project.bool"),
     pytest.param(lambda: s_project(X01, [1, 5]), NotSubPieceError,
                  r"\(1, 5\) is not a nonempty subset of \(1, 2\)", id="s_project.not_subset"),
 ])
