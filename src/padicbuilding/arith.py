@@ -378,7 +378,7 @@ def vec_scale(c, v) -> tuple:
     return tuple(c * a for a in _exact([v])[0])
 
 
-def _eliminate(rows, ncols: int, reduce: bool = True):
+def _eliminate(rows, ncols: int, reduce: bool = True, start: int = 1):
     """Fraction-free (Bareiss) row reduction of integer rows, in place.
 
     Pivots are sought in the first `ncols` columns; row operations act on
@@ -394,14 +394,17 @@ def _eliminate(rows, ncols: int, reduce: bool = True):
     used.  Rows, pivots, d and sign are those of eager rescaling.  The
     entries below each pivot are cleared; with `reduce` the entries above
     are cleared too (Gauss-Jordan), and then every pivot equals the returned
-    d, so the reduced echelon form is the pivot rows divided by d.  Returns
-    (pivot columns, d, sign), where sign is that of the row permutation; for
-    a square full-rank input, sign * d is its determinant.
+    d, so the reduced echelon form is the pivot rows divided by d.  `start`
+    is the pivot the rows already belong to: rows s * m, with s times every
+    minor of m an integer (the right half of a Gauss-Jordan pass with pivot
+    s), continue from start = s, and every entry stays s times a minor of m.
+    Returns (pivot columns, d, sign), where sign is that of the row
+    permutation; for a square full-rank m, sign * d = start * det m.
     """
     nrows = len(rows)
-    level = [1] * nrows
+    level = [start] * nrows
     pivots = []
-    prev, sign = 1, 1
+    prev, sign = start, 1
     r = 0
     for col in range(ncols):
         if r == nrows:

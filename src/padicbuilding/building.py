@@ -9,10 +9,9 @@ over the valuations of m, because phi(x2) is diagonal in the standard
 basis.  The reverse bound is not needed: two norms always have a common
 orthogonal basis (Goldman-Iwahori 1963; any two points of the building
 lie in a common apartment), so q^s phi(x2) and phi(x1) o m are equal
-exactly when their volumes on V / ker phi(x2) agree, and the volume of
-phi(x1) o m is read off the determinant of one block of m.  Chart
-equivalence and the stabilizer P_x are decided this way, without building
-a seminorm or inverting g.
+exactly when their volumes on V / ker phi(x2) agree; that volume and the
+invertibility of m are read off one forward pass over m.  So chart
+equivalence and the stabilizer P_x build no seminorm and invert no g.
 """
 
 from __future__ import annotations
@@ -143,12 +142,11 @@ def _bound(rows, x: ApartmentPoint, xs, ys: dict, scale: int, p: int):
     return best
 
 
-def _same_class(rows, x: ApartmentPoint, y: ApartmentPoint, p: int) -> bool:
+def _same_class(rows, d: int, g2, x: ApartmentPoint, y: ApartmentPoint, p: int) -> bool:
     """Whether phi(x) o m and phi(y) agree up to scaling, for m = rows / d.
 
-    rows is a square integer matrix.  The denominator d never enters:
-    v(d) shifts both sides of the volume identity below by k v(d).  Raises
-    SingularMatrixError when m is singular.
+    rows is a square integer matrix, d times every minor of m is an integer,
+    and g2 is singular exactly when m is; then SingularMatrixError is raised.
 
     With k = |I_x| = |I_y| and s the tight bound of phi(x) o m <= q^s phi(y),
     the two agree up to scaling iff
@@ -157,28 +155,26 @@ def _same_class(rows, x: ApartmentPoint, y: ApartmentPoint, p: int) -> bool:
     and of q^s phi(y).  The two norms have a common orthogonal basis
     (Goldman-Iwahori; any two points of the building lie in a common
     apartment), on which the first is at most the second, so the volumes
-    agree exactly when the norms do.  When s exists, m[I_x, complement of
-    I_y] = 0: m is block triangular, and its diagonal blocks decide its
-    singularity, the complementary one by mat_det unless it is empty.
-    Without s, mat_det of m decides it.
+    agree exactly when the norms do; on rows both sides shift by k v(d).  If
+    s exists, m[I_x, complement of I_y] = 0, so a forward pass over rows from
+    d, rows on I_x and columns on I_y first, pivots on every column iff m is
+    invertible; its k-th pivot is +-d det m[I_x, I_y].  Else mat_det(g2) decides.
     """
     k = len(x.piece)
     (row,), (scale,) = _integer_rows([[*x.exponents, *y.exponents]])
     xs, ys = row[:k], dict(zip(y.piece, row[k:]))
     s = _bound(rows, x, xs, ys, scale, p)
     if s is None or k != len(y.piece):
-        if mat_det(rows) == 0:
+        if mat_det(g2) == 0:
             raise SingularMatrixError("group element must be invertible")
         return False
     n = len(rows)
-    off_x = [i for i in range(1, n + 1) if i not in x.piece]
-    off_y = [j for j in range(1, n + 1) if j not in ys]
-    block = [[rows[i - 1][j - 1] for j in y.piece] for i in x.piece]
-    pivots, det, _ = _eliminate(block, k, reduce=False)
-    off_block = [[rows[i - 1][j - 1] for j in off_y] for i in off_x]
-    if len(pivots) < k or off_x and mat_det(off_block) == 0:
+    order_x, order_y = ([*c, *(i for i in range(1, n + 1) if i not in c)] for c in (x.piece, ys))
+    block = [[rows[i - 1][j - 1] for j in order_y] for i in order_x]
+    if len(_eliminate(block, n, reduce=False, start=d)[0]) < n:
         raise SingularMatrixError("group element must be invertible")
-    return -sum(xs) - scale * _int_val(det, p) == k * s - sum(ys.values())
+    vdet = _int_val(block[k - 1][k - 1], p) + (k - 1) * _int_val(d, p)
+    return -sum(xs) - scale * vdet == k * s - sum(ys.values())
 
 
 def chart_equivalent(c1: ChartPoint, c2: ChartPoint, ctx: PrimeContext) -> bool:
@@ -186,27 +182,28 @@ def chart_equivalent(c1: ChartPoint, c2: ChartPoint, ctx: PrimeContext) -> bool:
 
     (g1, x1) and (g2, x2) do iff phi(x1) o g1^-1 g2 and phi(x2) agree up to
     scaling.  One Gauss-Jordan pass over [g1 | g2] ends in [d I | M] with
-    g1^-1 g2 = M / d, and the class test on M takes one tight bound and one
-    block determinant (see _same_class).
+    g1^-1 g2 = M / d; the class test takes one tight bound on M and one pass
+    continued from d, whose entries stay minors of [g1 | g2] (see _same_class).
     """
     n = ctx.n
     g1, g2 = _checked(c1.g, c1.x, n), _checked(c2.g, c2.x, n)
-    pivots, rows, _ = _reduced([[*r1, *r2] for r1, r2 in zip(g1, g2)], n)
+    pivots, rows, d = _reduced([[*r1, *r2] for r1, r2 in zip(g1, g2)], n)
     if len(pivots) < n:
         raise SingularMatrixError("group element must be invertible")
-    return _same_class([row[n:] for row in rows], c1.x, c2.x, ctx.p)
+    return _same_class([row[n:] for row in rows], d, g2, c1.x, c2.x, ctx.p)
 
 
 def in_stabilizer_P_x(g, x: ApartmentPoint, ctx: PrimeContext) -> bool:
     """Membership in the stabilizer of the class of phi(x).
 
     The chart test on (I, x) and (g, x): phi(x) o g and phi(x) agree up to
-    scaling, decided on g = G / e with one tight bound and the determinants
-    of two diagonal blocks of G (see _same_class).  No inverse is formed.
+    scaling, decided on g = G / e with one tight bound and one forward pass
+    over the integer G from 1 (see _same_class).  No inverse is formed.
     """
     n = ctx.n
-    (flat,), _ = _integer_rows([[a for row in _checked(g, x, n) for a in row]])
-    return _same_class([flat[i:i + n] for i in range(0, n * n, n)], x, x, ctx.p)
+    g = _checked(g, x, n)
+    (flat,), _ = _integer_rows([[a for row in g for a in row]])
+    return _same_class([flat[i:i + n] for i in range(0, n * n, n)], 1, g, x, x, ctx.p)
 
 
 def in_U_a_sigma(u: ElementaryUnipotent, points, ctx: PrimeContext) -> bool:

@@ -561,12 +561,12 @@ def test_integer_kernel_agrees_with_fraction_oracle():
 # The eagerly rescaling Bareiss kernel as an oracle for the lazy one
 # ---------------------------------------------------------------------------
 
-def _eager_eliminate(rows, ncols, reduce=True):
+def _eager_eliminate(rows, ncols, reduce=True, start=1):
     # the kernel arith._eliminate replaced: every row not updated by a pivot
     # is still rescaled by lead / prev at that step
     nrows = len(rows)
     pivots = []
-    prev, sign = 1, 1
+    prev, sign = start, 1
     r = 0
     for col in range(ncols):
         if r == nrows:
@@ -593,12 +593,12 @@ def _eager_eliminate(rows, ncols, reduce=True):
     return pivots, prev, sign
 
 
-def _assert_matches_eager(rows, ncols):
+def _assert_matches_eager(rows, ncols, start=1):
     for reduce in (True, False):
         eager, lazy = [list(r) for r in rows], [list(r) for r in rows]
-        expected = _eager_eliminate(eager, ncols, reduce)
-        assert _eliminate(lazy, ncols, reduce) == expected, (rows, ncols, reduce)
-        assert lazy == eager, (rows, ncols, reduce)
+        expected = _eager_eliminate(eager, ncols, reduce, start)
+        assert _eliminate(lazy, ncols, reduce, start) == expected, (rows, ncols, reduce, start)
+        assert lazy == eager, (rows, ncols, reduce, start)
 
 
 def _p_int(rng, p):
@@ -633,42 +633,77 @@ def _rank_deficient(rng, nrows, ncols, p):
         [[0] * ncols for _ in range(nrows)]
 
 
+def _continued_case(rng, n, p):
+    """(B, M, d): M is the right half of [A | B] reduced to [d I | M], A invertible."""
+    while True:
+        a = _monomial_times_elementary(rng, n, p)
+        if len(_eager_eliminate([list(r) for r in a], n)[0]) == n:
+            break
+    b = rng.choice([_monomial_times_elementary, lambda r, k, q: _dense(r, k, k, q),
+                    lambda r, k, q: _rank_deficient(r, k, k, q)])(rng, n, p)
+    ab = [ra + rb for ra, rb in zip(a, b)]
+    d = _eager_eliminate(ab, n)[1]
+    return b, [row[n:] for row in ab], d
+
+
 def _elimination_case(rng, kind):
-    """(integer rows, ncols) of one kind, shaped as the package's callers shape them."""
+    """(integer rows, ncols, start) of one kind, shaped as the package's callers shape them."""
     p = rng.choice([2, 3, 5])
     n = rng.randint(1, 6)
     if kind == "sparse":
-        return _monomial_times_elementary(rng, n, p), n
+        return _monomial_times_elementary(rng, n, p), n, 1
     if kind == "dense":
         width = rng.randint(1, 12)
-        return _dense(rng, n, width, p), rng.randint(0, width)
+        return _dense(rng, n, width, p), rng.randint(0, width), 1
     if kind == "deficient":
         width = rng.randint(1, 12)
-        return _rank_deficient(rng, n, width, p), rng.randint(1, width)
+        return _rank_deficient(rng, n, width, p), rng.randint(1, width), 1
     if kind == "inverse":           # [S m | S], as _inverse_parts reduces it
         m = rng.choice([_monomial_times_elementary, lambda r, k, q: _dense(r, k, k, q)])(rng, n, p)
         s = [_p_int(rng, p) for _ in range(n)]
         return [[x * s[i] for x in row] + [s[i] * int(i == j) for j in range(n)]
-                for i, row in enumerate(m)], n
+                for i, row in enumerate(m)], n, 1
+    if kind == "continued":         # the right half of a reduced [A | B], from its pivot
+        _, m, d = _continued_case(rng, n, p)
+        return m, n, d
     # [g1 | g2], as chart_equivalent reduces it, g2 = g1 times a monomial matrix
     g1 = _monomial_times_elementary(rng, n, p)
     g2 = _int_matmul(g1, _monomial_times_elementary(rng, n, p))
     if rng.random() < 0.2:          # a singular g1
         g1[rng.randrange(n)] = [0] * n
-    return [r1 + r2 for r1, r2 in zip(g1, g2)], n
+    return [r1 + r2 for r1, r2 in zip(g1, g2)], n, 1
 
 
-ELIMINATION_KINDS = ("sparse", "dense", "deficient", "inverse", "charts")
+ELIMINATION_KINDS = ("sparse", "dense", "deficient", "inverse", "charts", "continued")
 
 
 def test_lazy_elimination_matches_the_eager_kernel():
     rng = random.Random(48)
     ranks = set()
-    for trial in range(5000):
-        rows, ncols = _elimination_case(rng, ELIMINATION_KINDS[trial % len(ELIMINATION_KINDS)])
-        _assert_matches_eager(rows, ncols)
-        ranks.add(len(_eliminate([list(r) for r in rows], ncols)[0]) < min(len(rows), ncols))
+    for trial in range(6000):
+        rows, ncols, start = _elimination_case(rng, ELIMINATION_KINDS[trial % len(ELIMINATION_KINDS)])
+        _assert_matches_eager(rows, ncols, start)
+        ranks.add(len(_eliminate([list(r) for r in rows], ncols, start=start)[0])
+                  < min(len(rows), ncols))
     assert ranks == {True, False}
+
+
+def test_continued_elimination_ends_at_the_determinant_of_the_right_half():
+    # [A | B] reduces to [d I | d A^-1 B]; continued from d, the last pivot of a
+    # forward pass is d det(A^-1 B) = +-det B, and a singular B leaves a column unpivoted
+    rng = random.Random(49)
+    seen = set()
+    for _ in range(1000):
+        p = rng.choice([2, 3, 5])
+        n = rng.randint(1, 6)
+        b, m, d = _continued_case(rng, n, p)
+        det = mat_det(b)
+        pivots, last, _ = _eliminate(m, n, reduce=False, start=d)
+        assert (len(pivots) == n) == (det != 0), (b, m, d)
+        if det:
+            assert abs(last) == abs(det), (b, m, d)
+        seen.add(det != 0)
+    assert seen == {True, False}
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)

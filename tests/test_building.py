@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from padicbuilding import (
     f_sigma,
     fixes_pointwise,
     from_chart,
+    gamma_membership,
     in_stabilizer_P_x,
     in_U_a_sigma,
     interior_point,
@@ -27,6 +29,7 @@ from padicbuilding import (
     monomial_inverse,
     monomial_matrix,
     nu_translation,
+    open_box,
     phi_from_apartment,
     s_project,
     sample_P_x_generators,
@@ -367,6 +370,14 @@ X01 = interior_point([0, 1])
                  id="sigma_project.bool"),
     pytest.param(lambda: s_project(X01, [1, 5]), NotSubPieceError,
                  r"\(1, 5\) is not a nonempty subset of \(1, 2\)", id="s_project.not_subset"),
+    # a one-shot iterator is read once, so the refusal still names its entries
+    pytest.param(lambda: s_project(interior_point([0, 1, 2]), iter([True])), DomainError,
+                 r"invalid piece \(True,\)", id="s_project.iterator"),
+    pytest.param(lambda: sigma_project(identity(2), iter([1.0])), DomainError,
+                 r"invalid piece \(1\.0,\)", id="sigma_project.iterator"),
+    pytest.param(lambda: gamma_membership(interior_point([0, 1, 2]), open_box([(0, 1), (0, 1)]),
+                                          iter([[1]])), DomainError,
+                 r"invalid piece \(\[1\],\)", id="gamma_membership.iterator"),
 ])
 def test_a_mixed_or_unhashable_piece_or_point_set_is_a_domain_error(call, error, message):
     # these escaped as a bare TypeError from sorting or hashing, or an AttributeError
@@ -621,6 +632,43 @@ def test_relations_refuse_a_singular_matrix_without_a_bound():
                 chart_equivalent(ChartPoint(g, x), ChartPoint(singular, y), ctx)
             cases += 1
     assert cases >= 200
+
+
+def _dense(rng, count):
+    # seeded 6-bit rationals over denominators up to 63
+    return [Fraction(rng.randrange(-32, 32), rng.randrange(1, 64)) for _ in range(count)]
+
+
+def _dense_chart(rng, n, piece):
+    g = tuple(tuple(_dense(rng, n)) for _ in range(n))
+    return ChartPoint(g, apartment_point(piece, [0, *_dense(rng, len(piece) - 1)]))
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_the_class_test_keeps_its_entries_minors_of_the_input(n, monkeypatch):
+    # continued from the Gauss-Jordan pivot, every entry the class test's pass
+    # leaves is an n x n minor of the integer [g1 | g2], so it lies within the
+    # Hadamard bound of those rows; a pass from 1 grows to about k times that
+    sizes = []
+
+    def recording(rows, *args, **kwargs):
+        out = arith_module._eliminate(rows, *args, **kwargs)
+        sizes.append(max(abs(a).bit_length() for row in rows for a in row))
+        return out
+
+    monkeypatch.setattr(building_module, "_eliminate", recording)
+    rng = random.Random(n)
+    ctx = PrimeContext(3, n)
+    interior = list(range(1, n + 1))
+    c1, c2 = _dense_chart(rng, n, interior), _dense_chart(rng, n, interior)
+    cb = _dense_chart(rng, n, sorted(rng.sample(interior, n // 2)))
+    h = sample_P_x_generators(cb.x, 1, 2, ctx, seed=n)[0]
+    for a, b, expect in ((c1, c2, False), (cb, ChartPoint(mat_mul(cb.g, h), cb.x), True)):
+        sizes.clear()
+        assert chart_equivalent(a, b, ctx) is expect
+        rows, _ = arith_module._integer_rows([[*r1, *r2] for r1, r2 in zip(a.g, b.g)])
+        hadamard = math.floor(sum(math.log2(sum(x * x for x in row)) for row in rows) / 2) + 1
+        assert sizes and max(sizes) <= hadamard, (sizes, hadamard)
 
 
 def test_unipotent_matrix_refuses_a_root_outside_the_dimension():
