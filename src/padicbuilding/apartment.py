@@ -205,14 +205,13 @@ def monomial_matrix(m: MonomialElement, ctx: PrimeContext):
 # ---------------------------------------------------------------------------
 
 def _piece(piece) -> set:
-    if not isinstance(piece, (list, tuple, set, frozenset, range)):
-        piece = tuple(_sequence(piece))     # an iterator is read once, so a refusal can name it
+    piece = tuple(_sequence(piece))     # an iterator is read once, so a refusal can name it
     try:
         indices = set(piece)
     except TypeError:       # entries that do not hash
-        raise DomainError(f"invalid piece {tuple(piece)}") from None
+        raise DomainError(f"invalid piece {piece}") from None
     if not _INT_TYPE.issuperset(map(type, indices)):      # True and 1.0 pass a subset test
-        raise DomainError(f"invalid piece {tuple(piece)}")
+        raise DomainError(f"invalid piece {piece}")
     return indices
 
 
