@@ -10,7 +10,7 @@ basis.  The reverse bound is not needed: two norms always have a common
 orthogonal basis (Goldman-Iwahori 1963; any two points of the building
 lie in a common apartment), so q^s phi(x2) and phi(x1) o m are equal
 exactly when their volumes on V / ker phi(x2) agree; that volume and the
-invertibility of m are read off one forward pass over m.  So chart
+invertibility of m are read off passes over its diagonal blocks.  So chart
 equivalence and the stabilizer P_x build no seminorm and invert no g.
 """
 
@@ -156,9 +156,9 @@ def _same_class(rows, d: int, g2, x: ApartmentPoint, y: ApartmentPoint, p: int) 
     (Goldman-Iwahori; any two points of the building lie in a common
     apartment), on which the first is at most the second, so the volumes
     agree exactly when the norms do; on rows both sides shift by k v(d).  If
-    s exists, m[I_x, complement of I_y] = 0, so a forward pass over rows from
-    d, rows on I_x and columns on I_y first, pivots on every column iff m is
-    invertible; its k-th pivot is +-d det m[I_x, I_y].  Else mat_det(g2) decides.
+    s exists, m[I_x, complement of I_y] = 0, so m is invertible iff m[I_x, I_y]
+    and m[off I_x, off I_y] are, which forward passes continued from d decide;
+    the first one's k-th pivot is +-d det m[I_x, I_y].  Else mat_det(g2) decides.
     """
     k = len(x.piece)
     (row,), (scale,) = _integer_rows([[*x.exponents, *y.exponents]])
@@ -168,12 +168,13 @@ def _same_class(rows, d: int, g2, x: ApartmentPoint, y: ApartmentPoint, p: int) 
         if mat_det(g2) == 0:
             raise SingularMatrixError("group element must be invertible")
         return False
-    n = len(rows)
-    order_x, order_y = ([*c, *(i for i in range(1, n + 1) if i not in c)] for c in (x.piece, ys))
-    block = [[rows[i - 1][j - 1] for j in order_y] for i in order_x]
-    if len(_eliminate(block, n, reduce=False, start=d)[0]) < n:
-        raise SingularMatrixError("group element must be invertible")
-    vdet = _int_val(block[k - 1][k - 1], p) + (k - 1) * _int_val(d, p)
+    piece = [[rows[i - 1][j - 1] for j in ys] for i in x.piece]
+    off = [[a for j, a in enumerate(row, 1) if j not in ys]
+           for i, row in enumerate(rows, 1) if i not in x.piece]
+    for block in (piece, off):
+        if block and len(_eliminate(block, len(block), reduce=False, start=d)[0]) < len(block):
+            raise SingularMatrixError("group element must be invertible")
+    vdet = _int_val(piece[k - 1][k - 1], p) + (k - 1) * _int_val(d, p)
     return -sum(xs) - scale * vdet == k * s - sum(ys.values())
 
 
@@ -182,8 +183,8 @@ def chart_equivalent(c1: ChartPoint, c2: ChartPoint, ctx: PrimeContext) -> bool:
 
     (g1, x1) and (g2, x2) do iff phi(x1) o g1^-1 g2 and phi(x2) agree up to
     scaling.  One Gauss-Jordan pass over [g1 | g2] ends in [d I | M] with
-    g1^-1 g2 = M / d; the class test takes one tight bound on M and one pass
-    continued from d, whose entries stay minors of [g1 | g2] (see _same_class).
+    g1^-1 g2 = M / d; the class test takes one tight bound on M and passes
+    over its two diagonal blocks from d, whose entries stay minors of [g1 | g2].
     """
     n = ctx.n
     g1, g2 = _checked(c1.g, c1.x, n), _checked(c2.g, c2.x, n)
@@ -196,9 +197,8 @@ def chart_equivalent(c1: ChartPoint, c2: ChartPoint, ctx: PrimeContext) -> bool:
 def in_stabilizer_P_x(g, x: ApartmentPoint, ctx: PrimeContext) -> bool:
     """Membership in the stabilizer of the class of phi(x).
 
-    The chart test on (I, x) and (g, x): phi(x) o g and phi(x) agree up to
-    scaling, decided on g = G / e with one tight bound and one forward pass
-    over the integer G from 1 (see _same_class).  No inverse is formed.
+    The chart test on (I, x) and (g, x), phi(x) o g against phi(x), run on
+    the integer G = e g from d = 1 (see _same_class): no inverse is formed.
     """
     n = ctx.n
     g = _checked(g, x, n)

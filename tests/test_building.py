@@ -667,8 +667,52 @@ def test_the_class_test_keeps_its_entries_minors_of_the_input(n, monkeypatch):
         sizes.clear()
         assert chart_equivalent(a, b, ctx) is expect
         rows, _ = arith_module._integer_rows([[*r1, *r2] for r1, r2 in zip(a.g, b.g)])
-        hadamard = math.floor(sum(math.log2(sum(x * x for x in row)) for row in rows) / 2) + 1
+        hadamard = _hadamard_bits(rows)
         assert sizes and max(sizes) <= hadamard, (sizes, hadamard)
+
+
+def _hadamard_bits(rows):
+    # bit length bound on every minor of the rows: the product of their lengths
+    return math.floor(sum(math.log2(sum(x * x for x in row)) for row in rows) / 2) + 1
+
+
+def _dense_member(rng, n, piece):
+    # the block on the piece is I + 3 * (entries in -2..2), a p-adic unit for
+    # p = 3, the rows on the piece are 0 off it, and the other rows are dense
+    return tuple(
+        tuple(Fraction(int(i == j) + 3 * rng.randint(-2, 2)) if j in piece else Fraction(0)
+              for j in range(1, n + 1)) if i in piece else tuple(_dense(rng, n))
+        for i in range(1, n + 1))
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_the_stabilizer_test_keeps_each_block_within_its_own_minors(n, monkeypatch):
+    # the rows on the piece are 0 off it, so the class test passes over the two
+    # diagonal blocks of the integer G apart; every entry of a pass is a minor
+    # of its own block, where one pass over all of G multiplies the piece
+    # block's determinant into the entries off the piece
+    passes = []
+
+    def recording(rows, *args, **kwargs):
+        block = tuple(map(tuple, rows))
+        out = arith_module._eliminate(rows, *args, **kwargs)
+        passes.append((block, max(abs(a).bit_length() for row in rows for a in row)))
+        return out
+
+    monkeypatch.setattr(building_module, "_eliminate", recording)
+    rng = random.Random(n)
+    piece = sorted(rng.sample(range(1, n + 1), n // 2))
+    off = [i for i in range(1, n + 1) if i not in piece]
+    g = _dense_member(rng, n, piece)
+    assert in_stabilizer_P_x(g, apartment_point(piece, [0] * len(piece)), PrimeContext(3, n))
+    (flat,), _ = arith_module._integer_rows([[a for row in g for a in row]])
+    bounds = {}
+    for ix in (piece, off):
+        block = tuple(tuple(flat[(i - 1) * n + j - 1] for j in ix) for i in ix)
+        bounds[block] = _hadamard_bits(block)
+    reached = [(bits, bounds.get(block)) for block, bits in passes]
+    assert len(reached) == 2 and all(b is not None and bits <= b for bits, b in reached), (
+        reached, sorted(bounds.values()))
 
 
 def test_unipotent_matrix_refuses_a_root_outside_the_dimension():
