@@ -29,8 +29,8 @@ from .errors import (
 class ApartmentPoint:
     """Point of the compactified apartment: a piece I and gauged exponents on I.
 
-    apartment_point sets up, and the point operations rely on: sorted, distinct int indices >= 1
-    and Fraction exponents, 0 at min(I).  A point built by hand is the caller's responsibility.
+    apartment_point reads I through _piece; the point operations rely on what it sets up: sorted,
+    distinct int indices >= 1 and Fraction exponents, 0 at min(I), unchecked on a hand-built point.
     """
 
     piece: tuple
@@ -52,17 +52,23 @@ class ApartmentPoint:
 _INT_TYPE, _POINT_TYPE = frozenset({int}), frozenset({ApartmentPoint})   # exact types, no subclass
 
 
+def _piece(piece) -> tuple:
+    """The one reader of a piece: its entries as given, distinct ints; callers check the range."""
+    piece = tuple(_sequence(piece))     # an iterator is read once, so a refusal can name it
+    # exact types first, so only ints are hashed: True and 1.0 would pass a subset test
+    if not _INT_TYPE.issuperset(map(type, piece)) or len(set(piece)) < len(piece):
+        raise DomainError(f"invalid piece {piece}")
+    return piece
+
+
 def apartment_point(piece, exponents) -> ApartmentPoint:
     """Build a point, sorting the piece and enforcing the gauge at min(I)."""
-    # a string piece reaches the index check below, and is refused there
-    piece, exponents = tuple(piece if isinstance(piece, str) else _sequence(piece)), vec(exponents)
+    piece, exponents = _piece(piece), vec(exponents)
     if len(piece) != len(exponents):
         raise DomainError(f"piece has {len(piece)} indices but {len(exponents)} exponents")
-    if not all(type(i) is int for i in piece):        # not a bool, float or string
-        raise DomainError(f"invalid piece {piece}")
     if not piece:
         raise DomainError("empty piece")
-    if len(set(piece)) != len(piece) or min(piece) < 1:
+    if min(piece) < 1:
         raise DomainError(f"invalid piece {tuple(sorted(piece))}")
     return _point(zip(piece, exponents))
 
@@ -87,12 +93,14 @@ class Root:
     j: int
 
     def __post_init__(self):
+        if not _INT_TYPE.issuperset((type(self.i), type(self.j))):     # not a bool, float or string
+            raise DomainError(f"root needs int indices, got ({self.i!r}, {self.j!r})")
         if self.i == self.j:
             raise DomainError("root needs distinct indices")
 
     def checked(self, n: int) -> Root:
         """This root, once both of its indices are found in 1..n."""
-        if not {self.i, self.j} <= set(range(1, n + 1)):
+        if not (1 <= self.i <= n and 1 <= self.j <= n):
             raise DomainError(f"root ({self.i}, {self.j}) has an index outside 1..{n}")
         return self
 
@@ -204,17 +212,6 @@ def monomial_matrix(m: MonomialElement, ctx: PrimeContext):
 # Boundary projections, duality flip, rays
 # ---------------------------------------------------------------------------
 
-def _piece(piece) -> set:
-    piece = tuple(_sequence(piece))     # an iterator is read once, so a refusal can name it
-    try:
-        indices = set(piece)
-    except TypeError:       # entries that do not hash
-        raise DomainError(f"invalid piece {piece}") from None
-    if not _INT_TYPE.issuperset(map(type, indices)):      # True and 1.0 pass a subset test
-        raise DomainError(f"invalid piece {piece}")
-    return indices
-
-
 def s_project(x: ApartmentPoint, piece) -> ApartmentPoint:
     """Project to a sub-piece, dropping the cocharacters outside it."""
     target = tuple(sorted(_piece(piece)))
@@ -325,11 +322,11 @@ def gamma_membership(y: ApartmentPoint, box: OpenBox, piece) -> bool:
     the exponents of y and the box ends, over one common denominator.
     """
     n = box.n
-    i_set = _piece(piece)
-    if not i_set or not i_set < set(range(1, n + 1)):
+    inside = _piece(piece)
+    if not 0 < len(inside) < n or min(inside) < 1 or max(inside) > n:     # distinct, so a proper subset
         raise DomainError("need a nonempty proper subset I of {1..n}")
     y.checked(n)
-    if not i_set <= set(y.piece):
+    if not set(y.piece).issuperset(inside):
         return False
     off = int(y.piece[0] == 1)          # the piece is sorted, so y_1 comes first
     ends = [e for j in y.piece[off:] for e in box.intervals[j - 2]]
@@ -337,12 +334,12 @@ def gamma_membership(y: ApartmentPoint, box: OpenBox, piece) -> bool:
     k = len(ends)
     y1 = row[k]
     # strict bounds on c, None on an unbounded side; c <= y_1 joins upper when 1 is off I
-    lower, upper = None, (y1 if off and 1 not in i_set else None)
+    lower, upper = None, (y1 if off and 1 not in inside else None)
     for j, lo, hi, yj in zip(y.piece[off:], row[0:k:2], row[1:k:2], row[k + off:]):
         if upper is None or yj - lo < upper:
             upper = yj - lo
-        if j in i_set and (lower is None or yj - hi > lower):
+        if j in inside and (lower is None or yj - hi > lower):
             lower = yj - hi
-    if 1 in i_set:
+    if 1 in inside:
         return (lower is None or lower < y1) and (upper is None or y1 < upper)
     return lower is None or lower < upper

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -85,6 +86,17 @@ def test_root_eval_examples():
         Root(2, 2)
 
 
+@pytest.mark.parametrize("i, j", [(True, 2), (2, 1.0), ("1", 2), ([1], 2)],
+                         ids=["bool", "float", "str", "unhashable"])
+def test_a_root_takes_only_int_indices(i, j):
+    # True and 1.0 passed checked(n) and built a unipotent matrix; [1] escaped checked(n) as a
+    # bare TypeError
+    message = re.escape(f"root needs int indices, got ({i!r}, {j!r})")
+    with pytest.raises(DomainError, match=f"^{message}$") as caught:
+        Root(i, j)
+    assert type(caught.value) is DomainError
+
+
 def test_nu_translation_examples():
     m = nu_translation([2, 1], PrimeContext(2, 2))
     assert m.perm == (1, 2)
@@ -132,9 +144,12 @@ def test_monomial_element_refuses_a_non_integral_permutation():
 
 def test_a_piece_or_a_permutation_takes_only_integer_indices():
     for piece, shown in (([1, 2.5], r"\(1, 2\.5\)"), ([True, 2], r"\(True, 2\)"),
-                         ("12", r"\('1', '2'\)"), ([2, "1"], r"\(2, '1'\)")):
+                         ([2, "1"], r"\(2, '1'\)")):
         with pytest.raises(DomainError, match=rf"^invalid piece {shown}$"):
             apartment_point(piece, [0, 1])
+    # a string is not read as its characters, as no piece reader reads it so
+    with pytest.raises(DomainError, match="^not a sequence of entries: '12'$"):
+        apartment_point("12", [0, 1])
     for perm in ("21", b"21", 21):
         with pytest.raises(DomainError, match="^not a sequence of entries: "):
             monomial_element(perm, [0, 0])

@@ -370,6 +370,14 @@ X01 = interior_point([0, 1])
                  id="sigma_project.bool"),
     pytest.param(lambda: s_project(X01, [1, 5]), NotSubPieceError,
                  r"\(1, 5\) is not a nonempty subset of \(1, 2\)", id="s_project.not_subset"),
+    # a repeated index was read as the set it makes, and answered
+    pytest.param(lambda: s_project(X01, [2, 2]), DomainError, r"invalid piece \(2, 2\)",
+                 id="s_project.repeated"),
+    pytest.param(lambda: sigma_project(identity(3), [1, 1]), DomainError,
+                 r"invalid piece \(1, 1\)", id="sigma_project.repeated"),
+    pytest.param(lambda: gamma_membership(interior_point([0, 1, 2]), open_box([(0, 1), (0, 1)]),
+                                          [1, 1]), DomainError,
+                 r"invalid piece \(1, 1\)", id="gamma_membership.repeated"),
     # a one-shot iterator is read once, so the refusal still names its entries
     pytest.param(lambda: s_project(interior_point([0, 1, 2]), iter([True])), DomainError,
                  r"invalid piece \(True,\)", id="s_project.iterator"),
@@ -384,6 +392,33 @@ def test_a_mixed_or_unhashable_piece_or_point_set_is_a_domain_error(call, error,
     with pytest.raises(DomainError, match=f"^{message}$") as caught:
         call()
     assert type(caught.value) is error
+
+
+@pytest.mark.parametrize("make, message", [
+    pytest.param(lambda: [1, 1], r"invalid piece \(1, 1\)", id="repeated"),
+    pytest.param(lambda: [True], r"invalid piece \(True,\)", id="bool"),
+    pytest.param(lambda: [1.0], r"invalid piece \(1\.0,\)", id="float"),
+    pytest.param(lambda: [[1]], r"invalid piece \(\[1\],\)", id="unhashable"),
+    pytest.param(lambda: "12", "not a sequence of entries: '12'", id="string"),
+    pytest.param(lambda: iter([1, 1]), r"invalid piece \(1, 1\)", id="repeated.iterator"),
+    pytest.param(lambda: iter([True]), r"invalid piece \(True,\)", id="bool.iterator"),
+    pytest.param(lambda: iter([1.0]), r"invalid piece \(1\.0,\)", id="float.iterator"),
+    pytest.param(lambda: iter([[1]]), r"invalid piece \(\[1\],\)", id="unhashable.iterator"),
+    pytest.param(lambda: iter("12"), r"invalid piece \('1', '2'\)", id="string.iterator"),
+])
+def test_every_piece_reader_refuses_a_malformed_piece_alike(make, message):
+    # apartment_point had its own reader: it refused [1, 1], which the others read as {1},
+    # and named "12" by its characters where the others refused it as a string
+    y, size = interior_point([0, 1, 2]), len(list(make()))
+    readers = {"apartment_point": lambda piece: apartment_point(piece, [0] * size),
+               "s_project": lambda piece: s_project(y, piece),
+               "sigma_project": lambda piece: sigma_project(identity(3), piece),
+               "gamma_membership": lambda piece: gamma_membership(
+                   y, open_box([(0, 1), (0, 1)]), piece)}
+    for name, read in readers.items():
+        with pytest.raises(DomainError, match=f"^{message}$") as caught:
+            read(make())
+        assert type(caught.value) is DomainError, name
 
 
 def test_sample_generators_at_a_large_prime():

@@ -480,6 +480,15 @@ def test_cli_indices_must_be_json_integers(capsys, flags):
     assert code == 3 and out is None and err["error"] == "ParseError"
 
 
+def test_cli_gamma_member_refuses_a_repeated_index(capsys):
+    # the piece [1, 1] was read as {1} and answered, where --point refused it
+    code = main(["gamma-member", "--p", "2", "--n", "2", "--y", '{"I":[1,2],"x":["0/1","-1/1"]}',
+                 "--box", '{"intervals":[["-1/1","1/1"]]}', "--I", "[1,1]"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == '{"error": "Domain", "message": "invalid piece (1, 1)", "ok": false}\n'
+
+
 @pytest.mark.parametrize("module, name, read, doc", [
     ("apartment", "apartment_point", ser.apartment_point_from_doc, {"I": [1, 2], "x": ["0/1", "1/1"]}),
     ("apartment", "monomial_element", ser.monomial_from_doc, {"perm": [2, 1], "trans": ["0/1", "0/1"]}),

@@ -13,7 +13,8 @@ importing argparse.  Only diagonal_seminorm and the seminorm builders
 construct a seminorm, and only seminorm._group_matrix reads a group
 element: building hands no chart's or action's matrix to `mat`.  Only
 arith._rational tests `type(x) is Fraction` to take an entry as it is, so
-that every other reader goes through it.
+that every other reader goes through it.  Only apartment._piece copies a
+piece or tests the types of its entries, and only it refuses an entry.
 """
 
 import ast
@@ -268,6 +269,74 @@ def test_a_second_group_element_reader_is_caught(tmp_path):
         ("building", "in_stabilizer_P_x", "mat"),
         ("seminorm", "_group_matrix", GROUP_SHAPE),
         ("seminorm", "_group_matrix", "mat"),
+    ]
+
+
+PIECE_REFUSAL = "invalid piece"
+PIECE_READS = {"type", "isinstance", "_INT_TYPE", "_sequence"}
+
+
+def _piece_reads(paths):
+    """(module, top-level def, what) of each raise of the piece refusal, and of each type test
+    or _sequence call, by name or as an attribute, in a def that raises it or takes an argument
+    named piece, so that a piece is read once."""
+    found = []
+    for path in paths:
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            name = getattr(stmt, "name", "<module>")
+            raises = [node for node in ast.walk(stmt) if isinstance(node, ast.Raise) and any(
+                isinstance(c, ast.Constant) and str(c.value).startswith(PIECE_REFUSAL)
+                for c in ast.walk(node))]
+            found += [(path.stem, name, PIECE_REFUSAL)] * len(raises)
+            args = stmt.args.args if isinstance(stmt, ast.FunctionDef) else []
+            if raises or "piece" in [a.arg for a in args]:
+                found += [(path.stem, name, read) for node in ast.walk(stmt)
+                          for read in [getattr(node, "id", getattr(node, "attr", None))]
+                          if read in PIECE_READS]
+    return sorted(found)
+
+
+def test_only_the_piece_reader_reads_a_piece():
+    # apartment_point refuses an index below 1 itself, a range check as every caller makes its own
+    assert _piece_reads(MODULES) == [
+        ("apartment", "_piece", "_INT_TYPE"),
+        ("apartment", "_piece", "_sequence"),
+        ("apartment", "_piece", PIECE_REFUSAL),
+        ("apartment", "_piece", "type"),
+        ("apartment", "apartment_point", PIECE_REFUSAL),
+    ]
+
+
+def test_a_second_piece_reader_is_caught(tmp_path):
+    apartment, building = tmp_path / "apartment.py", tmp_path / "building.py"
+    apartment.write_text("from .arith import _sequence\n\n"
+                         "def _piece(piece):\n    piece = tuple(_sequence(piece))\n"
+                         "    if not _INT_TYPE.issuperset(map(type, piece)):\n"
+                         "        raise DomainError(f'invalid piece {piece}')\n    return piece\n\n"
+                         "def apartment_point(piece, exponents):\n"
+                         "    piece = tuple(piece if isinstance(piece, str) else _sequence(piece))\n"
+                         "    if not all(type(i) is int for i in piece):\n"
+                         "        raise DomainError(f'invalid piece {piece}')\n    return piece\n\n"
+                         "def monomial_element(perm):\n"
+                         "    return [w if type(w) is int else 0 for w in _sequence(perm)]\n",
+                         encoding="utf-8")
+    building.write_text("from . import arith\n\n"
+                        "def sigma_project(g, piece):\n"
+                        "    return [i for i in arith._sequence(piece) if type(i) is int]\n\n"
+                        "def _refuse(s):\n    raise DomainError('invalid piece ' + repr(s))\n",
+                        encoding="utf-8")
+    assert _piece_reads([apartment, building]) == [
+        ("apartment", "_piece", "_INT_TYPE"),
+        ("apartment", "_piece", "_sequence"),
+        ("apartment", "_piece", PIECE_REFUSAL),
+        ("apartment", "_piece", "type"),
+        ("apartment", "apartment_point", "_sequence"),
+        ("apartment", "apartment_point", PIECE_REFUSAL),
+        ("apartment", "apartment_point", "isinstance"),
+        ("apartment", "apartment_point", "type"),
+        ("building", "_refuse", PIECE_REFUSAL),
+        ("building", "sigma_project", "_sequence"),
+        ("building", "sigma_project", "type"),
     ]
 
 
