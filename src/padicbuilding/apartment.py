@@ -69,7 +69,7 @@ def apartment_point(piece, exponents) -> ApartmentPoint:
     if not piece:
         raise DomainError("empty piece")
     if min(piece) < 1:
-        raise DomainError(f"invalid piece {tuple(sorted(piece))}")
+        raise DomainError(f"invalid piece {piece}")
     return _point(zip(piece, exponents))
 
 

@@ -3,12 +3,15 @@
 Every subcommand takes the configuration flags --p --n [--e] plus payload
 flags holding inline JSON or @file references, and writes a single JSON
 envelope to stdout.  Exit codes: 0 ok, 2 domain error, 3 parse error,
-4 unknown command.  Randomized commands require an explicit --seed so
-runs are reproducible.  A payload its mode does not read is exit 3, not
-dropped: `act --m` takes no --g or --seminorm, `act --g` no --point, and
-`reduce` takes --mp only with --kind monomial and --z only without it.
-`COMMANDS` declares each command once; `_parse` reads flags with argparse's
-grammar and messages, without argparse.
+4 unknown command.  A payload whose JSON lacks its documented type is
+exit 3; every refusal of its decoded values, relations between fields
+included, is the library's own error, exit 2.  Randomized commands
+require an explicit --seed so runs are reproducible.  A payload its mode
+does not read is exit 3, not dropped: `act --m` takes no --g or
+--seminorm, `act --g` no --point, and `reduce` takes --mp only with
+--kind monomial and --z only without it.  `COMMANDS` declares each
+command once; `_parse` reads flags with argparse's grammar and messages,
+without argparse.
 """
 
 from __future__ import annotations
@@ -293,9 +296,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         return _fail("ParseError", str(exc), 3)
     except (DomainError, ValueError) as exc:
-        name = type(exc).__name__
-        code = name[:-5] if name.endswith("Error") else name
-        return _fail(code or "Domain", str(exc), 2)
+        return _fail(type(exc).__name__.removesuffix("Error"), str(exc), 2)
     print(_ENCODER.encode({"ok": True, "command": cmd, "result": result, "regauged": req.regauged,
                            "config": {"p": ctx.p, "n": ctx.n, "e": ctx.e}}))
     return 0

@@ -11,6 +11,12 @@ integer or a string of the form -?digits(/digits)?, each part at most
 the parser do unbounded work.  Apartment points and
 monomial elements are re-gauged on read, and readers report whether that
 happened so callers can flag it.
+
+A reader raises ParseError only when a field's JSON lacks its documented
+type: a missing key, a non-array, a bad rational, a non-integer index, a
+non-pair, an empty or ragged array.  It hands the decoded values to the
+library, whose own error refuses them, relations between fields included:
+a repeated index, a non-permutation, unequal lengths, an empty interval.
 """
 
 from __future__ import annotations
@@ -20,20 +26,12 @@ import re
 from fractions import Fraction
 
 from . import apartment, arith, berkovich, building, seminorm
-from .errors import DomainError, ParseError
+from .errors import ParseError
 
 
 def _is_int_array(doc) -> bool:
     # JSON integers only: true, 2.7 and "2" are rejected, not converted
     return isinstance(doc, list) and all(type(i) is int for i in doc)
-
-
-def _built(where, build, *args):
-    # build(*args) from decoded parts; the library's refusal of them is a ParseError at where
-    try:
-        return build(*args)
-    except (DomainError, ValueError) as exc:
-        raise ParseError(str(exc), where)
 
 
 def frac_to_str(x) -> str:
@@ -110,7 +108,7 @@ def lscalar_from_doc(doc, ctx, where="scalar") -> arith.LScalar:
     if not isinstance(doc, list):
         raise ParseError("expected a coefficient array", where)
     coeffs = [frac_from_str(x, f"{where}[{k}]") for k, x in enumerate(doc)]
-    return _built(where, arith.l_scalar, coeffs, ctx)
+    return arith.l_scalar(coeffs, ctx)
 
 
 def apartment_point_to_doc(x: apartment.ApartmentPoint):
@@ -127,9 +125,7 @@ def apartment_point_from_doc(doc, where="point"):
     if not isinstance(doc["x"], list):
         raise ParseError("exponents must be an array", where + ".x")
     exps = [frac_from_str(t, f"{where}.x[{k}]") for k, t in enumerate(doc["x"])]
-    if len(exps) != len(piece):
-        raise ParseError("piece and exponent lengths differ", where)
-    point = _built(where, apartment.apartment_point, piece, exps)
+    point = apartment.apartment_point(piece, exps)
     given = dict(zip(piece, exps))
     regauged = any(point.exponent(i) != given[i] for i in point.piece)
     return point, regauged
@@ -143,7 +139,7 @@ def monomial_from_doc(doc, where="monomial"):
     if not isinstance(doc["trans"], list):
         raise ParseError("translation must be an array", where + ".trans")
     trans = [frac_from_str(t, f"{where}.trans[{k}]") for k, t in enumerate(doc["trans"])]
-    m = _built(where, apartment.monomial_element, doc["perm"], trans)
+    m = apartment.monomial_element(doc["perm"], trans)
     regauged = tuple(trans) != m.trans
     return m, regauged
 
@@ -151,7 +147,7 @@ def monomial_from_doc(doc, where="monomial"):
 def root_from_doc(doc, where="root"):
     if not (_is_int_array(doc) and len(doc) == 2):
         raise ParseError("expected [i, j]", where)
-    return _built(where, apartment.Root, doc[0], doc[1])
+    return apartment.Root(doc[0], doc[1])
 
 
 def box_from_doc(doc, where="box"):
@@ -165,7 +161,7 @@ def box_from_doc(doc, where="box"):
             raise ParseError("expected [lo, hi]", f"{where}.intervals[{k}]")
         ivs.append((frac_from_str(pair[0], f"{where}.intervals[{k}][0]"),
                     frac_from_str(pair[1], f"{where}.intervals[{k}][1]")))
-    return _built(where, apartment.open_box, ivs)
+    return apartment.open_box(ivs)
 
 
 def seminorm_to_doc(g: seminorm.DiagonalSeminorm):

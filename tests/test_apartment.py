@@ -143,8 +143,10 @@ def test_monomial_element_refuses_a_non_integral_permutation():
 
 
 def test_a_piece_or_a_permutation_takes_only_integer_indices():
+    # an index below 1 is refused too, named as given
     for piece, shown in (([1, 2.5], r"\(1, 2\.5\)"), ([True, 2], r"\(True, 2\)"),
-                         ([2, "1"], r"\(2, '1'\)")):
+                         ([2, "1"], r"\(2, '1'\)"), ([0, 1], r"\(0, 1\)"),
+                         ([2, 0], r"\(2, 0\)")):
         with pytest.raises(DomainError, match=rf"^invalid piece {shown}$"):
             apartment_point(piece, [0, 1])
     # a string is not read as its characters, as no piece reader reads it so

@@ -54,6 +54,7 @@ from padicbuilding.arith import (
     _kernel_and_pivots,
     identity,
     l_is_zero,
+    l_neg,
     l_sub,
     mat,
     mat_det,
@@ -159,6 +160,8 @@ def test_l_field_op_examples():
     a = l_scalar([1, 1], CTX22)
     b = l_scalar([1, -1], CTX22)
     assert l_mul(a, b, CTX22) == l_from_k(-1, CTX22)
+    # at e = 1 the uniformizer is p itself
+    assert l_pi(CTX2) == l_from_k(2, CTX2) and val_l(l_pi(CTX2), CTX2) == 1
 
 
 def test_l_mul_ring_laws():
@@ -172,6 +175,7 @@ def test_l_mul_ring_laws():
             assert l_mul(l_mul(z, w, ctx), u, ctx) == l_mul(z, l_mul(w, u, ctx), ctx)
             assert l_mul(z, l_add(w, u), ctx) == l_add(l_mul(z, w, ctx), l_mul(z, u, ctx))
             assert l_mul(z, l_from_k(c, ctx), ctx) == l_scale(c, z)
+            assert l_is_zero(l_add(z, l_neg(z)))
 
 
 def test_val_l_multiplicative():

@@ -427,8 +427,8 @@ NORM2 = '{"basis":[["1/1","0/1"],["0/1","1/1"]],"values":[{"log":"0/1"},{"log":"
 
 @pytest.mark.parametrize("argv, code, error, message", [
     (("phi", "--point", "[]"), 3, "ParseError", '--point: expected {"I": [...], "x": [...]}'),
-    (("phi", "--point", '{"I":[1,2],"x":["0/1"]}'), 3, "ParseError",
-     "--point: piece and exponent lengths differ"),
+    (("phi", "--point", '{"I":[1,2],"x":["0/1"]}'), 2, "Domain",
+     "piece has 2 indices but 1 exponents"),
     (("ray-limit", "--x0", POINT2, "--d", "[]"), 3, "ParseError", "--d: expected a nonempty array"),
     (("stab", "--g", "[]", "--point", POINT2), 3, "ParseError", "--g: expected a nonempty row array"),
     (("stab", "--g", '[["1/1","0/1"],["1/1"]]', "--point", POINT2), 3, "ParseError",
@@ -436,21 +436,21 @@ NORM2 = '{"basis":[["1/1","0/1"],["0/1","1/1"]],"values":[{"log":"0/1"},{"log":"
     (("equiv", "--c1", "[]", "--c2", "[]"), 3, "ParseError", '--c1: expected {"g": ..., "x": ...}'),
     (("act", "--m", "[]", "--point", POINT2), 3, "ParseError",
      '--m: expected {"perm": [...], "trans": [...]}'),
-    (("act", "--m", '{"perm":[1,1],"trans":["0/1","0/1"]}', "--point", POINT2), 3, "ParseError",
-     "--m: not a permutation of 1..2: (1, 1)"),
-    (("act", "--m", '{"perm":[2,1],"trans":["0/1"]}', "--point", POINT2), 3, "ParseError",
-     "--m: translation length mismatch"),
+    (("act", "--m", '{"perm":[1,1],"trans":["0/1","0/1"]}', "--point", POINT2), 2, "Domain",
+     "not a permutation of 1..2: (1, 1)"),
+    (("act", "--m", '{"perm":[2,1],"trans":["0/1"]}', "--point", POINT2), 2, "Domain",
+     "translation length mismatch"),
     (("gamma-member", "--y", POINT2, "--box", "[]", "--I", "[1]"), 3, "ParseError",
      '--box: expected {"intervals": [[lo, hi], ...]}'),
     (("gamma-member", "--y", POINT2, "--box", '{"intervals":[["0/1"]]}', "--I", "[1]"), 3,
      "ParseError", "--box.intervals[0]: expected [lo, hi]"),
-    (("gamma-member", "--y", POINT2, "--box", '{"intervals":[["1/1","0/1"]]}', "--I", "[1]"), 3,
-     "ParseError", "--box: empty interval (1, 0)"),
+    (("gamma-member", "--y", POINT2, "--box", '{"intervals":[["1/1","0/1"]]}', "--I", "[1]"), 2,
+     "Domain", "empty interval (1, 0)"),
     (("omega", "--z", "5"), 3, "ParseError", '--z: expected {"z": [[...], ...]} or an array'),
     (("omega", "--e", "2", "--z", '[5,["1/1"]]'), 3, "ParseError",
      "--z[0]: expected a coefficient array"),
-    (("omega", "--e", "2", "--z", '[["1/1","2/1","3/1"],["1/1"]]'), 3, "ParseError",
-     "--z[0]: expected at most 2 coefficients, got 3"),
+    (("omega", "--e", "2", "--z", '[["1/1","2/1","3/1"],["1/1"]]'), 2, "Domain",
+     "expected at most 2 coefficients, got 3"),
     (("ortho", "--us", '[["1/1","0/1","0/1"]]', "--ambient", NORM2), 2, "Domain",
      "expected at most n vectors of length n"),
 ])
@@ -487,6 +487,33 @@ def test_cli_gamma_member_refuses_a_repeated_index(capsys):
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err == '{"error": "Domain", "message": "invalid piece (1, 1)", "ok": false}\n'
+
+
+REPEATED = '{"I":[1,1],"x":["0/1","0/1"]}'
+ID2 = '[["1/1","0/1"],["0/1","1/1"]]'
+BOX2 = '{"intervals":[["-1/1","1/1"]]}'
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("phi", "--point", REPEATED), "invalid piece (1, 1)"),
+    (("gamma-member", "--y", REPEATED, "--box", BOX2, "--I", "[1]"), "invalid piece (1, 1)"),
+    (("fsigma", "--sigma", f"[{REPEATED}]", "--root", "[1,2]"), "invalid piece (1, 1)"),
+    (("equiv", "--c1", f'{{"g":{ID2},"x":{REPEATED}}}', "--c2", f'{{"g":{ID2},"x":{POINT2}}}'),
+     "invalid piece (1, 1)"),
+    (("gamma-member", "--y", POINT2, "--box", BOX2, "--I", "[1,1]"), "invalid piece (1, 1)"),
+    (("fsigma", "--sigma", f"[{POINT2}]", "--root", "[1,1]"), "root needs distinct indices"),
+    (("fsigma", "--sigma", f"[{POINT2}]", "--root", "[1,5]"),
+     "root (1, 5) has an index outside 1..2"),
+    (("act", "--m", '{"perm":[1,1],"trans":["0/1","0/1"]}', "--point", POINT2),
+     "not a permutation of 1..2: (1, 1)"),
+    (("act", "--m", '{"perm":[2,1,3],"trans":["0/1","0/1","0/1"]}', "--point", POINT2),
+     "permutation has length 3, expected 2"),
+])
+def test_cli_refuses_a_bad_value_alike_whichever_flag_holds_it(capsys, argv, message):
+    # the library refuses decoded values, exit 2 with its own message and no flag prefix
+    code, out, err = run(capsys, argv[0], "--p", "2", "--n", "2", *argv[1:])
+    assert (code, out) == (2, None)
+    assert err == {"ok": False, "error": "Domain", "message": message}
 
 
 @pytest.mark.parametrize("module, name, read, doc", [

@@ -54,8 +54,16 @@ def _same_reduction(code, out, err):
         and equals(new, old)
 
 
+def _root_refused_by_the_library(code, out, err):
+    # a repeated root index is refused by Root itself, exit 2 like an index outside 1..n;
+    # serialize used to relabel it a ParseError at --root
+    return code == 2 and not out and json.loads(err) == \
+        {"ok": False, "error": "Domain", "message": "root needs distinct indices"}
+
+
 CHANGED = {"help": _usage, "no-arguments": _usage, "trans-not-array": _labelled_by_flag,
-           "bound-negative": _bound_refused, "valid-n3-8-reduce": _same_reduction}
+           "bound-negative": _bound_refused, "valid-n3-8-reduce": _same_reduction,
+           "root-equal": _root_refused_by_the_library}
 
 
 def _run(case, tmp_path):
